@@ -85,13 +85,6 @@ class MeshWindow:
         w.points = dict(self.points)
         return w
 
-    def flip_rows(self):
-        """Time reversal: row j -> -j, pin -> time-reversed pin."""
-        w = MeshWindow(self.pin.time_reverse(), self.dim, periodic_n=self.periodic_n)
-        for (i, j), p in self.points.items():
-            w.points[(i, -j)] = p
-        return w
-
     def shift(self, di, dj):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
         for (i, j), p in self.points.items():

@@ -142,26 +142,6 @@ def hull_area_twice(points):
     return abs(a2)
 
 
-def hull_vertices(points):
-    """Convex hull vertices in counterclockwise order."""
-    pts = sorted(set(map(tuple, points)))
-
-    def half(iterable):
-        out = []
-        for p in iterable:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
 def _hnf_index(gens):
     """Index of the sublattice of Z^2 generated by gens (0 if not full rank)."""
     vecs = [tuple(v) for v in gens if v != (0, 0)]

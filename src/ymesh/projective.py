@@ -315,12 +315,6 @@ def line_chart(points):
     return [(p.v[j1], p.v[j2]) for p in pts]
 
 
-def affine_params(points):
-    """Affine parameters t = beta/alpha of collinear points in the line chart."""
-    return [ExtQ(b, a) if a != 0 else ExtQ.infinity() for a, b in
-            ((Fraction(a), Fraction(b)) for a, b in line_chart(points))]
-
-
 def _common_line(pts):
     """Integer vectors of points on one line and a chart of that line: two
     coordinates on which the line projects isomorphically.  Points that do
@@ -374,18 +368,10 @@ def multi_ratio(points):
             inf_count -= 1
         num *= a
         den *= b
+    if num == 0 and den == 0:
+        # an inf factor met a 0 factor, however many of each
+        raise DegenerateError("inf * 0 in multi-ratio")
     if inf_count > 0:
         return ExtQ.infinity()
-    if num == 0 and den == 0:
-        # an inf factor met a 0 factor
-        raise DegenerateError("inf * 0 in multi-ratio")
     return ExtQ(num, den)
 
-
-def point_on_line(line, t):
-    """Point of a rank-2 flat with chart parameter t (ExtQ or rational)."""
-    t = t if isinstance(t, ExtQ) else ExtQ(t)
-    u, w = line.rows
-    if t.is_inf:
-        return Point(w)
-    return Point(tuple(a + t.q * b for a, b in zip(u, w)))

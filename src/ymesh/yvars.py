@@ -156,10 +156,6 @@ def general_y_multiratio_route(window, r, subset):
     return ExtQ(sign) * multi_ratio(pts)
 
 
-def general_y_labels(subset):
-    return GENERAL_Y_TABLE[frozenset(subset)][1]
-
-
 def cycle_diagram(subset):
     """Compass word of the subset's multi-ratio: consecutive label differences
     mapped to the eight compass directions, alternating solid/dashed."""

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ymesh.rational import ExtQ, INF, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point,
                               rank_of, collinear, cross_ratio, multi_ratio,
-                              line_chart, point_on_line, rref)
+                              line_chart, rref)
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -62,6 +62,13 @@ def test_multi_ratio_degeneracies():
     assert multi_ratio([pt(0), pt(0), pt(1), pt(2)]) == ExtQ(0)
     with pytest.raises(DegenerateError):
         multi_ratio([pt(0), pt(0), pt(0), pt(2)])  # 0/0 chart factor
+
+
+def test_multi_ratio_more_inf_than_zero_factors_raises():
+    # factors: (0,0,1) is 0, (1,2,2) and (2,0,0) are inf; inf * inf * 0 is
+    # indeterminate, as ExtQ makes inf * 0
+    with pytest.raises(DegenerateError):
+        multi_ratio([pt(0), pt(0), pt(1), pt(2), pt(2), pt(0)])
 
 
 def test_rank_and_collinear():
@@ -127,10 +134,10 @@ def _flat_multi_ratio(pts):
             raise DegenerateError("0/0 factor in multi-ratio")
         inf_count += (b == 0) - (a == 0)
         num, den = num * a, den * b
-    if inf_count > 0:
-        return ExtQ.infinity()
     if num == 0 and den == 0:
         raise DegenerateError("inf * 0 in multi-ratio")
+    if inf_count > 0:
+        return ExtQ.infinity()
     return ExtQ(num, den)
 
 

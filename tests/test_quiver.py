@@ -97,3 +97,69 @@ def test_1d_y_relation():
     q = Quiver({1, 2}, [(1, 2)])
     ys = run_1d_y(q, 2, [Fraction(1, 2), Fraction(3)], 12)
     assert check_1d_y_relation(q, 2, ys) >= 8
+
+
+# ---- local mutation against the dense matrix rule ------------------------
+
+
+def _dense(q, verts):
+    return [[q.bval(u, w) for w in verts] for u in verts]
+
+
+def _dense_mutate(b, k):
+    """Matrix mutation: b'_uw = -b_uw if k in {u, w}, else
+    b_uw + (|b_uk| b_kw + b_uk |b_kw|) / 2."""
+    n = len(b)
+    return [[-b[u][w] if k in (u, w)
+             else b[u][w] + (abs(b[u][k]) * b[k][w] + b[u][k] * abs(b[k][w])) // 2
+             for w in range(n)] for u in range(n)]
+
+
+def _random_quiver(rng):
+    verts = list(range(rng.randint(6, 12)))
+    arrows = []
+    for _ in range(rng.randint(len(verts), 3 * len(verts))):
+        u, w = rng.sample(verts, 2)
+        arrows.append((u, w, rng.randint(1, 3)))
+    return Quiver(verts, arrows), verts
+
+
+def test_mutation_matches_dense_rule():
+    rng = random.Random(2024)
+    created = cancelled = 0
+    for _ in range(200):
+        q, verts = _random_quiver(rng)
+        b = _dense(q, verts)
+        for _ in range(6):
+            k = rng.choice(verts)
+            b2 = _dense_mutate(b, k)
+            q = q.mutate(k)
+            assert _dense(q, verts) == b2
+            assert len(q.b) == sum(1 for row in b2 for x in row if x > 0)
+            assert dict(q.b) == {(u, w): x for u, row in enumerate(b2)
+                                 for w, x in enumerate(row) if x > 0}
+            assert all(q.adj[w][u] == -m for u in verts for w, m in q.adj[u].items())
+            pairs = [(u, w) for u in verts for w in verts if u < w]
+            created += sum(1 for u, w in pairs if b[u][w] == 0 and b2[u][w] != 0)
+            cancelled += sum(1 for u, w in pairs if b[u][w] != 0 and b2[u][w] == 0
+                             and k not in (u, w))
+            b = b2
+    assert created > 100 and cancelled > 100
+
+
+def test_mutation_leaves_source_unchanged():
+    rng = random.Random(7)
+    for _ in range(100):
+        q, verts = _random_quiver(rng)
+        before = _dense(q, verts)
+        for v in verts:
+            for w in verts:
+                q.mutate(v).mutate(w)
+        assert _dense(q, verts) == before
+        assert len(q.b) == sum(1 for row in before for x in row if x > 0)
+
+
+def test_period_one_at_large_n(zoo_name):
+    # local mutation keeps this linear in n; the old O(|arrows|) rule took
+    # seconds per pin here
+    assert verify_period_one(zoo_pin(zoo_name), 200)
