@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
-from .projective import Point, span, join, meet, meet_point, rank_of, collinear
+from .projective import (Point, span, join, meet, meet_point, multi_ratio_pair, rank_of,
+                         collinear)
 from .pins import Pin, PinError, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, FiltrationUnavailable,
                          circuit_members, base_row_range, _KIND_OFFSETS,
@@ -144,10 +145,10 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     (or until it is too narrow to propagate) without a degenerate meet, and
     no L1, L2 or line instance of the result may repeat a point; otherwise
     it is redrawn from the same random stream, at most REDRAW_LIMIT times,
-    before DegenerateConfig is raised.  Boundary pins
-    (a zero convex-relation coefficient, so FiltrationSpec raises) use a
-    left-to-right greedy sweep instead, support D = 2 only and are not
-    redrawn.
+    before DegenerateConfig is raised.  Boundary pins (a zero
+    convex-relation coefficient, so FiltrationSpec raises) use a
+    left-to-right greedy sweep instead and support D = 2 only; their draws
+    are redrawn the same way.
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
@@ -155,21 +156,35 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
         raise MeshError("D = %d exceeds D(S) = %d" % (dim, d_of_s(pin)))
     case = classify_case(pin)
     if case == CASE_BOUNDARY:
-        return _generate_boundary(pin, dim, i_lo, i_hi, seed)
-    if case == CASE_TRIANGLE_C:
+        if dim != 2:
+            raise MeshError("boundary pins: only D = 2 generation is supported")
+
+        def draw(rng):
+            return _generate_boundary(pin, dim, i_lo, i_hi, rng)
+    elif case == CASE_TRIANGLE_C:
         rev = pin.time_reverse()
         sh = -min(j for (_, j) in rev.points)  # renormalize rows to start at 0
         rev = rev.apply(j0=sh)
-    rng = random.Random(seed)
-    for _ in range(REDRAW_LIMIT):
-        if case == CASE_TRIANGLE_C:
+
+        def draw(rng):
             w = _generate_filtration(rev, dim, i_lo, i_hi, rng)
             window = MeshWindow(pin, dim)
             for (i, j), p in w.points.items():
                 window.points[(i, pin.m + 1 - j)] = p
-        else:
-            window = _generate_filtration(pin, dim, i_lo, i_hi, rng)
-        if _propagates(window, pin.l + 2):
+            return window
+    else:
+        def draw(rng):
+            return _generate_filtration(pin, dim, i_lo, i_hi, rng)
+    return _certified_draw(draw, random.Random(seed), pin.l + 2)
+
+
+def _certified_draw(draw, rng, steps):
+    """The first window that draw(rng) returns which propagates the given
+    number of steps cleanly (``_propagates``); at most REDRAW_LIMIT draws
+    from the one random stream, then DegenerateConfig."""
+    for _ in range(REDRAW_LIMIT):
+        window = draw(rng)
+        if _propagates(window, steps):
             return window
     raise DegenerateConfig("%d draws of the window all propagated degenerately" % REDRAW_LIMIT)
 
@@ -218,10 +233,7 @@ def _generate_filtration(pin, dim, i_lo, i_hi, rng):
     return window
 
 
-def _generate_boundary(pin, dim, i_lo, i_hi, seed):
-    if dim != 2:
-        raise MeshError("boundary pins: only D = 2 generation is supported")
-    rng = random.Random(seed)
+def _generate_boundary(pin, dim, i_lo, i_hi, rng):
     m = pin.m
     window = MeshWindow(pin, dim)
     # sweep-last member offset for each collinearity circuit kind
@@ -267,15 +279,22 @@ def _spanning_check(window):
 
 def generate_polygon_window(pin, n, seed=0, dim=2):
     """Closed twisted-free polygon data for pins with m = 1 (single free row):
-    a random n-gon in RP^dim, periodic in i."""
+    a random n-gon in RP^dim with distinct vertices, periodic in i.  Like
+    generate_window, a polygon that does not propagate pin.l + 2 rows
+    cleanly is redrawn from the same random stream."""
     if pin.m != 1:
         raise MeshError("closed polygon windows need m = 1 (got m = %d)" % pin.m)
-    rng = random.Random(seed)
-    w = MeshWindow(pin, dim, periodic_n=n)
-    for i in range(n):
-        w.set((i, 1), _random_free(rng, dim))
-    _spanning_check(w)
-    return w
+
+    def draw(rng):
+        w = MeshWindow(pin, dim, periodic_n=n)
+        vertices = []
+        for i in range(n):
+            vertices.append(_random_free(rng, dim, avoid=vertices))
+            w.set((i, 1), vertices[-1])
+        _spanning_check(w)
+        return w
+
+    return _certified_draw(draw, random.Random(seed), pin.l + 2)
 
 
 # ---- propagation -------------------------------------------------------
@@ -424,16 +443,15 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
 
 def _instances(window, labels):
     """Base and points of every instance of the labelled offsets that lies
-    fully inside the window."""
+    fully inside the window, ordered by (r2, r1).  The bases are read off
+    the window's keys, each once (mod n on a periodic window)."""
     offs = [_resolve(window.pin, lab) for lab in labels]
-    keys = list(window.points)
-    i_vals = [i for (i, _) in keys]
-    j_vals = [j for (_, j) in keys]
-    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
-        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            members = [_add((r1, r2), o) for o in offs]
-            if all(window.has(q) for q in members):
-                yield (r1, r2), [window.get(q) for q in members]
+    o1, o2 = offs[0]
+    bases = {window._key((i - o1, j - o2)) for (i, j) in window.points}
+    for r1, r2 in sorted(bases, key=lambda r: (r[1], r[0])):
+        members = [(r1 + d1, r2 + d2) for d1, d2 in offs]
+        if all(window.has(q) for q in members):
+            yield (r1, r2), [window.get(q) for q in members]
 
 
 _LINE_LABELS = ("a", "b", "c", "d")
@@ -584,11 +602,10 @@ def step_1d(window, backward=False):
 
 def check_menelaus(window):
     """Verify the six-point relation (= -1) for every base fully inside a 1D
-    or higher-dimensional window; returns the instance count.  Instances whose
-    multi-ratio is undefined (coincident points can occur on boundary-pin
-    meshes and for pins with a+d = b+c) are skipped."""
-    from .projective import multi_ratio
-    from .rational import DegenerateError
+    or higher-dimensional window; returns the instance count.  The
+    multi-ratio is compared as an integer pair: num + den == 0.  Instances
+    whose multi-ratio is undefined (coincident points can occur on
+    boundary-pin meshes and for pins with a+d = b+c) are skipped."""
     pin = window.pin
     keys = list(window.points)
     i_vals = [i for (i, _) in keys]
@@ -600,10 +617,11 @@ def check_menelaus(window):
             if not all(window.has(q) for q in labels):
                 continue
             try:
-                val = multi_ratio([window.get(q) for q in labels])
+                num, den = multi_ratio_pair([window.get(q) for q in labels])
             except DegenerateError:
                 continue
-            if val != ExtQ(-1):
-                raise MeshError("Menelaus relation fails at base (%d, %d): %s" % (r1, r2, val))
+            if num + den != 0:
+                raise MeshError("Menelaus relation fails at base (%d, %d): %s"
+                                % (r1, r2, ExtQ(num, den)))
             count += 1
     return count

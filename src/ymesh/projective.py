@@ -328,6 +328,18 @@ def _common_line(pts):
     return zs, chart
 
 
+def cross_ratio_pair(x1, x2, x3, x4):
+    """[x1,x2,x3,x4] as an unreduced integer pair (num, den), den = 0 for
+    inf: the 2x2 determinants ``cross_ratio`` divides.  Raises where
+    ``cross_ratio`` does."""
+    (z1, z2, z3, z4), chart = _common_line((x1, x2, x3, x4))
+    num = _det2(z1, z2, *chart) * _det2(z3, z4, *chart)
+    den = _det2(z2, z3, *chart) * _det2(z4, z1, *chart)
+    if num == 0 and den == 0:
+        raise DegenerateError("0/0")
+    return num, den
+
+
 def cross_ratio(x1, x2, x3, x4):
     """[x1,x2,x3,x4] = (x1-x2)(x3-x4) / ((x2-x3)(x4-x1)) for collinear points.
 
@@ -335,10 +347,29 @@ def cross_ratio(x1, x2, x3, x4):
     once above and once below, so it is computed on the integer vectors in a
     chart of the common line; points not on one line raise DegenerateError.
     """
-    (z1, z2, z3, z4), chart = _common_line((x1, x2, x3, x4))
-    num = _det2(z1, z2, *chart) * _det2(z3, z4, *chart)
-    den = _det2(z2, z3, *chart) * _det2(z4, z1, *chart)
-    return ExtQ(num, den)
+    return ExtQ(*cross_ratio_pair(x1, x2, x3, x4))
+
+
+def multi_ratio_pair(points):
+    """The multi-ratio of ``multi_ratio`` as an unreduced integer pair
+    (num, den), den = 0 for inf.  Raises where ``multi_ratio`` does."""
+    pts = list(points)
+    n = len(pts)
+    if n % 2 != 0 or n < 4:
+        raise ValueError("multi-ratio needs an even number (>= 4) of points")
+    num, den = 1, 1
+    for i in range(0, n, 2):
+        (z1, z2, z3), chart = _common_line([pts[i], pts[(i + 1) % n], pts[(i + 2) % n]])
+        a = _det2(z1, z2, *chart)
+        b = _det2(z2, z3, *chart)
+        if a == 0 and b == 0:
+            raise DegenerateError("0/0 factor in multi-ratio")
+        num *= a
+        den *= b
+    if num == 0 and den == 0:
+        # an inf factor met a 0 factor, however many of each
+        raise DegenerateError("inf * 0 in multi-ratio")
+    return num, den
 
 
 def multi_ratio(points):
@@ -348,30 +379,7 @@ def multi_ratio(points):
     Each factor P_(2i-1)P_(2i) / P_(2i)P_(2i+1) is a ratio of 2x2
     determinants of the integer vectors in a chart of the triple's own line;
     the chart's scale cancels in each factor and the vectors' scales cancel
-    around the cycle.  k=2 reduces to the cross ratio.
+    around the cycle.  k=2 reduces to the cross ratio.  A zero and an
+    infinite factor raise DegenerateError, so den = 0 means inf.
     """
-    pts = list(points)
-    n = len(pts)
-    if n % 2 != 0 or n < 4:
-        raise ValueError("multi-ratio needs an even number (>= 4) of points")
-    num, den = 1, 1
-    inf_count = 0
-    for i in range(0, n, 2):
-        (z1, z2, z3), chart = _common_line([pts[i], pts[(i + 1) % n], pts[(i + 2) % n]])
-        a = _det2(z1, z2, *chart)
-        b = _det2(z2, z3, *chart)
-        if a == 0 and b == 0:
-            raise DegenerateError("0/0 factor in multi-ratio")
-        if b == 0:
-            inf_count += 1
-        elif a == 0:
-            inf_count -= 1
-        num *= a
-        den *= b
-    if num == 0 and den == 0:
-        # an inf factor met a 0 factor, however many of each
-        raise DegenerateError("inf * 0 in multi-ratio")
-    if inf_count > 0:
-        return ExtQ.infinity()
-    return ExtQ(num, den)
-
+    return ExtQ(*multi_ratio_pair(points))

@@ -11,7 +11,7 @@ change with the old one, which is never modified.
 
 from collections.abc import Mapping
 
-from .rational import ExtQ
+from .rational import ExtQ, degenerate_pair
 from .pins import PinError
 
 
@@ -117,19 +117,18 @@ class Quiver:
 
 
 def mutate_y(quiver, ys, v):
-    """Y-seed mutation: y'_v = 1/y_v; y'_u = y_u (1+y_v)^{#u->v} (1+1/y_v)^{-#v->u}."""
+    """Y-seed mutation: y'_v = 1/y_v; y'_u = y_u (1+y_v)^{#u->v} (1+1/y_v)^{-#v->u}.
+
+    1/(1+1/y_v) is computed once, so each arrow costs one multiplication."""
     out = dict(ys)
     yv = ys[v]
     out[v] = inv = yv.inv()
-    up, down = 1 + yv, 1 + inv
+    up, down = 1 + yv, (1 + inv).inv()
     for u, e in quiver.adj[v].items():  # e = b_vu: <0: -e arrows u->v ; >0: e arrows v->u
         val = ys[u]
-        if e < 0:
-            for _ in range(-e):
-                val = val * up
-        else:
-            for _ in range(e):
-                val = val / down
+        f = up if e < 0 else down
+        for _ in range(abs(e)):
+            val = val * f
         out[u] = val
     return quiver.mutate(v), out
 
@@ -259,35 +258,69 @@ def run_periodic_y(pin, n, y0, sweeps):
     return exported, ys
 
 
+def _in_factor(p, q):
+    """1 + y for y = p/q, as an integer pair."""
+    return p + q, q
+
+
+def _out_factor(p, q):
+    """1/(1 + 1/y) for y = p/q, as an integer pair."""
+    return p, p + q
+
+
+def _relation_holds(pair1, pair2, factors):
+    """Whether y1 y2 = prod fn(y)^m over the factors (pair of y, m, fn),
+    for y-values given as integer pairs: both sides are integer fractions,
+    compared by cross-multiplying (an infinite left side never holds)."""
+    rhs_n = rhs_d = 1
+    for pair, m, fn in factors:
+        a, b = fn(*pair)
+        for _ in range(m):
+            rhs_n, rhs_d = rhs_n * a, rhs_d * b
+    (p1, q1), (p2, q2) = pair1, pair2
+    lhs_d = q1 * q2
+    return lhs_d != 0 and p1 * p2 * rhs_d == rhs_n * lhs_d
+
+
+def _extq_sides(y1, y2, factors):
+    """The two sides of the same relation by ExtQ arithmetic, for the
+    message of a failing instance; y1 y2 raises on inf * 0."""
+    rhs = ExtQ(1)
+    for y, m, fn in factors:
+        for _ in range(m):
+            rhs = rhs * (1 + y) if fn is _in_factor else rhs / (1 + y.inv())
+    return y1 * y2, rhs
+
+
 def check_exchange_trace(pin, n, exported, min_instances=1):
     """Verify the exported trace against the exchange relation
-    y_{u+(i0,l)} y_u = prod_in (1+y_{u+(i0,l)-v}) / prod_out (1+1/y_{u+(i0,l)-v})."""
+    y_{u+(i0,l)} y_u = prod_in (1+y_{u+(i0,l)-v}) / prod_out (1+1/y_{u+(i0,l)-v}).
+
+    Both sides are products of the integer pairs of the exported values
+    (``_relation_holds``); a failing instance is reported with its ExtQ
+    sides.  Instances with a degenerate factor (0, -1 or inf) are
+    skipped."""
     i0, l = qs_period(pin)
     outs, ins = arrows_at_origin(pin)
+    offsets = [(v, m, _in_factor) for v, m in ins] + [(v, m, _out_factor) for v, m in outs]
+    pairs = {lab: y.as_pair() for lab, y in exported.items()}
     checked = 0
     for (i, j) in sorted(exported):
         u = (i, j)
         top = ((i + i0) % n, j + l)
-        if top not in exported:
+        if top not in pairs:
             continue
-        need = [(((top[0] - v[0]) % n, top[1] - v[1]), m, "in") for v, m in ins]
-        need += [(((top[0] - v[0]) % n, top[1] - v[1]), m, "out") for v, m in outs]
-        if not all(lab in exported for lab, _, _ in need):
+        need = [(((top[0] - v[0]) % n, top[1] - v[1]), m, fn) for v, m, fn in offsets]
+        if not all(lab in pairs for lab, _, _ in need):
             continue
-        rhs = ExtQ(1)
-        ok = True
-        for lab, m, side in need:
-            yv = exported[lab]
-            if yv in (ExtQ(0), ExtQ(-1)) or yv.is_inf:
-                ok = False
-                break
-            for _ in range(m):
-                rhs = rhs * (1 + yv) if side == "in" else rhs / (1 + yv.inv())
-        if not ok:
+        factors = [(pairs[lab], m, fn) for lab, m, fn in need]
+        if any(degenerate_pair(*pair) for pair, _, _ in factors):
             continue
-        lhs = exported[top] * exported[u]
-        if lhs != rhs:
-            raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
+        if not _relation_holds(pairs[top], pairs[u], factors):
+            lhs, rhs = _extq_sides(exported[top], exported[u],
+                                   [(exported[lab], m, fn) for lab, m, fn in need])
+            if lhs != rhs:
+                raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
         checked += 1
     if checked < min_instances:
         raise AssertionError("only %d exchange-trace instances" % checked)
@@ -327,27 +360,20 @@ def run_1d_x(q, m, x_init, steps):
 
 
 def check_1d_y_relation(q, m, trace):
-    """y_{j+m} y_j = prod_{(k+1)->1}(1+y_{j+m-k}) / prod_{1->(k+1)}(1+1/y_{j+m-k})."""
+    """y_{j+m} y_j = prod_{(k+1)->1}(1+y_{j+m-k}) / prod_{1->(k+1)}(1+1/y_{j+m-k}),
+    checked on integer pairs like ``check_exchange_trace``."""
+    pairs = [y.as_pair() for y in trace]
+    arrows = [(k, abs(e), _in_factor if e > 0 else _out_factor)
+              for k, e in ((k, q.bval(k + 1, 1)) for k in range(1, m)) if e]
     checked = 0
     for j in range(1, len(trace) - m + 1):
-        yj, yjm = trace[j - 1], trace[j + m - 1]
-        rhs = ExtQ(1)
-        ok = True
-        for k in range(1, m):
-            e = q.bval(k + 1, 1)
-            y = trace[j + m - k - 1]
-            if e and (y in (ExtQ(0), ExtQ(-1)) or y.is_inf):
-                ok = False
-                break
-            if e > 0:
-                for _ in range(e):
-                    rhs = rhs * (1 + y)
-            else:
-                for _ in range(-e):
-                    rhs = rhs / (1 + y.inv())
-        if not ok:
+        factors = [(pairs[j + m - k - 1], e, fn) for k, e, fn in arrows]
+        if any(degenerate_pair(*pair) for pair, _, _ in factors):
             continue
-        if yj * yjm != rhs:
-            raise AssertionError("1D y-relation fails at j=%d" % j)
+        if not _relation_holds(pairs[j - 1], pairs[j + m - 1], factors):
+            lhs, rhs = _extq_sides(trace[j - 1], trace[j + m - 1],
+                                   [(trace[j + m - k - 1], e, fn) for k, e, fn in arrows])
+            if lhs != rhs:
+                raise AssertionError("1D y-relation fails at j=%d" % j)
         checked += 1
     return checked

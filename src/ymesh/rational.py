@@ -121,3 +121,9 @@ class ExtQ:
 
 
 INF = ExtQ.infinity()
+
+
+def degenerate_pair(p, q):
+    """Whether p/q (q = 0 for inf) is 0, -1 or inf: the values at which an
+    exchange relation's factors 1+y and 1+1/y vanish or blow up."""
+    return p == 0 or q == 0 or p + q == 0

@@ -7,18 +7,25 @@ The propagation dynamics satisfies, for every base r,
                         / ((1+1/y_{r+a+d})(1+1/y_{r+b+c})) .
 """
 
-from .rational import ExtQ, DegenerateError
-from .projective import cross_ratio, multi_ratio, join, meet_point
+from .rational import ExtQ, DegenerateError, degenerate_pair
+from .projective import cross_ratio_pair, multi_ratio, join, meet_point
 from .filtration import _resolve, _add
 
-DEGENERATE_Y = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
+EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
 
 def y_of(window, r):
     """The y-variable at base r (all four of r+a..r+d must be in the window)."""
+    return ExtQ(*y_pair(window, r))
+
+
+def y_pair(window, r):
+    """y_of(window, r) as an unreduced integer pair (num, den), den = 0 for
+    inf."""
     pin = window.pin
     pts = [window.get(_add(r, _resolve(pin, lab))) for lab in ("a", "c", "b", "d")]
-    return -cross_ratio(*pts)
+    num, den = cross_ratio_pair(*pts)
+    return -num, den
 
 
 def y_available(window, r):
@@ -26,49 +33,76 @@ def y_available(window, r):
     return all(window.has(_add(r, _resolve(pin, lab))) for lab in ("a", "b", "c", "d"))
 
 
+def _eqmain_offsets(pin):
+    return [_resolve(pin, lab) for lab in EQMAIN_LABELS]
+
+
+def _eqmain_pairs(window, r, cache, offsets):
+    """The six y-values of the exchange identity at base r as integer pairs
+    (in EQMAIN_LABELS order), or None when one is not inside the window."""
+    out = []
+    for off in offsets:
+        u = (r[0] + off[0], r[1] + off[1])
+        key = window._key(u)
+        y = cache.get(key)
+        if y is None:
+            cache[key] = y = y_available(window, u) and y_pair(window, u)
+        if not y:
+            return None
+        out.append(y)
+    return out
+
+
+def eqmain_holds(ys):
+    """Whether y_ab y_cd = (1+y_ac)(1+y_bd) / ((1+1/y_ad)(1+1/y_bc)) for
+    non-degenerate integer pairs ys in EQMAIN_LABELS order: both sides are
+    integer fractions, compared by cross-multiplying."""
+    (pab, qab), (pcd, qcd), (pac, qac), (pbd, qbd), (pad, qad), (pbc, qbc) = ys
+    lhs_n, lhs_d = pab * pcd, qab * qcd
+    rhs_n = (pac + qac) * (pbd + qbd) * pad * pbc
+    rhs_d = qac * qbd * (pad + qad) * (pbc + qbc)
+    return lhs_n * rhs_d == rhs_n * lhs_d
+
+
 def eqmain_residual(window, r, cache=None):
     """LHS/RHS of the exchange identity at base r; 1 on a mesh.  Returns None
     (skip) when some participating y is degenerate (0, -1 or inf).
 
-    ``cache`` (a dict, window key -> y-value) lets calls on one window share
-    their y-values; on a periodic window the key is taken mod n."""
-    pin = window.pin
-    if cache is None:
-        cache = {}
-    ys = {}
-    for lab in ("ab", "cd", "ac", "bd", "ad", "bc"):
-        u = _add(r, _resolve(pin, lab))
-        if not y_available(window, u):
-            return None
-        key = window._key(u)
-        if key not in cache:
-            cache[key] = y_of(window, u)
-        ys[lab] = cache[key]
-    if any(y in DEGENERATE_Y for y in ys.values()):
+    ``cache`` (a dict, window key -> y-value as an integer pair, or False
+    where it is not inside the window) lets calls on one window share their
+    y-values; on a periodic window the key is taken mod n."""
+    ys = _eqmain_pairs(window, r, {} if cache is None else cache, _eqmain_offsets(window.pin))
+    if ys is None:
+        return None
+    if any(degenerate_pair(*y) for y in ys):
         return "degenerate"
-    lhs = ys["ab"] * ys["cd"]
-    rhs = ((1 + ys["ac"]) * (1 + ys["bd"])
-           / ((1 + ys["ad"].inv()) * (1 + ys["bc"].inv())))
+    y = dict(zip(EQMAIN_LABELS, (ExtQ(*p) for p in ys)))
+    lhs = y["ab"] * y["cd"]
+    rhs = ((1 + y["ac"]) * (1 + y["bd"])
+           / ((1 + y["ad"].inv()) * (1 + y["bc"].inv())))
     return lhs / rhs
 
 
 def check_eqmain(window, min_instances=1):
-    """Verify the exchange identity at every base fully inside the window;
-    each y-value is computed once."""
+    """Verify the exchange identity at every base fully inside the window,
+    fraction-free (``eqmain_holds``); each y-value is computed once.  A
+    failing base is reported with its ExtQ residual."""
     keys = list(window.points)
     i_vals = [i for (i, _) in keys]
     j_vals = [j for (_, j) in keys]
     checked = skipped = 0
     cache = {}
+    offsets = _eqmain_offsets(window.pin)
     for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
         for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            res = eqmain_residual(window, (r1, r2), cache)
-            if res is None:
+            ys = _eqmain_pairs(window, (r1, r2), cache, offsets)
+            if ys is None:
                 continue
-            if res == "degenerate":
+            if any(degenerate_pair(*y) for y in ys):
                 skipped += 1
                 continue
-            if res != ExtQ(1):
+            if not eqmain_holds(ys):
+                res = eqmain_residual(window, (r1, r2), cache)
                 raise AssertionError("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < min_instances:
@@ -79,27 +113,37 @@ def check_eqmain(window, min_instances=1):
 # ---- point/line bracket product ----------------------------------------
 
 
-def bracket(p1, l1, p2, l2):
-    """[P1, L1, P2, L2]: cross ratio of P1, line^L1, P2, line^L2 on the line
-    through P1, P2 (L1, L2 are flats meeting that line in single points)."""
+def _bracket_pair(p1, l1, p2, l2):
     line = join(p1, p2)
     x = meet_point(line, l1)
     y = meet_point(line, l2)
-    return cross_ratio(p1, x, p2, y)
+    return cross_ratio_pair(p1, x, p2, y)
+
+
+def bracket(p1, l1, p2, l2):
+    """[P1, L1, P2, L2]: cross ratio of P1, line^L1, P2, line^L2 on the line
+    through P1, P2 (L1, L2 are flats meeting that line in single points)."""
+    return ExtQ(*_bracket_pair(p1, l1, p2, l2))
 
 
 def bracket_product(points, lines):
     """Product over 1<=i<k<=4 of y_(i,k) = [P_i, L_j, P_k, L_l], with {j,l}
-    ordered so (i,j,k,l) is an even permutation of (1,2,3,4); equals 1."""
+    ordered so (i,j,k,l) is an even permutation of (1,2,3,4); equals 1.
+
+    The brackets are multiplied as integer pairs and reduced once; the first
+    product of a zero and an infinite bracket raises, as in ExtQ."""
     assert len(points) == 4 and len(lines) == 4
-    total = ExtQ(1)
+    num = den = 1
     for i in range(4):
         for k in range(i + 1, 4):
             j, l = [x for x in range(4) if x not in (i, k)]
             if _parity((i, j, k, l)) != 0:
                 j, l = l, j
-            total = total * bracket(points[i], lines[j], points[k], lines[l])
-    return total
+            p, q = _bracket_pair(points[i], lines[j], points[k], lines[l])
+            num, den = num * p, den * q
+            if num == 0 and den == 0:
+                raise DegenerateError("inf * 0")
+    return ExtQ(num, den)
 
 
 def _parity(perm):

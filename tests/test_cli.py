@@ -161,3 +161,14 @@ def test_bad_json_is_config_error(tmp_path):
     open(path, "w").write("{not json")
     res = run("mesh", "check", "--mesh", path)
     assert res.exit_code == 2
+
+
+def test_verify_all_at_default_seed():
+    # the penguin/2 draw at seed 0 used to propagate into coincident points,
+    # so the run stopped with exit code 2
+    res = run("verify", "all", env={"YMESH_SEED": "0"})
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["seed"] == 0
+    penguin = [job for job in report["jobs"] if job["pin"] == "penguin" and job["dim"] == 2]
+    assert penguin and penguin[0]["checks"]["relations"]["L1"] > 0

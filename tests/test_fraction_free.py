@@ -1,0 +1,383 @@
+"""The fraction-free identity checks against their ExtQ routes.
+
+Each check below compares integer (num, den) products by cross-multiplying.
+The references in this file are the ExtQ formulations of the same checks:
+on random data, on data with degenerate values (0, -1, inf) and on corrupted
+meshes and traces they must count the same instances and raise the same
+errors.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ymesh.rational import ExtQ, DegenerateError
+from ymesh.projective import Point, join, multi_ratio
+from ymesh.mesh import (MeshError, generate_1d, generate_window,
+                        step_1d, step_forward, check_menelaus, _six_labels,
+                        _random_free)
+from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
+                         eqmain_holds, bracket, bracket_product, _parity)
+from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin,
+                          run_periodic_y, check_exchange_trace, run_1d_y,
+                          check_1d_y_relation)
+from ymesh.filtration import _resolve, _add
+from ymesh.zoo import ZOO, zoo_pin
+
+DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (AssertionError, DegenerateError, MeshError) as e:
+        return ("raises", type(e), str(e))
+
+
+# ---- ExtQ references ------------------------------------------------------
+
+
+def _extq_eqmain_residual(window, r):
+    pin = window.pin
+    ys = {}
+    for lab in EQMAIN_LABELS:
+        u = _add(r, _resolve(pin, lab))
+        if not y_available(window, u):
+            return None
+        ys[lab] = y_of(window, u)
+    if any(y in DEGENERATE for y in ys.values()):
+        return "degenerate"
+    lhs = ys["ab"] * ys["cd"]
+    rhs = ((1 + ys["ac"]) * (1 + ys["bd"])
+           / ((1 + ys["ad"].inv()) * (1 + ys["bc"].inv())))
+    return lhs / rhs
+
+
+def _extq_check_eqmain(window):
+    i_vals = [i for (i, _) in window.points]
+    j_vals = [j for (_, j) in window.points]
+    checked = skipped = 0
+    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
+        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
+            res = _extq_eqmain_residual(window, (r1, r2))
+            if res is None:
+                continue
+            if res == "degenerate":
+                skipped += 1
+                continue
+            if res != ExtQ(1):
+                raise AssertionError("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
+            checked += 1
+    if checked < 1:
+        raise AssertionError("only %d exchange instances found (%d skipped)" % (checked, skipped))
+    return {"checked": checked, "skipped": skipped}
+
+
+def _extq_check_menelaus(window):
+    i_vals = [i for (i, _) in window.points]
+    j_vals = [j for (_, j) in window.points]
+    count = 0
+    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
+        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
+            labels = _six_labels(window.pin, (r1, r2))
+            if not all(window.has(q) for q in labels):
+                continue
+            try:
+                val = multi_ratio([window.get(q) for q in labels])
+            except DegenerateError:
+                continue
+            if val != ExtQ(-1):
+                raise MeshError("Menelaus relation fails at base (%d, %d): %s" % (r1, r2, val))
+            count += 1
+    return count
+
+
+def _extq_check_exchange_trace(pin, n, exported):
+    i0, l = qs_period(pin)
+    outs, ins = arrows_at_origin(pin)
+    checked = 0
+    for (i, j) in sorted(exported):
+        u = (i, j)
+        top = ((i + i0) % n, j + l)
+        if top not in exported:
+            continue
+        need = [(((top[0] - v[0]) % n, top[1] - v[1]), m, "in") for v, m in ins]
+        need += [(((top[0] - v[0]) % n, top[1] - v[1]), m, "out") for v, m in outs]
+        if not all(lab in exported for lab, _, _ in need):
+            continue
+        if any(exported[lab] in DEGENERATE for lab, _, _ in need):
+            continue
+        rhs = ExtQ(1)
+        for lab, m, side in need:
+            yv = exported[lab]
+            for _ in range(m):
+                rhs = rhs * (1 + yv) if side == "in" else rhs / (1 + yv.inv())
+        lhs = exported[top] * exported[u]
+        if lhs != rhs:
+            raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
+        checked += 1
+    if checked < 1:
+        raise AssertionError("only %d exchange-trace instances" % checked)
+    return checked
+
+
+def _extq_check_1d_y_relation(q, m, trace):
+    checked = 0
+    for j in range(1, len(trace) - m + 1):
+        rhs = ExtQ(1)
+        ok = True
+        for k in range(1, m):
+            e = q.bval(k + 1, 1)
+            y = trace[j + m - k - 1]
+            if e and y in DEGENERATE:
+                ok = False
+                break
+            for _ in range(abs(e)):
+                rhs = rhs * (1 + y) if e > 0 else rhs / (1 + y.inv())
+        if not ok:
+            continue
+        if trace[j - 1] * trace[j + m - 1] != rhs:
+            raise AssertionError("1D y-relation fails at j=%d" % j)
+        checked += 1
+    return checked
+
+
+def _extq_mutate_y(quiver, ys, v):
+    """Division by 1 + 1/y_v once per arrow."""
+    out = dict(ys)
+    yv = ys[v]
+    out[v] = inv = yv.inv()
+    up, down = 1 + yv, 1 + inv
+    for u, e in quiver.adj[v].items():
+        val = ys[u]
+        for _ in range(abs(e)):
+            val = val * up if e < 0 else val / down
+        out[u] = val
+    return out
+
+
+def _extq_bracket_product(points, lines):
+    total = ExtQ(1)
+    for i in range(4):
+        for k in range(i + 1, 4):
+            j, l = [x for x in range(4) if x not in (i, k)]
+            if _parity((i, j, k, l)) != 0:
+                j, l = l, j
+            total = total * bracket(points[i], lines[j], points[k], lines[l])
+    return total
+
+
+# ---- random and degenerate y-values -----------------------------------------
+
+
+def _rand_y(rng, degenerate_share=0.0):
+    if rng.random() < degenerate_share:
+        return rng.choice(DEGENERATE)
+    while True:
+        y = ExtQ(rng.randint(-40, 40), rng.randint(1, 40))
+        if y not in DEGENERATE:
+            return y
+
+
+def test_eqmain_holds_matches_extq_formula():
+    rng = random.Random(1)
+    holds = 0
+    for _ in range(400):
+        y = {lab: _rand_y(rng) for lab in EQMAIN_LABELS}
+        if rng.random() < 0.5:  # make the identity hold
+            y["cd"] = ((1 + y["ac"]) * (1 + y["bd"])
+                       / ((1 + y["ad"].inv()) * (1 + y["bc"].inv()))) / y["ab"]
+            if y["cd"] in DEGENERATE:
+                continue
+        expected = y["ab"] * y["cd"] == ((1 + y["ac"]) * (1 + y["bd"])
+                                         / ((1 + y["ad"].inv()) * (1 + y["bc"].inv())))
+        # unreduced pairs with either sign of the denominator
+        pairs = []
+        for lab in EQMAIN_LABELS:
+            p, q = y[lab].as_pair()
+            k = rng.choice((1, -1)) * rng.randint(1, 9)
+            pairs.append((k * p, k * q))
+        assert eqmain_holds(pairs) == expected
+        holds += expected
+    assert 100 < holds < 300
+
+
+def test_y_pair_matches_y_of(zoo_name):
+    pin = zoo_pin(zoo_name)
+    w = generate_1d(pin, 0, 16 + 2 * pin.l, seed=3)
+    w = step_1d(w)
+    seen = 0
+    for (i, j) in w.points:
+        if y_available(w, (i, j)):
+            p, q = y_pair(w, (i, j))
+            assert ExtQ(p, q) == y_of(w, (i, j))
+            seen += 1
+    assert seen > 0
+
+
+def test_mutate_y_matches_division_per_arrow():
+    rng = random.Random(2)
+    for _ in range(300):
+        verts = range(rng.randint(2, 7))
+        q = Quiver(verts)
+        for _ in range(rng.randint(1, 10)):
+            u, w = rng.sample(verts, 2)
+            q._add(u, w, rng.randint(1, 3))
+        ys = {v: _rand_y(rng, 0.2) for v in verts}
+        v = rng.choice(verts)
+        try:
+            want = ("value", _extq_mutate_y(q, ys, v))
+        except DegenerateError as e:
+            want = ("raises", str(e))
+        try:
+            got = ("value", mutate_y(q, ys, v)[1])
+        except DegenerateError as e:
+            got = ("raises", str(e))
+        if want != got:
+            # 1 + 1/y_v = inf (y_v = 0) meeting y_u = inf: dividing by it was
+            # "inf / inf", multiplying by its inverse is "inf * 0"
+            assert want == ("raises", "inf / inf") and got == ("raises", "inf * 0")
+            assert ys[v] == ExtQ(0)
+    q = Quiver({0, 1}, [(0, 1)])
+    ys = {0: ExtQ(0), 1: ExtQ.infinity()}
+    with pytest.raises(DegenerateError, match="inf / inf"):
+        _extq_mutate_y(q, ys, 0)
+    with pytest.raises(DegenerateError, match=r"inf \* 0"):
+        mutate_y(q, ys, 0)
+
+
+# ---- exchange traces ---------------------------------------------------------
+
+
+def _trace(name, n, seed, sweeps=None):
+    pin = zoo_pin(name)
+    _, l = qs_period(pin)
+    rng = random.Random(seed)
+    y0 = {(i, j): Fraction(rng.randint(1, 99), rng.randint(1, 99))
+          for i in range(n) for j in range(l)}
+    exported, _ = run_periodic_y(pin, n, y0, sweeps or 3 * l)
+    return pin, exported
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_exchange_trace_matches_extq_route(name):
+    pin, exported = _trace(name, 9, 4)
+    assert (_outcome(check_exchange_trace, pin, 9, exported)
+            == _outcome(_extq_check_exchange_trace, pin, 9, exported))
+    rng = random.Random(5)
+    labels = sorted(exported)
+    for _ in range(6):
+        bad = dict(exported)
+        lab = rng.choice(labels)
+        bad[lab] = rng.choice((bad[lab] + 1, ExtQ(0), ExtQ(-1), ExtQ.infinity(),
+                               _rand_y(rng)))
+        want = _outcome(_extq_check_exchange_trace, pin, 9, bad)
+        assert _outcome(check_exchange_trace, pin, 9, bad) == want
+
+
+def test_exchange_trace_corruptions_raise_alike():
+    pin, exported = _trace("pentagram", 7, 6)
+    i0, l = qs_period(pin)
+    u = min(k for k in exported if ((k[0] + i0) % 7, k[1] + l) in exported)
+    top = ((u[0] + i0) % 7, u[1] + l)
+    cases = {
+        "wrong value": {u: exported[u] * 2},
+        "inf lhs": {u: ExtQ.infinity()},
+        "inf * 0 lhs": {u: ExtQ.infinity(), top: ExtQ(0)},
+    }
+    seen = set()
+    for name, change in cases.items():
+        bad = dict(exported)
+        bad.update(change)
+        want = _outcome(_extq_check_exchange_trace, pin, 7, bad)
+        assert want[0] == "raises", name
+        assert _outcome(check_exchange_trace, pin, 7, bad) == want, name
+        seen.add(want[1])
+    assert seen == {AssertionError, DegenerateError}
+
+
+def test_1d_y_relation_matches_extq_route():
+    rng = random.Random(7)
+    quivers = [(Quiver({1, 2}, [(1, 2)]), 2), (Quiver({1, 2, 3}, [(1, 2), (3, 1)]), 3),
+               (Quiver({1, 2, 3}, [(2, 1, 2), (1, 3)]), 3)]
+    raised = 0
+    for q, m in quivers:
+        trace = run_1d_y(q, m, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                for _ in range(m)], 14)
+        assert check_1d_y_relation(q, m, trace) == _extq_check_1d_y_relation(q, m, trace) > 0
+        for _ in range(20):
+            bad = list(trace)
+            k = rng.randrange(len(bad))
+            bad[k] = rng.choice((bad[k] + 1, ExtQ(0), ExtQ(-1), ExtQ.infinity()))
+            want = _outcome(_extq_check_1d_y_relation, q, m, bad)
+            assert _outcome(check_1d_y_relation, q, m, bad) == want
+            raised += want[0] == "raises"
+    assert raised > 0
+
+
+# ---- meshes ------------------------------------------------------------------
+
+
+def _grown_1d(name, seed):
+    pin = zoo_pin(name)
+    w = generate_1d(pin, 0, 16 + 2 * pin.l, seed=seed)
+    for _ in range(2):
+        w = step_1d(w)
+    return w
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_mesh_checks_match_extq_route(name):
+    w = _grown_1d(name, 8)
+    assert _outcome(check_eqmain, w) == _outcome(_extq_check_eqmain, w)
+    assert _outcome(check_menelaus, w) == _outcome(_extq_check_menelaus, w)
+    assert check_menelaus(w) > 0
+
+
+@pytest.mark.parametrize("name", ["pentagram", "sideways", "gopher", "rabbit"])
+def test_mesh_corruptions_raise_alike(name):
+    """Moving a point of a 1D mesh keeps every cross ratio defined, so the
+    identities fail; replacing it by a neighbour makes factors degenerate."""
+    w = _grown_1d(name, 9)
+    rng = random.Random(10)
+    keys = sorted(w.points)
+    raised = set()
+    for _ in range(12):
+        bad = w.copy()
+        k = rng.choice(keys)
+        if rng.random() < 0.5:
+            t = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            bad.points[k] = Point((t, 1))
+        else:
+            bad.points[k] = w.points[rng.choice(keys)]
+        for check, ref in ((check_eqmain, _extq_check_eqmain),
+                           (check_menelaus, _extq_check_menelaus)):
+            want = _outcome(ref, bad)
+            assert _outcome(check, bad) == want
+            if want[0] == "raises":
+                raised.add(want[1])
+    assert {AssertionError, MeshError} <= raised  # identity failures, not only skips
+
+
+def test_planar_mesh_checks_match_extq_route():
+    w = generate_window(zoo_pin("pentagram"), 2, 0, 24, seed=0)
+    for _ in range(3):
+        w = step_forward(w)
+    assert _outcome(check_eqmain, w) == _outcome(_extq_check_eqmain, w)
+    assert _outcome(check_menelaus, w) == _outcome(_extq_check_menelaus, w)
+
+
+def test_bracket_product_matches_extq_route():
+    rng = random.Random(12)
+    values = raised = 0
+    for _ in range(150):
+        pts = [_random_free(rng, 2) for _ in range(4)]
+        lines = [join(_random_free(rng, 2), _random_free(rng, 2)) for _ in range(4)]
+        if rng.random() < 0.4:  # put a point on a line: zero and infinite brackets
+            lines[rng.randrange(4)] = join(pts[rng.randrange(4)], _random_free(rng, 2))
+        want = _outcome(_extq_bracket_product, pts, lines)
+        assert _outcome(bracket_product, pts, lines) == want
+        values += want[0] == "value"
+        raised += want[0] == "raises"
+    assert values > 50 and raised > 5

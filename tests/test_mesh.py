@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,11 @@ from ymesh.projective import Point, join, meet_point
 from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         generate_reduced, generate_polygon_window,
                         step_forward, step_backward, step_reduced_forward,
-                        step_1d, check_relations, check_menelaus)
+                        step_1d, check_relations, check_menelaus, random_point,
+                        _instances)
+from ymesh.filtration import _resolve, _add
+from ymesh.quiver import qs_period, run_periodic_y
+from ymesh.yvars import check_eqmain, y_of, y_available
 from ymesh.pins import Pin, d_of_s, m2_of_s
 from ymesh.zoo import ZOO, zoo_pin, zoo_dim, BOUNDARY_PINS
 
@@ -128,3 +133,83 @@ def test_generated_window_of_wide_pin_propagates():
     # the unguarded draw at seed 0 had two coincident lines in its first step
     pin = Pin([(0, 0), (1, 0), (0, 1), (-12, 1)])
     _propagate_all_rows(generate_window(pin, 2, 0, 40, seed=0))
+
+
+# polygon draws that failed before they were certified: coincident vertices
+# (pentagram/9/1157200204: "flats meet in rank 0" at step 1) and collinear
+# ones (pentagram/9/886338752: y = 0 or inf on row 1, so the Y-dynamics hit
+# "inf * 0")
+FAILED_POLYGONS = [("pentagram", 9, 1157200204), ("pentagram", 9, 886338752),
+                   ("pentagram", 7, 636282949), ("higher_pentagram", 9, 1157200204),
+                   ("higher_pentagram", 7, 33)]
+
+
+@pytest.mark.parametrize("name,n,seed", FAILED_POLYGONS)
+def test_certified_polygon_propagates_and_runs_y_dynamics(name, n, seed):
+    pin = zoo_pin(name)
+    w = generate_polygon_window(pin, n, seed=seed, dim=2)
+    for _ in range(8):
+        w = step_forward(w)
+    check_relations(w)
+    assert check_eqmain(w)["skipped"] == 0
+    i0, l = qs_period(pin)
+    y0 = {}
+    for i in range(n):
+        y0[(i, 0)] = y_of(w, (i, 3))
+        y0[(i, 1)] = y_of(w, ((i - i0) % n, 2)).inv()
+    exported, _ = run_periodic_y(pin, n, y0, 6)
+    compared = 0
+    for (i, j), val in exported.items():
+        if j >= 2 and y_available(w, (i, 3 + j)):
+            assert val == y_of(w, (i, 3 + j))
+            compared += 1
+    assert compared >= n
+
+
+def test_polygon_first_draw_is_unchanged():
+    # a first draw that propagates is returned as drawn: n free points from
+    # the seeded stream
+    pin = zoo_pin("pentagram")
+    rng = random.Random(5)
+    drawn = [random_point(rng, 2) for _ in range(7)]
+    w = generate_polygon_window(pin, 7, seed=5, dim=2)
+    assert [w.get((i, 1)) for i in range(7)] == drawn
+
+
+@pytest.mark.parametrize("seed", [0, 8, 14, 19, 22, 33, 39])
+def test_boundary_draws_are_certified(seed):
+    # penguin/2 draws at these seeds propagated into coincident points
+    pin = zoo_pin("penguin")
+    span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
+    _propagate_all_rows(generate_window(pin, 2, 0, 4 * (pin.l + 2) + 8 * span, seed=seed))
+
+
+def _scanned_instances(window, labels):
+    """Bases by the fixed-margin scan that _instances replaced."""
+    offs = [_resolve(window.pin, lab) for lab in labels]
+    i_vals = [i for (i, _) in window.points]
+    j_vals = [j for (_, j) in window.points]
+    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
+        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
+            if all(window.has(_add((r1, r2), o)) for o in offs):
+                yield (r1, r2)
+
+
+@pytest.mark.parametrize("name", ["pentagram", "sideways", "short_diagonal", "penguin"])
+def test_instances_from_keys_match_scan(name):
+    pin = zoo_pin(name)
+    w = generate_window(pin, 2, 0, 14, seed=1)
+    w = step_forward(w)
+    for labels in (("a", "b", "c"), ("b", "c", "d"), ("ac", "ad", "bc", "bd"),
+                   ("a", "b", "c", "d")):
+        assert [r for r, _ in _instances(w, labels)] == list(_scanned_instances(w, labels))
+
+
+def test_periodic_instances_are_distinct_bases():
+    w = generate_polygon_window(zoo_pin("pentagram"), 7, seed=1)
+    for _ in range(3):
+        w = step_forward(w)
+    bases = [r for r, _ in _instances(w, ("a", "b", "c", "d"))]
+    assert len(bases) == len(set(bases)) == 7 * 3
+    assert {r for r in _scanned_instances(w, ("a", "b", "c", "d"))
+            if 0 <= r[0] < 7} == set(bases)
