@@ -18,8 +18,8 @@ from .pins import (Pin, PinError, convex_relation, d_of_s, horizontal_info,
 from .filtration import classify_case, audit_filtration, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
-                   check_menelaus)
-from .yvars import check_eqmain, eqmain_residual, y_available, y_of
+                   check_menelaus, bases)
+from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_residual, y_available, y_of
 from .quiver import (QuiverConfigError, build_qs, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, lift_label, tilde_ideal_generator, LiftedUnavailable
@@ -162,7 +162,10 @@ def mesh_gen(name, pin_json, dim, cols, steps, seed, out):
 def mesh_step(mesh_path, count, out):
     w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
     for _ in range(abs(count)):
-        w = step_forward(w) if count > 0 else step_backward(w)
+        if w.dim == 1:
+            w = step_1d(w, backward=count < 0)
+        else:
+            w = step_forward(w) if count > 0 else step_backward(w)
     emit(sz.dumps(sz.mesh_to_json(w)), out)
 
 
@@ -202,14 +205,16 @@ def _mesh_report(path, kind):
     if kind == "menelaus":
         instances = check_menelaus(w)
     else:
-        for j in w.rows():
-            for i in w.row_cols(j):
-                res = eqmain_residual(w, (i, j))
-                if res is None or res == "degenerate":
-                    continue
-                instances += 1
-                if res != ExtQ(1):
-                    failures.append([i, j])
+        # a base fits when the four points of each of its six y-values do
+        offsets = [w.pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
+        cache = {}
+        for r in bases(w, offsets):
+            res = eqmain_residual(w, r, cache)
+            if res == "degenerate":
+                continue
+            instances += 1
+            if res != ExtQ(1):
+                failures.append(list(r))
     return {"kind": kind, "instances": instances, "failures": failures}
 
 

@@ -48,13 +48,6 @@ def classify_case(pin):
     raise PinError("unexpected interior label %d for %r" % (singleton, pin))
 
 
-# circuit kinds: member offsets in terms of the pin labels
-_KIND_OFFSETS = {
-    "L1": ("a", "b", "c"),
-    "L2": ("b", "c", "d"),
-    "P3": ("ac", "ad", "bc", "bd"),
-}
-
 # (f | middle | g) designations per hull case
 _TABLES = {
     CASE_LONG_DIAGONAL: {
@@ -75,24 +68,6 @@ _TABLES = {
 }
 
 
-def _resolve(pin, label):
-    a, b, c, d = pin.points
-    pts = {"a": a, "b": b, "c": c, "d": d}
-    v = (0, 0)
-    for ch in label:
-        p = pts[ch]
-        v = (v[0] + p[0], v[1] + p[1])
-    return v
-
-
-def _add(r, v):
-    return (r[0] + v[0], r[1] + v[1])
-
-
-def _sub(r, v):
-    return (r[0] - v[0], r[1] - v[1])
-
-
 def base_row_range(pin, kind):
     """Valid base rows r2 for a circuit kind: lo < r2 <= hi."""
     a, b, c, d = pin.points
@@ -109,8 +84,8 @@ def base_row_range(pin, kind):
 def circuit_members(pin, kind, base):
     """Members of the circuit (kind, base); coincident labels are merged."""
     out = []
-    for lab in _KIND_OFFSETS[kind]:
-        p = _add(base, _resolve(pin, lab))
+    for lab in Pin.CIRCUIT_WORDS[kind]:
+        p = pin.shift(base, lab)
         if p not in out:
             out.append(p)
     return tuple(out)
@@ -119,9 +94,9 @@ def circuit_members(pin, kind, base):
 def all_circuits(pin, i_lo, i_hi):
     """Circuits whose members all lie in columns [i_lo, i_hi]."""
     out = []
-    for kind in _KIND_OFFSETS:
+    for kind, words in Pin.CIRCUIT_WORDS.items():
         lo, hi = base_row_range(pin, kind)
-        offs = [_resolve(pin, lab) for lab in _KIND_OFFSETS[kind]]
+        offs = [pin.offset(lab) for lab in words]
         for r2 in range(lo + 1, hi + 1):
             for r1 in range(i_lo - min(o[0] for o in offs), i_hi - max(o[0] for o in offs) + 1):
                 out.append((kind, (r1, r2)))
@@ -194,18 +169,17 @@ class FiltrationSpec:
         return self.alpha * r[0] + self.beta * r[1]
 
     def f_point(self, kind, base):
-        return _add(base, _resolve(self.pin, _TABLES[self.case][kind][0]))
+        return self.pin.shift(base, _TABLES[self.case][kind][0])
 
     def g_point(self, kind, base):
-        return _add(base, _resolve(self.pin, _TABLES[self.case][kind][1]))
+        return self.pin.shift(base, _TABLES[self.case][kind][1])
 
     def _row_partition(self, g_side):
         """Map row -> (kind, offset) for the f- or g-designated points; the
         three row intervals must partition (0, m]."""
         intervals = []
-        for kind in _KIND_OFFSETS:
-            lab = _TABLES[self.case][kind][1 if g_side else 0]
-            off = _resolve(self.pin, lab)
+        for kind in Pin.CIRCUIT_WORDS:
+            off = self.pin.offset(_TABLES[self.case][kind][1 if g_side else 0])
             lo, hi = base_row_range(self.pin, kind)
             intervals.append((lo + off[1], hi + off[1], kind, off))
         rows = {}
@@ -222,11 +196,11 @@ class FiltrationSpec:
     def g_inverse(self, r):
         """The circuit (kind, base) with g(circuit) == r."""
         kind, off = self._g_rows[r[1]]
-        return kind, _sub(r, off)
+        return kind, (r[0] - off[0], r[1] - off[1])
 
     def f_inverse(self, r):
         kind, off = self._f_rows[r[1]]
-        return kind, _sub(r, off)
+        return kind, (r[0] - off[0], r[1] - off[1])
 
     # ---- H_t -----------------------------------------------------------
 

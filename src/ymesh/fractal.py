@@ -5,10 +5,10 @@ over nonnegative integer exponents summing to k (coincident labels merge).
 A mesh is d-generic when every i-fractal with i <= d spans an i-flat.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .projective import rank_of
-from .filtration import _resolve, _add
+from .mesh import bases
 
 
 def make_fractal(pin, r, k):
@@ -26,8 +26,7 @@ def make_fractal(pin, r, k):
 
 def sub_fractals(pin, r, k):
     """The four sub-(k-1)-fractals of the k-fractal at r, keyed by label."""
-    return {lab: make_fractal(pin, _add(r, _resolve(pin, lab)), k - 1)
-            for lab in ("a", "b", "c", "d")}
+    return {lab: make_fractal(pin, pin.shift(r, lab), k - 1) for lab in "abcd"}
 
 
 def _exponent_simplex(k):
@@ -55,7 +54,7 @@ def check_sub_fractal_intersections(pin, r, k):
         if fx & fy != expect:
             raise AssertionError("exponent-level intersection f_%s ^ f_%s at %s, k=%d"
                                  % (x, y, r, k))
-        pts = make_fractal(pin, _add(r, _resolve(pin, x + y)), k - 2)
+        pts = make_fractal(pin, pin.shift(r, x + y), k - 2)
         if not pts <= (subs[x] & subs[y]):
             raise AssertionError("point-level containment f_%s ^ f_%s at %s, k=%d"
                                  % (x, y, r, k))
@@ -69,22 +68,10 @@ def fractal_dim(window, labels):
 
 
 def fractal_bases_in_window(window, k, limit=None):
-    """Bases r whose whole k-fractal lies inside the window."""
-    pin = window.pin
-    keys = set(window.points)
-    i_vals = [i for (i, _) in keys]
-    j_vals = [j for (_, j) in keys]
-    out = []
-    span_i = k * max(abs(p[0]) for p in pin.points) + 1
-    span_j = k * max(abs(p[1]) for p in pin.points) + 1
-    for r2 in range(min(j_vals) - span_j, max(j_vals) + 1):
-        for r1 in range(min(i_vals) - span_i, max(i_vals) + 1):
-            f = make_fractal(pin, (r1, r2), k)
-            if all(window.has(lab) for lab in f):
-                out.append((r1, r2))
-                if limit and len(out) >= limit:
-                    return out
-    return out
+    """Bases r whose whole k-fractal lies inside the window, in (r2, r1)
+    order; the first ``limit`` of them if a limit is given."""
+    found = bases(window, sorted(make_fractal(window.pin, (0, 0), k)))
+    return list(islice(found, limit or None))
 
 
 def genericity_audit(window, d, max_bases=40):

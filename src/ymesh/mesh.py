@@ -5,14 +5,25 @@ order-m dynamics, m = d2 - a2.  Windows are finite rectangles of that grid.
 Generation follows the filtration sweep (free points on the low-phi edge,
 every other point a small integer combination of the rest of its g-circuit),
 and a draw is kept only if it propagates without a degenerate meet or
-coincident points.  Propagation adds a row on top (or bottom) by
-intersecting two lines:
+coincident points.
 
-    top:    P_{r+c+d} = <P_{r+a+c}, P_{r+b+c}> ^ <P_{r+a+d}, P_{r+b+d}>
-    bottom: P_{r+a+b} = <P_{r+a+c}, P_{r+a+d}> ^ <P_{r+b+c}, P_{r+b+d}>
+Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
+driven by a table of rules.  A rule names its source words, its target word
+and a solver; at each base r of the new row it solves P_{r+target} from the
+points P_{r+source}:
+
+    TOP:             <ac, bc> ^ <ad, bd> -> cd   (step_forward)
+    BOTTOM:          <ac, ad> ^ <bc, bd> -> ab   (step_backward)
+    REDUCED:         <cc, bc> ^ <ad, bd> -> cd   (step_reduced_forward)
+    MENELAUS_TOP:    six-point relation solved for cd  (step_1d)
+    MENELAUS_BOTTOM: six-point relation solved for ab  (step_1d backward)
+
+The checks list their instances with ``bases``, which reads the bases off
+the window's keys, so no scan range depends on the size of the pin.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
@@ -20,9 +31,7 @@ from .projective import (Point, span, join, meet, meet_point, multi_ratio_pair, 
                          collinear)
 from .pins import Pin, PinError, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, FiltrationUnavailable,
-                         circuit_members, base_row_range, _KIND_OFFSETS,
-                         _resolve, _add, _sub,
-                         CASE_BOUNDARY, CASE_TRIANGLE_C)
+                         circuit_members, base_row_range, CASE_BOUNDARY, CASE_TRIANGLE_C)
 
 REDRAW_LIMIT = 32
 # bound on the member coefficients of a generated point.  Over seeds 0-39 of
@@ -80,6 +89,10 @@ class MeshWindow:
 
     def row_cols(self, j):
         return sorted(i for (i, jj) in self.points if jj == j)
+
+    def at(self, r, offsets):
+        """The points at r + offset, one per offset."""
+        return [self.get((r[0] + d1, r[1] + d2)) for d1, d2 in offsets]
 
     def copy(self):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
@@ -195,7 +208,9 @@ def _propagates(window, steps):
     instance with coincident points."""
     for _ in range(steps):
         try:
-            window = _step_forward(window)
+            # the engine, not step_forward: a profile of step_forward then
+            # counts only the steps made on a returned window
+            window = _propagate(window, TOP)
         except DegenerateError:
             return False
         except MeshError:
@@ -237,17 +252,15 @@ def _generate_boundary(pin, dim, i_lo, i_hi, rng):
     m = pin.m
     window = MeshWindow(pin, dim)
     # sweep-last member offset for each collinearity circuit kind
-    last_off = {}
-    for kind in ("L1", "L2"):
-        offs = [_resolve(pin, lab) for lab in _KIND_OFFSETS[kind]]
-        last_off[kind] = max(offs, key=lambda o: (o[0], o[1]))
+    last_off = {kind: max(pin.offset(lab) for lab in Pin.CIRCUIT_WORDS[kind])
+                for kind in ("L1", "L2")}
     inside = {(i, j) for j in range(1, m + 1) for i in range(i_lo, i_hi + 1)}
     for i in range(i_lo, i_hi + 1):
         for j in range(1, m + 1):
             r = (i, j)
             constraints = []
             for kind in ("L1", "L2"):
-                base = _sub(r, last_off[kind])
+                base = (i - last_off[kind][0], j - last_off[kind][1])
                 lo, hi = base_row_range(pin, kind)
                 if not (lo < base[1] <= hi):
                     continue
@@ -299,116 +312,91 @@ def generate_polygon_window(pin, n, seed=0, dim=2):
 
 # ---- propagation -------------------------------------------------------
 
+# A rule adds one row.  At each base r of that row it solves the point at
+# r + target from the points at r + source, one per source word; the row goes
+# on top when the target lies above the first source, else at the bottom.
+Rule = namedtuple("Rule", "name sources target solve")
 
-def _top_sources(pin, r):
-    a, b, c, d = pin.points
-    return [_add(r, _resolve(pin, lab)) for lab in ("ac", "bc", "ad", "bd")]
+# the six-point relation: triples {1,2,3}, {3,4,5}, {5,6,1} are collinear
+MENELAUS_WORDS = ("ad", "ac", "ab", "bc", "bd", "cd")
+
+
+def _meet(pts):
+    """The line through the first two points met with the line through the
+    last two."""
+    return meet_point(join(pts[0], pts[1]), join(pts[2], pts[3]))
+
+
+def _menelaus_rule(slot):
+    """The 1D rule that solves the six-point relation for the word in slot."""
+    return Rule("1D propagation", MENELAUS_WORDS[:slot] + MENELAUS_WORDS[slot + 1:],
+                MENELAUS_WORDS[slot], lambda pts: solve_menelaus(pts[:slot] + [None] + pts[slot:]))
+
+
+TOP = Rule("propagation", ("ac", "bc", "ad", "bd"), "cd", _meet)
+BOTTOM = Rule("inverse propagation", ("ac", "ad", "bc", "bd"), "ab", _meet)
+REDUCED = Rule("reduced propagation", ("cc", "bc", "ad", "bd"), "cd", _meet)
+MENELAUS_TOP = _menelaus_rule(5)
+MENELAUS_BOTTOM = _menelaus_rule(2)
+
+
+def _propagate(window, rule):
+    """A copy of the window with the rule's row added, solved at each base
+    in ascending r1 (mod n on a periodic window).  The bases are read off
+    the keys of the first source's row."""
+    pin = window.pin
+    offs = [pin.offset(word) for word in rule.sources]
+    t1, t2 = pin.offset(rule.target)
+    f1, f2 = offs[0]
+    rows = window.rows()
+    r2 = (rows[-1] + 1 if t2 > f2 else rows[0] - 1) - t2
+    w = window.copy()
+    for r1, _ in sorted({window._key((i - f1, r2)) for (i, j) in window.points if j == r2 + f2}):
+        if all(window.has((r1 + d1, r2 + d2)) for d1, d2 in offs):
+            w.set((r1 + t1, r2 + t2), rule.solve(window.at((r1, r2), offs)))
+    if len(w.points) == len(window.points):
+        raise MeshError("no %s instance fits the window" % rule.name)
+    return w
+
+
+def _drop_row(window, j):
+    window.points = {k: p for k, p in window.points.items() if k[1] != j}
 
 
 def step_forward(window, drop_bottom=False):
     """Add the next row on top via the intersection rule; optionally drop the
     bottom row (the genuine order-m map)."""
-    return _step_forward(window, drop_bottom)
-
-
-# generate_window's trial steps call this directly, so that a profile of
-# step_forward counts only the steps made on a returned window
-def _step_forward(window, drop_bottom=False):
-    pin = window.pin
-    c2d2 = pin.c[1] + pin.d[1]
-    rows = window.rows()
-    j_new = rows[-1] + 1
-    r2 = j_new - c2d2
-    c1d1 = pin.c[0] + pin.d[0]
-    w = window.copy()
-    added = 0
-    if window.periodic_n:
-        cand = range(window.periodic_n)
-    else:
-        cols = window.row_cols(rows[-1])
-        cand = range(cols[0] - abs(c1d1) - 4, cols[-1] + abs(c1d1) + 5)
-    for r1 in cand:
-        r = (r1, r2)
-        s_ac, s_bc, s_ad, s_bd = _top_sources(pin, r)
-        if not all(window.has(s) for s in (s_ac, s_bc, s_ad, s_bd)):
-            continue
-        p = meet_point(join(window.get(s_ac), window.get(s_bc)),
-                       join(window.get(s_ad), window.get(s_bd)))
-        w.set(_add(r, (c1d1, c2d2)), p)
-        added += 1
-    if not added:
-        raise MeshError("no propagation instance fits the window")
+    w = _propagate(window, TOP)
     if drop_bottom:
-        for i in w.row_cols(rows[0]):
-            del w.points[w._key((i, rows[0]))]
+        _drop_row(w, window.rows()[0])
     return w
 
 
 def step_backward(window, drop_top=False):
     """Add the previous row at the bottom via the inverse intersection rule."""
-    pin = window.pin
-    a2b2 = pin.a[1] + pin.b[1]
-    a1b1 = pin.a[0] + pin.b[0]
-    rows = window.rows()
-    j_new = rows[0] - 1
-    r2 = j_new - a2b2
-    w = window.copy()
-    added = 0
-    if window.periodic_n:
-        cand = range(window.periodic_n)
-    else:
-        cols = window.row_cols(rows[0])
-        cand = range(cols[0] - abs(a1b1) - 4, cols[-1] + abs(a1b1) + 5)
-    for r1 in cand:
-        r = (r1, r2)
-        s_ac, s_bc, s_ad, s_bd = _top_sources(pin, r)
-        if not all(window.has(s) for s in (s_ac, s_bc, s_ad, s_bd)):
-            continue
-        p = meet_point(join(window.get(s_ac), window.get(s_ad)),
-                       join(window.get(s_bc), window.get(s_bd)))
-        w.set(_add(r, (a1b1, a2b2)), p)
-        added += 1
-    if not added:
-        raise MeshError("no inverse propagation instance fits the window")
+    w = _propagate(window, BOTTOM)
     if drop_top:
-        for i in w.row_cols(rows[-1]):
-            del w.points[w._key((i, rows[-1]))]
+        _drop_row(w, window.rows()[-1])
     return w
 
 
 def step_reduced_forward(window):
     """Order-reduced planar propagation (needs d2-b2 >= c2-a2):
     P_{r+c+d} = <P_{r+2c}, P_{r+b+c}> ^ <P_{r+a+d}, P_{r+b+d}>."""
-    pin = window.pin
-    a, b, c, d = pin.points
+    a, b, c, d = window.pin.points
     if d[1] - b[1] < c[1] - a[1]:
         raise MeshError("reduced rule needs d2-b2 >= c2-a2; time-reverse first")
     if c[1] == d[1]:
         # the source point r+2c sits in the row being created, so the reduced
         # rule gains nothing (m' = m); fall back to the full-order rule
         return step_forward(window)
-    c2d2, c1d1 = c[1] + d[1], c[0] + d[0]
-    rows = window.rows()
-    j_new = rows[-1] + 1
-    r2 = j_new - c2d2
-    w = window.copy()
-    added = 0
-    cols = window.row_cols(rows[-1])
-    for r1 in range(cols[0] - abs(c1d1) - 4, cols[-1] + abs(c1d1) + 5):
-        r = (r1, r2)
-        s_2c = _add(r, (2 * c[0], 2 * c[1]))
-        s_bc = _add(r, (b[0] + c[0], b[1] + c[1]))
-        s_ad = _add(r, (a[0] + d[0], a[1] + d[1]))
-        s_bd = _add(r, (b[0] + d[0], b[1] + d[1]))
-        if not all(window.has(s) for s in (s_2c, s_bc, s_ad, s_bd)):
-            continue
-        p = meet_point(join(window.get(s_2c), window.get(s_bc)),
-                       join(window.get(s_ad), window.get(s_bd)))
-        w.set(_add(r, (c1d1, c2d2)), p)
-        added += 1
-    if not added:
-        raise MeshError("no reduced propagation instance fits the window")
-    return w
+    return _propagate(window, REDUCED)
+
+
+def step_1d(window, backward=False):
+    """Propagate a 1D mesh one row (top if forward, bottom if backward) by
+    solving the six-point Menelaus relation for the unknown point."""
+    return _propagate(window, MENELAUS_BOTTOM if backward else MENELAUS_TOP)
 
 
 def generate_reduced(pin, i_lo, i_hi, seed=0):
@@ -420,15 +408,14 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
     rng = random.Random(seed)
     mp = m2_of_s(pin)
     window = MeshWindow(pin, 2)
-    offs = [_resolve(pin, lab) for lab in ("a", "b", "c")]
-    last = max(offs, key=lambda o: (o[0], o[1]))
+    last = max(pin.offset(lab) for lab in "abc")  # the sweep-last member offset
     inside = {(i, j) for j in range(1, mp + 1) for i in range(i_lo, i_hi + 1)}
     for i in range(i_lo, i_hi + 1):
         for j in range(1, mp + 1):
             r = (i, j)
-            base = _sub(r, last)
+            base = (i - last[0], j - last[1])
             ok = -a[1] < base[1] <= mp - c[1]
-            others = [q for q in (_add(base, o) for o in offs) if q != r]
+            others = [q for q in (pin.shift(base, lab) for lab in "abc") if q != r]
             if ok and all(q in inside for q in others):
                 pts = [window.get(q) for q in others]
                 window.set(r, _place_on_span(rng, span(pts), pts))
@@ -441,20 +428,15 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
 # ---- validation --------------------------------------------------------
 
 
-def _instances(window, labels):
-    """Base and points of every instance of the labelled offsets that lies
-    fully inside the window, ordered by (r2, r1).  The bases are read off
-    the window's keys, each once (mod n on a periodic window)."""
-    offs = [_resolve(window.pin, lab) for lab in labels]
-    o1, o2 = offs[0]
-    bases = {window._key((i - o1, j - o2)) for (i, j) in window.points}
-    for r1, r2 in sorted(bases, key=lambda r: (r[1], r[0])):
-        members = [(r1 + d1, r2 + d2) for d1, d2 in offs]
-        if all(window.has(q) for q in members):
-            yield (r1, r2), [window.get(q) for q in members]
-
-
-_LINE_LABELS = ("a", "b", "c", "d")
+def bases(window, offsets):
+    """Every base r whose points r + offset all lie inside the window, once
+    each (mod n on a periodic window), ordered by (r2, r1).  The candidates
+    are read off the window's keys through the first offset."""
+    o1, o2 = offsets[0]
+    cands = {window._key((i - o1, j - o2)) for (i, j) in window.points}
+    for r1, r2 in sorted(cands, key=lambda r: (r[1], r[0])):
+        if all(window.has((r1 + d1, r2 + d2)) for d1, d2 in offsets):
+            yield (r1, r2)
 
 
 def _repeats(pts):
@@ -465,31 +447,38 @@ def _has_coincident_points(window):
     """Whether an L1 or L2 instance or a full line L_r inside the window
     repeats a point (what check_relations reports as coincident points or
     a degenerate line)."""
-    return any(_repeats(pts)
-               for labels in (_KIND_OFFSETS["L1"], _KIND_OFFSETS["L2"], _LINE_LABELS)
-               for _, pts in _instances(window, labels))
+    for words in (Pin.CIRCUIT_WORDS["L1"], Pin.CIRCUIT_WORDS["L2"], "abcd"):
+        offs = [window.pin.offset(word) for word in words]
+        if any(_repeats(window.at(r, offs)) for r in bases(window, offs)):
+            return True
+    return False
 
 
 def check_relations(window, require_instances=1):
     """Verify every relation instance fully inside the window: L1/L2
     collinearity, P3 coplanarity, full-line collinearity of {r+a,...,r+d},
     distinctness, and that the window spans RP^D.  Returns instance counts."""
+    pin = window.pin
     counts = {"L1": 0, "L2": 0, "P3": 0, "line": 0}
-    for kind in ("L1", "L2", "P3"):
-        for (r1, r2), pts in _instances(window, _KIND_OFFSETS[kind]):
+    for kind, words in Pin.CIRCUIT_WORDS.items():
+        offs = [pin.offset(word) for word in words]
+        for r in bases(window, offs):
+            pts = window.at(r, offs)
             if kind == "P3":
                 if rank_of(pts) > 3:
-                    raise MeshError("coplanarity fails at base (%d, %d)" % (r1, r2))
+                    raise MeshError("coplanarity fails at base (%d, %d)" % r)
             else:
                 if not collinear(pts):
-                    raise MeshError("%s collinearity fails at base (%d, %d)" % (kind, r1, r2))
+                    raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
                 if _repeats(pts):
-                    raise MeshError("%s has coincident points at base (%d, %d)" % (kind, r1, r2))
+                    raise MeshError("%s has coincident points at base (%d, %d)" % ((kind,) + r))
             counts[kind] += 1
     # full lines L_r: all four of r+a .. r+d collinear and distinct
-    for (r1, r2), pts in _instances(window, _LINE_LABELS):
+    offs = [pin.offset(label) for label in "abcd"]
+    for r in bases(window, offs):
+        pts = window.at(r, offs)
         if not collinear(pts) or _repeats(pts):
-            raise MeshError("line L_(%d,%d) degenerate" % (r1, r2))
+            raise MeshError("line L_(%d,%d) degenerate" % r)
         counts["line"] += 1
     _spanning_check(window)
     if sum(counts.values()) < require_instances:
@@ -541,10 +530,6 @@ def solve_menelaus(points):
     return Point((by, -ax))
 
 
-def _six_labels(pin, r):
-    return [_add(r, _resolve(pin, lab)) for lab in ("ad", "ac", "ab", "bc", "bd", "cd")]
-
-
 def generate_1d(pin, i_lo, i_hi, seed=0):
     """Random 1D window: m = c2+d2-a2-b2 free rows of distinct RP^1 points."""
     rng = random.Random(seed)
@@ -565,63 +550,22 @@ def generate_1d(pin, i_lo, i_hi, seed=0):
     return w
 
 
-def step_1d(window, backward=False):
-    """Propagate a 1D mesh one row (top if forward, bottom if backward) by
-    solving the six-point Menelaus relation for the unknown point."""
-    pin = window.pin
-    m = pin.l
-    rows = window.rows()
-    a, b, c, d = pin.points
-    if backward:
-        j_new = rows[0] - 1
-        r2 = j_new - a[1] - b[1]
-        unknown = 2
-        off = (a[0] + b[0], a[1] + b[1])
-    else:
-        j_new = rows[-1] + 1
-        r2 = j_new - c[1] - d[1]
-        unknown = 5
-        off = (c[0] + d[0], c[1] + d[1])
-    w = window.copy()
-    i_all = [i for (i, _) in window.points]
-    added = 0
-    for r1 in range(min(i_all) - 8, max(i_all) + 9):
-        r = (r1, r2)
-        labels = _six_labels(pin, r)
-        known = [lab for k, lab in enumerate(labels) if k != unknown]
-        if not all(window.has(q) for q in known):
-            continue
-        six = [window.get(lab) if k != unknown else None for k, lab in enumerate(labels)]
-        p = solve_menelaus(six)
-        w.set(_add(r, off), p)
-        added += 1
-    if not added:
-        raise MeshError("no 1D propagation instance fits the window")
-    return w
-
-
 def check_menelaus(window):
     """Verify the six-point relation (= -1) for every base fully inside a 1D
-    or higher-dimensional window; returns the instance count.  The
-    multi-ratio is compared as an integer pair: num + den == 0.  Instances
-    whose multi-ratio is undefined (coincident points can occur on
-    boundary-pin meshes and for pins with a+d = b+c) are skipped."""
-    pin = window.pin
-    keys = list(window.points)
-    i_vals = [i for (i, _) in keys]
-    j_vals = [j for (_, j) in keys]
+    or higher-dimensional window, each once (mod n on a periodic window);
+    returns the instance count.  The multi-ratio is compared as an integer
+    pair: num + den == 0.  Instances whose multi-ratio is undefined
+    (coincident points can occur on boundary-pin meshes and for pins with
+    a+d = b+c) are skipped."""
+    offs = [window.pin.offset(word) for word in MENELAUS_WORDS]
     count = 0
-    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
-        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            labels = _six_labels(pin, (r1, r2))
-            if not all(window.has(q) for q in labels):
-                continue
-            try:
-                num, den = multi_ratio_pair([window.get(q) for q in labels])
-            except DegenerateError:
-                continue
-            if num + den != 0:
-                raise MeshError("Menelaus relation fails at base (%d, %d): %s"
-                                % (r1, r2, ExtQ(num, den)))
-            count += 1
+    for r in bases(window, offs):
+        try:
+            num, den = multi_ratio_pair(window.at(r, offs))
+        except DegenerateError:
+            continue
+        if num + den != 0:
+            raise MeshError("Menelaus relation fails at base (%d, %d): %s"
+                            % (r + (ExtQ(num, den),)))
+        count += 1
     return count

@@ -69,6 +69,29 @@ class Pin:
     def __repr__(self):
         return "Pin(a=%s, b=%s, c=%s, d=%s)" % self.points
 
+    # offsets ------------------------------------------------------------
+
+    # circuit kinds: member offsets as words in the labels
+    CIRCUIT_WORDS = {
+        "L1": ("a", "b", "c"),
+        "L2": ("b", "c", "d"),
+        "P3": ("ac", "ad", "bc", "bd"),
+    }
+
+    def offset(self, word):
+        """Lattice offset of a word in the labels: the sum of its points
+        ("ac" is a + c)."""
+        i = j = 0
+        for label in word:
+            p = getattr(self, label)
+            i, j = i + p[0], j + p[1]
+        return (i, j)
+
+    def shift(self, r, word):
+        """The index r + offset(word)."""
+        o = self.offset(word)
+        return (r[0] + o[0], r[1] + o[1])
+
     # lattice symmetries -------------------------------------------------
 
     def apply(self, sign=1, shear=0, i0=0, j0=0):

@@ -152,10 +152,6 @@ class Flat:
     def __repr__(self):
         return "Flat(dim=%d, ambient=%d)" % (self.dim, self.ncols - 1)
 
-    def contains(self, point):
-        red, _ = rref(list(self.rows) + [point.z])
-        return len(red) == self.rank
-
     def point(self):
         if self.rank != 1:
             raise ValueError("flat of rank %d is not a point" % self.rank)
@@ -295,24 +291,6 @@ def _meet_lines(a, b, u, w):
                     return x
                 return None
     return None
-
-
-def line_chart(points):
-    """Pivot-coordinate chart on the line through the given points.
-
-    Returns for each point the pair (alpha, beta) of its coordinates in the
-    RREF basis of the common line.  Requires the points to be collinear and
-    the span to be an actual line (rank 2).
-    """
-    pts = list(points)
-    line = span(pts)
-    if line.rank != 2:
-        raise DegenerateError("points span rank %d, expected a line" % line.rank)
-    red = line.rows
-    # pivot columns of the line's own basis
-    j1 = next(i for i, c in enumerate(red[0]) if c != 0)
-    j2 = next(i for i, c in enumerate(red[1]) if c != 0)
-    return [(p.v[j1], p.v[j2]) for p in pts]
 
 
 def _common_line(pts):

@@ -9,7 +9,6 @@ The propagation dynamics satisfies, for every base r,
 
 from .rational import ExtQ, DegenerateError, degenerate_pair
 from .projective import cross_ratio_pair, multi_ratio, join, meet_point
-from .filtration import _resolve, _add
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
@@ -23,18 +22,18 @@ def y_pair(window, r):
     """y_of(window, r) as an unreduced integer pair (num, den), den = 0 for
     inf."""
     pin = window.pin
-    pts = [window.get(_add(r, _resolve(pin, lab))) for lab in ("a", "c", "b", "d")]
+    pts = [window.get(pin.shift(r, lab)) for lab in "acbd"]
     num, den = cross_ratio_pair(*pts)
     return -num, den
 
 
 def y_available(window, r):
     pin = window.pin
-    return all(window.has(_add(r, _resolve(pin, lab))) for lab in ("a", "b", "c", "d"))
+    return all(window.has(pin.shift(r, lab)) for lab in "abcd")
 
 
 def _eqmain_offsets(pin):
-    return [_resolve(pin, lab) for lab in EQMAIN_LABELS]
+    return [pin.offset(lab) for lab in EQMAIN_LABELS]
 
 
 def _eqmain_pairs(window, r, cache, offsets):
@@ -179,7 +178,7 @@ COMPASS = {
 def general_y_factor_route(window, r, subset):
     """y^(1) at r+c+d times the chosen 1+y factors, from plain y-values."""
     pin = window.pin
-    y = {lab: y_of(window, _add(r, _resolve(pin, lab))) for lab in ("ab", "ac", "bd", "ad", "bc")}
+    y = {lab: y_of(window, pin.shift(r, lab)) for lab in ("ab", "ac", "bd", "ad", "bc")}
     val = y["ab"].inv()
     if "A" in subset:
         val = val * (1 + y["ac"])
@@ -196,7 +195,7 @@ def general_y_multiratio_route(window, r, subset):
     """The same quantity as a single signed multi-ratio of mesh points."""
     pin = window.pin
     sign, labels = GENERAL_Y_TABLE[frozenset(subset)]
-    pts = [window.get(_add(r, _resolve(pin, lab))) for lab in labels]
+    pts = [window.get(pin.shift(r, lab)) for lab in labels]
     return ExtQ(sign) * multi_ratio(pts)
 
 

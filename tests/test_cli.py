@@ -2,8 +2,12 @@ import json
 
 from click.testing import CliRunner
 
+import pytest
+
 from ymesh.cli import main
-from ymesh.serialize import loads
+from ymesh.serialize import loads, mesh_from_json
+from ymesh.yvars import check_eqmain
+from ymesh.zoo import zoo_pin
 
 
 def run(*args, **kw):
@@ -82,6 +86,19 @@ def test_mesh_step_forward_then_back(tmp_path):
                 assert br["points"][kb] == pt
 
 
+def test_mesh_step_on_1d_mesh(tmp_path):
+    base = str(tmp_path / "m.json")
+    run("mesh", "gen", "--name", "pentagram", "--dim", "1", "--cols", "20",
+        "--seed", "0", "--out", base)
+    res = run("mesh", "step", "--mesh", base, "-n", "1")
+    assert res.exit_code == 0, res.output
+    gen = run("mesh", "gen", "--name", "pentagram", "--dim", "1", "--cols", "20",
+              "--steps", "1", "--seed", "0")
+    assert loads(res.output)["rows"] == loads(gen.output)["rows"]
+    res = run("mesh", "step", "--mesh", base, "-n", "-1")
+    assert res.exit_code == 0, res.output
+
+
 def test_mesh_dim_too_large_is_config_error():
     res = run("mesh", "gen", "--name", "pentagram", "--dim", "9", "--cols", "10")
     assert res.exit_code == 2
@@ -95,6 +112,19 @@ def test_verify_eqmain(tmp_path):
     assert res.exit_code == 0
     rep = json.loads(res.output)
     assert rep["instances"] > 0 and rep["failures"] == []
+
+
+@pytest.mark.parametrize("name", ["dented", "elephant", "kangaroo", "rabbit"])
+def test_verify_eqmain_counts_every_base(tmp_path, name):
+    # bases whose own index is not a window point count too
+    path = str(tmp_path / "mesh.json")
+    l = zoo_pin(name).l
+    run("mesh", "gen", "--name", name, "--dim", "2", "--cols", str(8 * (l + 2)),
+        "--steps", str(l + 2), "--seed", "0", "--out", path)
+    res = run("verify", "eqmain", "--mesh", path)
+    assert res.exit_code == 0, res.output
+    w = mesh_from_json(loads(open(path).read()))
+    assert json.loads(res.output)["instances"] == check_eqmain(w)["checked"]
 
 
 def test_quiver_build_and_verify():

@@ -15,14 +15,13 @@ import pytest
 from ymesh.rational import ExtQ, DegenerateError
 from ymesh.projective import Point, join, multi_ratio
 from ymesh.mesh import (MeshError, generate_1d, generate_window,
-                        step_1d, step_forward, check_menelaus, _six_labels,
+                        step_1d, step_forward, check_menelaus, MENELAUS_WORDS,
                         _random_free)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
                          eqmain_holds, bracket, bracket_product, _parity)
 from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin,
                           run_periodic_y, check_exchange_trace, run_1d_y,
                           check_1d_y_relation)
-from ymesh.filtration import _resolve, _add
 from ymesh.zoo import ZOO, zoo_pin
 
 DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
@@ -42,7 +41,7 @@ def _extq_eqmain_residual(window, r):
     pin = window.pin
     ys = {}
     for lab in EQMAIN_LABELS:
-        u = _add(r, _resolve(pin, lab))
+        u = pin.shift(r, lab)
         if not y_available(window, u):
             return None
         ys[lab] = y_of(window, u)
@@ -80,7 +79,7 @@ def _extq_check_menelaus(window):
     count = 0
     for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
         for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            labels = _six_labels(window.pin, (r1, r2))
+            labels = [window.pin.shift((r1, r2), word) for word in MENELAUS_WORDS]
             if not all(window.has(q) for q in labels):
                 continue
             try:

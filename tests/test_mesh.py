@@ -8,8 +8,8 @@ from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         generate_reduced, generate_polygon_window,
                         step_forward, step_backward, step_reduced_forward,
                         step_1d, check_relations, check_menelaus, random_point,
-                        _instances)
-from ymesh.filtration import _resolve, _add
+                        bases, MENELAUS_WORDS)
+from ymesh.fractal import make_fractal, fractal_bases_in_window
 from ymesh.quiver import qs_period, run_periodic_y
 from ymesh.yvars import check_eqmain, y_of, y_available
 from ymesh.pins import Pin, d_of_s, m2_of_s
@@ -184,32 +184,75 @@ def test_boundary_draws_are_certified(seed):
     _propagate_all_rows(generate_window(pin, 2, 0, 4 * (pin.l + 2) + 8 * span, seed=seed))
 
 
-def _scanned_instances(window, labels):
-    """Bases by the fixed-margin scan that _instances replaced."""
-    offs = [_resolve(window.pin, lab) for lab in labels]
-    i_vals = [i for (i, _) in window.points]
-    j_vals = [j for (_, j) in window.points]
-    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
-        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            if all(window.has(_add((r1, r2), o)) for o in offs):
+def _offsets(pin, words):
+    return [pin.offset(word) for word in words]
+
+
+def _scanned_instances(window, offsets):
+    """Bases by a scan of every base whose offsets can reach the window's
+    bounding box, in (r2, r1) order."""
+    def span(axis):
+        vals = [r[axis] for r in window.points]
+        offs = [o[axis] for o in offsets]
+        return range(min(vals) - max(offs), max(vals) - min(offs) + 1)
+
+    for r2 in span(1):
+        for r1 in span(0):
+            if all(window.has((r1 + o1, r2 + o2)) for o1, o2 in offsets):
                 yield (r1, r2)
+
+
+def _offset_families(pin):
+    words = [("a", "b", "c"), ("b", "c", "d"), ("ac", "ad", "bc", "bd"), "abcd", MENELAUS_WORDS]
+    return ([_offsets(pin, w) for w in words]
+            + [sorted(make_fractal(pin, (0, 0), k)) for k in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("name", ["pentagram", "sideways", "short_diagonal", "penguin"])
 def test_instances_from_keys_match_scan(name):
     pin = zoo_pin(name)
     w = generate_window(pin, 2, 0, 14, seed=1)
-    w = step_forward(w)
-    for labels in (("a", "b", "c"), ("b", "c", "d"), ("ac", "ad", "bc", "bd"),
-                   ("a", "b", "c", "d")):
-        assert [r for r, _ in _instances(w, labels)] == list(_scanned_instances(w, labels))
+    for _ in range(3):
+        w = step_forward(w)
+    for offsets in _offset_families(pin):
+        assert list(bases(w, offsets)) == list(_scanned_instances(w, offsets))
 
 
 def test_periodic_instances_are_distinct_bases():
     w = generate_polygon_window(zoo_pin("pentagram"), 7, seed=1)
     for _ in range(3):
         w = step_forward(w)
-    bases = [r for r, _ in _instances(w, ("a", "b", "c", "d"))]
-    assert len(bases) == len(set(bases)) == 7 * 3
-    assert {r for r in _scanned_instances(w, ("a", "b", "c", "d"))
-            if 0 <= r[0] < 7} == set(bases)
+    found = list(bases(w, _offsets(w.pin, "abcd")))
+    assert len(found) == len(set(found)) == 7 * 3
+    assert {r for r in _scanned_instances(w, _offsets(w.pin, "abcd"))
+            if 0 <= r[0] < 7} == set(found)
+
+
+@pytest.mark.parametrize("n,count", [(7, 49), (9, 63)])
+def test_periodic_menelaus_counts_each_base_once(n, count):
+    # the six-point words of the pentagram span rows 0..2, so the 9 rows
+    # after 8 steps hold 7 base rows of n bases each
+    w = generate_polygon_window(zoo_pin("pentagram"), n, seed=1)
+    for _ in range(8):
+        w = step_forward(w)
+    assert check_menelaus(w) == count == len(list(bases(w, _offsets(w.pin, MENELAUS_WORDS))))
+
+
+@pytest.mark.parametrize("i0", [10, 20])
+def test_translated_pin_propagates_and_counts_alike(i0):
+    # translating the pin moves every base, not the points of the mesh
+    pin = zoo_pin("pentagram")
+    moved = pin.apply(i0=i0)
+    w, wt = generate_1d(pin, 0, 24, seed=0), generate_1d(moved, 0, 24, seed=0)
+    assert wt.points == w.points
+    fw, fwt = step_1d(w), step_1d(wt)
+    assert len(fw.points) > len(w.points) and fwt.points == fw.points
+    assert step_1d(fwt, backward=True).points == step_1d(fw, backward=True).points
+    assert check_menelaus(fwt) == check_menelaus(fw) > 0
+    w, wt = generate_window(pin, 2, 0, 30, seed=0), generate_window(moved, 2, 0, 30, seed=0)
+    for _ in range(3):
+        w, wt = step_forward(w), step_forward(wt)
+    assert wt.points == w.points
+    assert check_menelaus(wt) == check_menelaus(w) > 0
+    for k in (1, 2, 3):
+        assert len(fractal_bases_in_window(wt, k)) == len(fractal_bases_in_window(w, k)) > 0

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from ymesh.rational import ExtQ, INF, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point,
-                              rank_of, collinear, cross_ratio, multi_ratio,
-                              line_chart, rref)
+                              rank_of, collinear, cross_ratio, multi_ratio, rref)
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -112,6 +111,20 @@ def test_menelaus_on_complete_quadrilateral():
 
 
 # ---- the integer kernel agrees with the Flat/rref route -------------------
+
+
+def line_chart(points):
+    """Pivot-coordinate chart on the line through the given points: for each
+    point the pair of its coordinates in the pivot columns of the line's RREF
+    basis.  The points must span a line."""
+    pts = list(points)
+    line = span(pts)
+    if line.rank != 2:
+        raise DegenerateError("points span rank %d, expected a line" % line.rank)
+    red = line.rows
+    j1 = next(i for i, c in enumerate(red[0]) if c != 0)
+    j2 = next(i for i, c in enumerate(red[1]) if c != 0)
+    return [(p.v[j1], p.v[j2]) for p in pts]
 
 
 def _flat_cross_ratio(*pts):
