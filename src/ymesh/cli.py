@@ -19,7 +19,7 @@ from .filtration import classify_case, audit_filtration, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
-from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_residual, y_available, y_of
+from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_available, y_of
 from .quiver import (QuiverConfigError, build_qs, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, lift_label, tilde_ideal_generator, LiftedUnavailable
@@ -27,7 +27,6 @@ from .fractal import (make_fractal, genericity_audit, bound_check,
                       genericity_evidence, check_sub_fractal_intersections)
 from .ijmap import IJMapError, t_ij, row_polygon
 from .zoo import ZOO, zoo_pin
-from .rational import ExtQ
 
 
 def default_seed():
@@ -209,11 +208,11 @@ def _mesh_report(path, kind):
         offsets = [w.pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
         cache = {}
         for r in bases(w, offsets):
-            res = eqmain_residual(w, r, cache)
-            if res == "degenerate":
+            rel = eqmain_instance(w, r, cache)
+            if rel == "degenerate":
                 continue
             instances += 1
-            if res != ExtQ(1):
+            if not rel[0]:
                 failures.append(list(r))
     return {"kind": kind, "instances": instances, "failures": failures}
 

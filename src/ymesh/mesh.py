@@ -188,29 +188,27 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     else:
         def draw(rng):
             return _generate_filtration(pin, dim, i_lo, i_hi, rng)
-    return _certified_draw(draw, random.Random(seed), pin.l + 2)
+    return _certified_draw(draw, random.Random(seed), pin.l + 2, TOP)
 
 
-def _certified_draw(draw, rng, steps):
-    """The first window that draw(rng) returns which propagates the given
-    number of steps cleanly (``_propagates``); at most REDRAW_LIMIT draws
-    from the one random stream, then DegenerateConfig."""
+def _certified_draw(draw, rng, steps, rule):
+    """The first window that draw(rng) returns which propagates `steps` rows
+    by the rule cleanly (``_propagates``); at most REDRAW_LIMIT draws."""
     for _ in range(REDRAW_LIMIT):
         window = draw(rng)
-        if _propagates(window, steps):
+        if _propagates(window, steps, rule):
             return window
     raise DegenerateConfig("%d draws of the window all propagated degenerately" % REDRAW_LIMIT)
 
 
-def _propagates(window, steps):
-    """Whether the window takes the given number of forward steps (or as many
-    as its width allows) without a degenerate meet, and then has no relation
-    instance with coincident points."""
+def _propagates(window, steps, rule):
+    """Whether the window takes the given number of steps by the rule (or as
+    many as its width allows) without a degenerate meet, and then has no
+    relation instance with coincident points."""
     for _ in range(steps):
         try:
-            # the engine, not step_forward: a profile of step_forward then
-            # counts only the steps made on a returned window
-            window = _propagate(window, TOP)
+            # the engine, so a profile of step_forward counts only kept steps
+            window = _propagate(window, rule)
         except DegenerateError:
             return False
         except MeshError:
@@ -307,7 +305,7 @@ def generate_polygon_window(pin, n, seed=0, dim=2):
         _spanning_check(w)
         return w
 
-    return _certified_draw(draw, random.Random(seed), pin.l + 2)
+    return _certified_draw(draw, random.Random(seed), pin.l + 2, TOP)
 
 
 # ---- propagation -------------------------------------------------------
@@ -401,28 +399,35 @@ def step_1d(window, backward=False):
 
 def generate_reduced(pin, i_lo, i_hi, seed=0):
     """Generic planar window of the order-reduced system: m' = max(c2-a2,
-    d2-b2) rows constrained only by the L1 collinearity (greedy sweep)."""
+    d2-b2) rows constrained only by the L1 collinearity (greedy sweep),
+    redrawn like generate_window by the rule of ``step_reduced_forward``."""
     a, b, c, d = pin.points
     if d[1] - b[1] < c[1] - a[1]:
         raise MeshError("reduced system needs d2-b2 >= c2-a2; time-reverse first")
-    rng = random.Random(seed)
+    if d_of_s(pin) < 2:
+        raise MeshError("the reduced system is planar; D(S) = %d" % d_of_s(pin))
     mp = m2_of_s(pin)
-    window = MeshWindow(pin, 2)
     last = max(pin.offset(lab) for lab in "abc")  # the sweep-last member offset
     inside = {(i, j) for j in range(1, mp + 1) for i in range(i_lo, i_hi + 1)}
-    for i in range(i_lo, i_hi + 1):
-        for j in range(1, mp + 1):
-            r = (i, j)
-            base = (i - last[0], j - last[1])
-            ok = -a[1] < base[1] <= mp - c[1]
-            others = [q for q in (pin.shift(base, lab) for lab in "abc") if q != r]
-            if ok and all(q in inside for q in others):
-                pts = [window.get(q) for q in others]
-                window.set(r, _place_on_span(rng, span(pts), pts))
-            else:
-                window.set(r, _random_free(rng, 2))
-    _spanning_check(window)
-    return window
+
+    def draw(rng):
+        window = MeshWindow(pin, 2)
+        for i in range(i_lo, i_hi + 1):
+            for j in range(1, mp + 1):
+                r = (i, j)
+                base = (i - last[0], j - last[1])
+                ok = -a[1] < base[1] <= mp - c[1]
+                others = [q for q in (pin.shift(base, lab) for lab in "abc") if q != r]
+                if ok and all(q in inside for q in others):
+                    pts = [window.get(q) for q in others]
+                    window.set(r, _place_on_span(rng, span(pts), pts))
+                else:
+                    window.set(r, _random_free(rng, 2))
+        _spanning_check(window)
+        return window
+
+    rule = TOP if c[1] == d[1] else REDUCED  # as step_reduced_forward
+    return _certified_draw(draw, random.Random(seed), pin.l + 2, rule)
 
 
 # ---- validation --------------------------------------------------------

@@ -11,7 +11,7 @@ change with the old one, which is never modified.
 
 from collections.abc import Mapping
 
-from .rational import ExtQ, degenerate_pair
+from .rational import ExtQ, degenerate_pair, exchange_relation, in_factor, mul_pow, out_factor
 from .pins import PinError
 
 
@@ -117,20 +117,20 @@ class Quiver:
 
 
 def mutate_y(quiver, ys, v):
-    """Y-seed mutation: y'_v = 1/y_v; y'_u = y_u (1+y_v)^{#u->v} (1+1/y_v)^{-#v->u}.
+    """Y-seed mutation: y'_v = 1/y_v; y'_u = y_u (1+y_v)^{#u->v} (1+1/y_v)^{-#v->u},
+    ExtQ values in and out, exchanged on integer pairs (``_mutate_pairs``)."""
+    pairs = {u: ExtQ(ys[u]).as_pair() for u in (v, *quiver.adj[v])}
+    _mutate_pairs(quiver.adj[v], pairs, v)
+    return quiver.mutate(v), {**ys, **{u: ExtQ(*pair) for u, pair in pairs.items()}}
 
-    1/(1+1/y_v) is computed once, so each arrow costs one multiplication."""
-    out = dict(ys)
-    yv = ys[v]
-    out[v] = inv = yv.inv()
-    up, down = 1 + yv, (1 + inv).inv()
-    for u, e in quiver.adj[v].items():  # e = b_vu: <0: -e arrows u->v ; >0: e arrows v->u
-        val = ys[u]
-        f = up if e < 0 else down
-        for _ in range(abs(e)):
-            val = val * f
-        out[u] = val
-    return quiver.mutate(v), out
+
+def _mutate_pairs(row, ys, v):
+    """mutate_y in place on reduced integer pairs, row = quiver.adj[v]."""
+    p, q = ys[v]
+    up, down = in_factor(p, q), out_factor(p, q)
+    ys[v] = (q, p) if p >= 0 else (-q, -p)
+    for u, e in row.items():  # e = b_vu: <0: -e arrows u->v ; >0: e arrows v->u
+        ys[u] = mul_pow(ys[u], up if e < 0 else down, abs(e))
 
 
 def mutate_x(quiver, xs, v):
@@ -247,49 +247,16 @@ def run_periodic_y(pin, n, y0, sweeps):
     """
     i0, l = qs_period(pin)
     q = build_qs(pin, n)
-    ys = {v: ExtQ(val) for v, val in y0.items()}
+    ys = {v: ExtQ(val).as_pair() for v, val in y0.items()}
     exported = {}
     for s in range(sweeps):
         jr, t = s % l, s // l
         for i in range(n):
-            exported[((i + t * i0) % n, jr + t * l)] = ys[(i, jr)]
+            exported[((i + t * i0) % n, jr + t * l)] = ExtQ(*ys[(i, jr)])
         for i in range(n):
-            q, ys = mutate_y(q, ys, (i, jr))
-    return exported, ys
-
-
-def _in_factor(p, q):
-    """1 + y for y = p/q, as an integer pair."""
-    return p + q, q
-
-
-def _out_factor(p, q):
-    """1/(1 + 1/y) for y = p/q, as an integer pair."""
-    return p, p + q
-
-
-def _relation_holds(pair1, pair2, factors):
-    """Whether y1 y2 = prod fn(y)^m over the factors (pair of y, m, fn),
-    for y-values given as integer pairs: both sides are integer fractions,
-    compared by cross-multiplying (an infinite left side never holds)."""
-    rhs_n = rhs_d = 1
-    for pair, m, fn in factors:
-        a, b = fn(*pair)
-        for _ in range(m):
-            rhs_n, rhs_d = rhs_n * a, rhs_d * b
-    (p1, q1), (p2, q2) = pair1, pair2
-    lhs_d = q1 * q2
-    return lhs_d != 0 and p1 * p2 * rhs_d == rhs_n * lhs_d
-
-
-def _extq_sides(y1, y2, factors):
-    """The two sides of the same relation by ExtQ arithmetic, for the
-    message of a failing instance; y1 y2 raises on inf * 0."""
-    rhs = ExtQ(1)
-    for y, m, fn in factors:
-        for _ in range(m):
-            rhs = rhs * (1 + y) if fn is _in_factor else rhs / (1 + y.inv())
-    return y1 * y2, rhs
+            _mutate_pairs(q.adj[(i, jr)], ys, (i, jr))
+            q = q.mutate((i, jr))
+    return exported, {v: ExtQ(*pair) for v, pair in ys.items()}
 
 
 def check_exchange_trace(pin, n, exported, min_instances=1):
@@ -297,30 +264,26 @@ def check_exchange_trace(pin, n, exported, min_instances=1):
     y_{u+(i0,l)} y_u = prod_in (1+y_{u+(i0,l)-v}) / prod_out (1+1/y_{u+(i0,l)-v}).
 
     Both sides are products of the integer pairs of the exported values
-    (``_relation_holds``); a failing instance is reported with its ExtQ
-    sides.  Instances with a degenerate factor (0, -1 or inf) are
-    skipped."""
+    (``rational.exchange_relation``), compared and reported from those pairs.
+    Instances with a degenerate factor (0, -1 or inf) are skipped."""
     i0, l = qs_period(pin)
     outs, ins = arrows_at_origin(pin)
-    offsets = [(v, m, _in_factor) for v, m in ins] + [(v, m, _out_factor) for v, m in outs]
+    offsets = [(v, m, in_factor) for v, m in ins] + [(v, m, out_factor) for v, m in outs]
     pairs = {lab: y.as_pair() for lab, y in exported.items()}
     checked = 0
     for (i, j) in sorted(exported):
         u = (i, j)
         top = ((i + i0) % n, j + l)
-        if top not in pairs:
-            continue
         need = [(((top[0] - v[0]) % n, top[1] - v[1]), m, fn) for v, m, fn in offsets]
-        if not all(lab in pairs for lab, _, _ in need):
+        if top not in pairs or not all(lab in pairs for lab, _, _ in need):
             continue
         factors = [(pairs[lab], m, fn) for lab, m, fn in need]
         if any(degenerate_pair(*pair) for pair, _, _ in factors):
             continue
-        if not _relation_holds(pairs[top], pairs[u], factors):
-            lhs, rhs = _extq_sides(exported[top], exported[u],
-                                   [(exported[lab], m, fn) for lab, m, fn in need])
-            if lhs != rhs:
-                raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
+        holds, lhs, rhs = exchange_relation(pairs[top], pairs[u], factors)
+        if not holds:
+            raise AssertionError("exchange trace fails at %s: %s vs %s"
+                                 % (u, ExtQ(*lhs), ExtQ(*rhs)))
         checked += 1
     if checked < min_instances:
         raise AssertionError("only %d exchange-trace instances" % checked)
@@ -339,12 +302,12 @@ def verify_period_one_1d(q, m):
 def run_1d_y(q, m, y_init, steps):
     """Exported y-sequence y_1, y_2, ... of a period-one 1D quiver: each step
     exports the value at vertex 1, mutates there, then relabels j -> j-1."""
-    ys = {j: ExtQ(y_init[j - 1]) for j in range(1, m + 1)}
+    ys = {j: ExtQ(y_init[j - 1]).as_pair() for j in range(1, m + 1)}
     out = []
     for _ in range(steps):
-        out.append(ys[1])
-        _, ys2 = mutate_y(q, ys, 1)
-        ys = {j: ys2[j % m + 1] for j in range(1, m + 1)}
+        out.append(ExtQ(*ys[1]))
+        _mutate_pairs(q.adj[1], ys, 1)
+        ys = {j: ys[j % m + 1] for j in range(1, m + 1)}
     return out
 
 
@@ -363,17 +326,14 @@ def check_1d_y_relation(q, m, trace):
     """y_{j+m} y_j = prod_{(k+1)->1}(1+y_{j+m-k}) / prod_{1->(k+1)}(1+1/y_{j+m-k}),
     checked on integer pairs like ``check_exchange_trace``."""
     pairs = [y.as_pair() for y in trace]
-    arrows = [(k, abs(e), _in_factor if e > 0 else _out_factor)
+    arrows = [(k, abs(e), in_factor if e > 0 else out_factor)
               for k, e in ((k, q.bval(k + 1, 1)) for k in range(1, m)) if e]
     checked = 0
     for j in range(1, len(trace) - m + 1):
         factors = [(pairs[j + m - k - 1], e, fn) for k, e, fn in arrows]
         if any(degenerate_pair(*pair) for pair, _, _ in factors):
             continue
-        if not _relation_holds(pairs[j - 1], pairs[j + m - 1], factors):
-            lhs, rhs = _extq_sides(trace[j - 1], trace[j + m - 1],
-                                   [(trace[j + m - k - 1], e, fn) for k, e, fn in arrows])
-            if lhs != rhs:
-                raise AssertionError("1D y-relation fails at j=%d" % j)
+        if not exchange_relation(pairs[j - 1], pairs[j + m - 1], factors)[0]:
+            raise AssertionError("1D y-relation fails at j=%d" % j)
         checked += 1
     return checked

@@ -1,6 +1,8 @@
-"""Extended rational numbers: Fraction plus a single point at infinity."""
+"""Extended rational numbers: Fraction plus a single point at infinity; the
+exchange relation y y' = prod (1+y)^m / prod (1+1/y)^m on integer pairs."""
 
 from fractions import Fraction
+from math import gcd
 
 
 class DegenerateError(ArithmeticError):
@@ -127,3 +129,42 @@ def degenerate_pair(p, q):
     """Whether p/q (q = 0 for inf) is 0, -1 or inf: the values at which an
     exchange relation's factors 1+y and 1+1/y vanish or blow up."""
     return p == 0 or q == 0 or p + q == 0
+
+
+def in_factor(p, q):
+    """1 + y for y = p/q."""
+    return p + q, q
+
+
+def out_factor(p, q):
+    """(1 + 1/y)^-1 = y/(y+1) for y = p/q, denominator kept >= 0."""
+    s = p + q
+    return (p, s) if s >= 0 else (-p, -s)
+
+
+def mul_pow(y, f, k):
+    """y * f^k for reduced pairs, denominators >= 0 and inf = (1, 0), reduced
+    by cross-cancelling gcds as Fraction does; inf * 0 raises as in ExtQ."""
+    (a, b), (c, d) = y, f
+    if b == 0 or d == 0:
+        if (c if b == 0 else a) == 0:
+            raise DegenerateError("inf * 0")
+        return 1, 0
+    c, d = c ** k, d ** k
+    g1, g2 = gcd(a, d), gcd(c, b)
+    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+
+
+def exchange_relation(top, bottom, factors):
+    """(holds, lhs, rhs) for y_top y_bottom = prod f(y)^m, both sides as
+    unreduced pairs; factors are (y, m, f), f = in_factor or out_factor, y an
+    integer pair.  An infinite left side never holds; inf * 0 raises as in
+    ExtQ."""
+    lhs = top[0] * bottom[0], top[1] * bottom[1]
+    if lhs == (0, 0):
+        raise DegenerateError("inf * 0")
+    rhs = (1, 1)
+    for y, m, fn in factors:
+        a, b = fn(*y)
+        rhs = rhs[0] * a ** m, rhs[1] * b ** m
+    return lhs[1] != 0 and lhs[0] * rhs[1] == rhs[0] * lhs[1], lhs, rhs

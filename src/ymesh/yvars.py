@@ -7,7 +7,8 @@ The propagation dynamics satisfies, for every base r,
                         / ((1+1/y_{r+a+d})(1+1/y_{r+b+c})) .
 """
 
-from .rational import ExtQ, DegenerateError, degenerate_pair
+from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
+                       out_factor)
 from .projective import cross_ratio_pair, multi_ratio, join, meet_point
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
@@ -32,14 +33,27 @@ def y_available(window, r):
     return all(window.has(pin.shift(r, lab)) for lab in "abcd")
 
 
-def _eqmain_offsets(pin):
-    return [pin.offset(lab) for lab in EQMAIN_LABELS]
+def eqmain_relation(ys):
+    """``rational.exchange_relation`` for y_ab y_cd = (1+y_ac)(1+y_bd) /
+    ((1+1/y_ad)(1+1/y_bc)), on integer pairs ys in EQMAIN_LABELS order."""
+    ab, cd, ac, bd, ad, bc = ys
+    return exchange_relation(ab, cd, ((ac, 1, in_factor), (bd, 1, in_factor),
+                                      (ad, 1, out_factor), (bc, 1, out_factor)))
 
 
-def _eqmain_pairs(window, r, cache, offsets):
-    """The six y-values of the exchange identity at base r as integer pairs
-    (in EQMAIN_LABELS order), or None when one is not inside the window."""
-    out = []
+def eqmain_instance(window, r, cache=None):
+    """``eqmain_relation`` at base r; None when one of its y-values is not
+    inside the window, "degenerate" when one is 0, -1 or inf.
+
+    ``cache`` (a dict, window key -> y-value as an integer pair, or False
+    where it is not inside the window) lets calls on one window share their
+    y-values; on a periodic window the key is taken mod n."""
+    offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
+    return _eqmain_instance(window, r, {} if cache is None else cache, offsets)
+
+
+def _eqmain_instance(window, r, cache, offsets):
+    ys = []
     for off in offsets:
         u = (r[0] + off[0], r[1] + off[1])
         key = window._key(u)
@@ -48,59 +62,38 @@ def _eqmain_pairs(window, r, cache, offsets):
             cache[key] = y = y_available(window, u) and y_pair(window, u)
         if not y:
             return None
-        out.append(y)
-    return out
-
-
-def eqmain_holds(ys):
-    """Whether y_ab y_cd = (1+y_ac)(1+y_bd) / ((1+1/y_ad)(1+1/y_bc)) for
-    non-degenerate integer pairs ys in EQMAIN_LABELS order: both sides are
-    integer fractions, compared by cross-multiplying."""
-    (pab, qab), (pcd, qcd), (pac, qac), (pbd, qbd), (pad, qad), (pbc, qbc) = ys
-    lhs_n, lhs_d = pab * pcd, qab * qcd
-    rhs_n = (pac + qac) * (pbd + qbd) * pad * pbc
-    rhs_d = qac * qbd * (pad + qad) * (pbc + qbc)
-    return lhs_n * rhs_d == rhs_n * lhs_d
+        ys.append(y)
+    return "degenerate" if any(degenerate_pair(*y) for y in ys) else eqmain_relation(ys)
 
 
 def eqmain_residual(window, r, cache=None):
-    """LHS/RHS of the exchange identity at base r; 1 on a mesh.  Returns None
-    (skip) when some participating y is degenerate (0, -1 or inf).
-
-    ``cache`` (a dict, window key -> y-value as an integer pair, or False
-    where it is not inside the window) lets calls on one window share their
-    y-values; on a periodic window the key is taken mod n."""
-    ys = _eqmain_pairs(window, r, {} if cache is None else cache, _eqmain_offsets(window.pin))
-    if ys is None:
-        return None
-    if any(degenerate_pair(*y) for y in ys):
-        return "degenerate"
-    y = dict(zip(EQMAIN_LABELS, (ExtQ(*p) for p in ys)))
-    lhs = y["ab"] * y["cd"]
-    rhs = ((1 + y["ac"]) * (1 + y["bd"])
-           / ((1 + y["ad"].inv()) * (1 + y["bc"].inv())))
-    return lhs / rhs
+    """LHS/RHS of the exchange identity at base r; 1 on a mesh.  None (not
+    inside the window) or "degenerate" (skip) as from ``eqmain_instance``."""
+    rel = eqmain_instance(window, r, cache)
+    if not isinstance(rel, tuple):
+        return rel
+    _, (lhs_n, lhs_d), (rhs_n, rhs_d) = rel
+    return ExtQ(lhs_n * rhs_d, lhs_d * rhs_n)
 
 
 def check_eqmain(window, min_instances=1):
-    """Verify the exchange identity at every base fully inside the window,
-    fraction-free (``eqmain_holds``); each y-value is computed once.  A
-    failing base is reported with its ExtQ residual."""
+    """Verify the exchange identity at every base fully inside the window on
+    integer pairs (``eqmain_instance``); each y-value is computed once."""
     keys = list(window.points)
     i_vals = [i for (i, _) in keys]
     j_vals = [j for (_, j) in keys]
     checked = skipped = 0
     cache = {}
-    offsets = _eqmain_offsets(window.pin)
+    offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
     for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
         for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            ys = _eqmain_pairs(window, (r1, r2), cache, offsets)
-            if ys is None:
+            rel = _eqmain_instance(window, (r1, r2), cache, offsets)
+            if rel is None:
                 continue
-            if any(degenerate_pair(*y) for y in ys):
+            if rel == "degenerate":
                 skipped += 1
                 continue
-            if not eqmain_holds(ys):
+            if not rel[0]:
                 res = eqmain_residual(window, (r1, r2), cache)
                 raise AssertionError("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1

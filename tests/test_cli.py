@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 from click.testing import CliRunner
 
 import pytest
 
 from ymesh.cli import main
-from ymesh.serialize import loads, mesh_from_json
+from ymesh.mesh import generate_1d, step_1d
+from ymesh.projective import Point
+from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
 from ymesh.yvars import check_eqmain
 from ymesh.zoo import zoo_pin
 
@@ -125,6 +128,22 @@ def test_verify_eqmain_counts_every_base(tmp_path, name):
     assert res.exit_code == 0, res.output
     w = mesh_from_json(loads(open(path).read()))
     assert json.loads(res.output)["instances"] == check_eqmain(w)["checked"]
+
+
+def test_verify_eqmain_exit_code(tmp_path):
+    w = generate_1d(zoo_pin("pentagram"), 0, 20, seed=9)
+    w = step_1d(step_1d(w))
+    path = str(tmp_path / "mesh.json")
+    moved = Point((Fraction(37, 7), 1))
+    for point, code, failures in ((w.points[(5, 2)], 0, []),
+                                  (moved, 1, [[1, 1], [2, 1], [3, 1], [4, 1], [5, 1]])):
+        mesh = w.copy()
+        mesh.points[(5, 2)] = point
+        with open(path, "w") as fh:
+            fh.write(dumps(mesh_to_json(mesh)))
+        res = run("verify", "eqmain", "--mesh", path)
+        assert res.exit_code == code, res.output
+        assert json.loads(res.output) == {"kind": "eqmain", "instances": 14, "failures": failures}
 
 
 def test_quiver_build_and_verify():

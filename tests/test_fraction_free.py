@@ -18,8 +18,8 @@ from ymesh.mesh import (MeshError, generate_1d, generate_window,
                         step_1d, step_forward, check_menelaus, MENELAUS_WORDS,
                         _random_free)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
-                         eqmain_holds, bracket, bracket_product, _parity)
-from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin,
+                         eqmain_relation, bracket, bracket_product, _parity)
+from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin, build_qs,
                           run_periodic_y, check_exchange_trace, run_1d_y,
                           check_1d_y_relation)
 from ymesh.zoo import ZOO, zoo_pin
@@ -142,17 +142,48 @@ def _extq_check_1d_y_relation(q, m, trace):
     return checked
 
 
-def _extq_mutate_y(quiver, ys, v):
-    """Division by 1 + 1/y_v once per arrow."""
+def _extq_mutate_y(quiver, ys, v, divide=True):
+    """Division by 1 + 1/y_v once per arrow, or (divide=False) multiplication
+    by its inverse, computed once."""
     out = dict(ys)
     yv = ys[v]
     out[v] = inv = yv.inv()
     up, down = 1 + yv, 1 + inv
+    if not divide:
+        down = down.inv()
     for u, e in quiver.adj[v].items():
         val = ys[u]
         for _ in range(abs(e)):
-            val = val * up if e < 0 else val / down
+            if e < 0:
+                val = val * up
+            else:
+                val = val / down if divide else val * down
         out[u] = val
+    return out
+
+
+def _extq_run_periodic_y(pin, n, y0, sweeps):
+    i0, l = qs_period(pin)
+    q = build_qs(pin, n)
+    ys = {v: ExtQ(val) for v, val in y0.items()}
+    exported = {}
+    for s in range(sweeps):
+        jr, t = s % l, s // l
+        for i in range(n):
+            exported[((i + t * i0) % n, jr + t * l)] = ys[(i, jr)]
+        for i in range(n):
+            ys = _extq_mutate_y(q, ys, (i, jr), divide=False)
+            q = q.mutate((i, jr))
+    return exported, ys
+
+
+def _extq_run_1d_y(q, m, y_init, steps):
+    ys = {j: ExtQ(y_init[j - 1]) for j in range(1, m + 1)}
+    out = []
+    for _ in range(steps):
+        out.append(ys[1])
+        ys2 = _extq_mutate_y(q, ys, 1, divide=False)
+        ys = {j: ys2[j % m + 1] for j in range(1, m + 1)}
     return out
 
 
@@ -197,7 +228,7 @@ def test_eqmain_holds_matches_extq_formula():
             p, q = y[lab].as_pair()
             k = rng.choice((1, -1)) * rng.randint(1, 9)
             pairs.append((k * p, k * q))
-        assert eqmain_holds(pairs) == expected
+        assert eqmain_relation(pairs)[0] == expected
         holds += expected
     assert 100 < holds < 300
 
@@ -244,6 +275,71 @@ def test_mutate_y_matches_division_per_arrow():
         _extq_mutate_y(q, ys, 0)
     with pytest.raises(DegenerateError, match=r"inf \* 0"):
         mutate_y(q, ys, 0)
+
+
+# ---- whole Y-runs --------------------------------------------------------
+
+
+def _initial_values(rng, count, k):
+    """count random y-values, among them none (k = 0), one (k = 1) or all
+    three (k = 2) of 0, -1 and inf."""
+    ys = [Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99)) for _ in range(count)]
+    bad = {0: (), 1: (rng.choice(DEGENERATE),), 2: DEGENERATE}[k]
+    for k, y in zip(rng.sample(range(count), len(bad)), bad):
+        ys[k] = y
+    return ys
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_periodic_y_run_matches_extq_route(name):
+    pin = zoo_pin(name)
+    _, l = qs_period(pin)
+    outcomes = set()
+    for n in (8, 16):
+        for seed in range(3):
+            rng = random.Random(100 * n + seed)
+            verts = [(i, j) for i in range(n) for j in range(l)]
+            y0 = dict(zip(verts, _initial_values(rng, len(verts), seed)))
+            want = _outcome(_extq_run_periodic_y, pin, n, y0, 3 * l)
+            assert _outcome(run_periodic_y, pin, n, y0, 3 * l) == want, (n, seed)
+            outcomes.add(want[0])
+    assert "value" in outcomes
+
+
+def test_1d_y_run_matches_extq_route():
+    rng = random.Random(11)
+    quivers = [(Quiver({1, 2}, [(1, 2)]), 2), (Quiver({1, 2, 3}, [(1, 2), (3, 1)]), 3),
+               (Quiver({1, 2, 3}, [(2, 1, 2), (1, 3)]), 3)]
+    outcomes = []
+    for q, m in quivers:
+        for seed in range(3):
+            for _ in range(4):
+                init = _initial_values(rng, m, min(seed, m - 1))
+                want = _outcome(_extq_run_1d_y, q, m, init, 14)
+                assert _outcome(run_1d_y, q, m, init, 14) == want
+                outcomes.append(want[0])
+    assert {"value", "raises"} <= set(outcomes)
+
+
+def test_y_side_makes_no_extq_arithmetic(monkeypatch):
+    """The Y-runs and the exchange checks work on integer pairs: ExtQ is only
+    the type they take and return."""
+    layers = pytest.importorskip("perfbench.layers")
+    pin, n = zoo_pin("rabbit"), 9
+    _, l = qs_period(pin)
+    y0 = {(i, j): Fraction(2 + i, 3 + j) for i in range(n) for j in range(l)}
+    w = _grown_1d("pentagram", 9)
+
+    def forbidden(*args):
+        raise AssertionError("ExtQ arithmetic on the y-side")
+
+    for attr in layers.EXTQ_ARITHMETIC:
+        monkeypatch.setattr(ExtQ, attr, forbidden)
+    exported, _ = run_periodic_y(pin, n, y0, 3 * l)
+    assert check_exchange_trace(pin, n, exported) > 0
+    trace = run_1d_y(Quiver({1, 2}, [(1, 2)]), 2, [Fraction(1, 2), Fraction(3)], 12)
+    assert check_1d_y_relation(Quiver({1, 2}, [(1, 2)]), 2, trace) > 0
+    assert check_eqmain(w)["checked"] > 0
 
 
 # ---- exchange traces ---------------------------------------------------------

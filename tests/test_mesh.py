@@ -81,6 +81,22 @@ def test_reduced_agrees_with_full_on_overlap():
     check_relations(w2)
 
 
+def test_reduced_draws_are_certified(zoo_name):
+    pin = zoo_pin(zoo_name)
+    a, b, c, d = pin.points
+    if d[1] - b[1] < c[1] - a[1]:
+        pytest.skip("reduced system needs d2-b2 >= c2-a2")
+    if d_of_s(pin) < 2:  # lower_pentagram: no planar windows
+        with pytest.raises(MeshError):
+            generate_reduced(pin, 0, 8 * (pin.l + 2))
+        return
+    for seed in range(40):
+        w = generate_reduced(pin, 0, 8 * (pin.l + 2), seed=seed)
+        for _ in range(3):
+            w = step_reduced_forward(w)
+        check_relations(w)
+
+
 def test_1d_engine_forward_backward(zoo_name):
     pin = zoo_pin(zoo_name)
     w = generate_1d(pin, 0, 16 + 2 * pin.l, seed=4)
