@@ -13,16 +13,15 @@ import click
 
 from . import serialize as sz
 from .rational import DegenerateError
-from .pins import (Pin, PinError, convex_relation, d_of_s, horizontal_info,
-                   ij_correspondence)
-from .filtration import classify_case, audit_filtration, FiltrationUnavailable
+from .pins import PinError, convex_relation, d_of_s, horizontal_info, ij_correspondence
+from .filtration import classify_case, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
-from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_available, y_of
+from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_of
 from .quiver import (QuiverConfigError, build_qs, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
-from .lifted import build_lifted, lift_label, tilde_ideal_generator, LiftedUnavailable
+from .lifted import build_lifted, tilde_ideal_generator, LiftedUnavailable
 from .fractal import (make_fractal, genericity_audit, bound_check,
                       genericity_evidence, check_sub_fractal_intersections)
 from .ijmap import IJMapError, t_ij, row_polygon
@@ -49,13 +48,14 @@ def guarded(fn):
     def wrap(*a, **kw):
         try:
             return fn(*a, **kw)
+        except (DegenerateError, DegenerateConfig) as e:
+            # before MeshError, which DegenerateConfig subclasses
+            click.echo("degenerate data: %s" % e, err=True)
+            sys.exit(3)
         except (PinError, QuiverConfigError, IJMapError, FiltrationUnavailable,
                 LiftedUnavailable, MeshError, json.JSONDecodeError) as e:
             click.echo("config error: %s" % e, err=True)
             sys.exit(2)
-        except (DegenerateError, DegenerateConfig) as e:
-            click.echo("degenerate data: %s" % e, err=True)
-            sys.exit(3)
         except AssertionError as e:
             click.echo("assertion failure: %s" % e, err=True)
             sys.exit(1)

@@ -11,7 +11,7 @@ triangle pairs).
 """
 
 from .pins import PinError, convex_relation
-from .quiver import Quiver, qs_period, _pin_offsets
+from .quiver import Quiver, qs_period, infinite_arrow_classes
 
 
 class LiftedUnavailable(PinError):
@@ -59,42 +59,6 @@ def tilde_ideal_generator(pin):
     if gi < 0 or (gi == 0 and gj < 0):
         gi, gj = -gi, -gj
     return (gi, gj)
-
-
-def infinite_arrow_classes(pin):
-    """Net arrow classes of the pin's (unquotiented) quiver: dict
-    (source_row, displacement) -> positive multiplicity, after 2-cycle
-    cancellation; translation-invariant in the i-coordinate."""
-    i0, l = qs_period(pin)
-    offs = _pin_offsets(pin)
-    signed = {}
-
-    def bump(row, disp, mult):
-        # canonical orientation: displacement lexicographically positive
-        if disp < (0, 0):
-            row, disp, mult = row + disp[1], (-disp[0], -disp[1]), -mult
-        signed[(row, disp)] = signed.get((row, disp), 0) + mult
-
-    for v, mv in offs.items():
-        for r in range(0, l - v[1]):
-            if mv > 0:
-                bump(r, v, mv)
-            else:
-                bump(r + v[1], (-v[0], -v[1]), -mv)
-    for v, mv in offs.items():
-        for w, mw in offs.items():
-            eps = (abs(mw) * mv - mw * abs(mv)) // 2
-            if eps <= 0 or v[1] + w[1] > l - 1:
-                continue
-            for r in range(0, l - v[1] - w[1]):
-                bump(r + v[1], _vsub(w, v), eps)
-    out = {}
-    for (row, disp), val in signed.items():
-        if val > 0:
-            out[(row, disp)] = val
-        elif val < 0:
-            out[(row + disp[1], (-disp[0], -disp[1]))] = -val
-    return out
 
 
 def lift_route_pullback(pin, i_lo, i_hi, j_lo, j_hi):

@@ -2,10 +2,15 @@
 
 A mesh assigns a point of RP^D to each index (i, j); row j is swept by the
 order-m dynamics, m = d2 - a2.  Windows are finite rectangles of that grid.
-Generation follows the filtration sweep (free points on the low-phi edge,
-every other point a small integer combination of the rest of its g-circuit),
-and a draw is kept only if it propagates without a degenerate meet or
-coincident points.
+Generation is one sweep, ``_sweep``, over the cells of a window, with one
+placement rule, ``_place``: a point that no circuit binds is free, a point
+bound by one circuit is a small integer combination of the circuit's other
+members, and a point bound by two lines is their meet.  The filtration sweep
+visits cells in birth order, each bound by its g-circuit, so free points sit
+on the low-phi edge.  Boundary pins and the reduced system sweep column by
+column (``_greedy``), and each L1 (for boundary pins also L2) circuit binds
+its lexicographically last member.  A draw is kept only if it propagates
+without a degenerate meet or coincident points.
 
 Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
 driven by a table of rules.  A rule names its source words, its target word
@@ -27,11 +32,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
-from .projective import (Point, span, join, meet, meet_point, multi_ratio_pair, rank_of,
-                         collinear)
-from .pins import Pin, PinError, d_of_s, m2_of_s
-from .filtration import (classify_case, FiltrationSpec, FiltrationUnavailable,
-                         circuit_members, base_row_range, CASE_BOUNDARY, CASE_TRIANGLE_C)
+from .projective import Point, join, meet_point, multi_ratio_pair, rank_of, collinear
+from .pins import Pin, d_of_s, m2_of_s
+from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
+                         CASE_TRIANGLE_C)
 
 REDRAW_LIMIT = 32
 # bound on the member coefficients of a generated point.  Over seeds 0-39 of
@@ -109,21 +113,6 @@ class MeshWindow:
 # ---- generation --------------------------------------------------------
 
 
-def _place_on_span(rng, flat, avoid):
-    """Random point of a flat (a combination of its RREF basis), distinct
-    from given points."""
-    for _ in range(REDRAW_LIMIT):
-        coeffs = [_rand_frac(rng) for _ in flat.rows]
-        try:
-            p = Point(tuple(sum(c * row[k] for c, row in zip(coeffs, flat.rows))
-                            for k in range(flat.ncols)))
-        except ValueError:
-            continue
-        if all(p != q for q in avoid):
-            return p
-    raise DegenerateConfig("could not place a generic point on a span")
-
-
 def _combine_members(rng, members, avoid_lines):
     """Random point of the span of the members: their primitive integer
     vectors combined with nonzero integer coefficients in [-COMBINE_BOUND,
@@ -149,6 +138,64 @@ def _random_free(rng, dim, avoid=()):
     raise DegenerateConfig("could not draw a free point")
 
 
+def _place(rng, dim, constraints):
+    """A generic point on the span of each list of placed circuit members.
+
+    A list whose members span RP^dim constrains nothing; with none left the
+    point is free (and off every member).  One flat gets a combination of
+    its members (``_combine_members``), two lines their meet."""
+    flats = [(pts, rank_of(pts)) for pts in constraints]
+    flats = [(pts, rank) for pts, rank in flats if rank <= dim]
+    if not flats:
+        return _random_free(rng, dim, avoid=[p for pts in constraints for p in pts])
+    if len(flats) == 2:
+        return meet_point(join(*flats[0][0]), join(*flats[1][0]))
+    (pts, rank), = flats
+    # keep proper subsets of the circuit independent: for the coplanar
+    # quadruple, stay off the lines through member pairs
+    avoid_lines = []
+    if len(pts) == 3 and rank == 3:
+        avoid_lines = [(pts[u], pts[v]) for u in range(3) for v in range(u + 1, 3)]
+    return _combine_members(rng, pts, avoid_lines)
+
+
+def _sweep(pin, dim, cells, circuits, rng):
+    """A window on the cells, visited in order.  A circuit (kind, base) of
+    circuits(r) binds r when all its other members are cells (the order
+    places them first); r is placed on the flats of its binding circuits
+    by ``_place``."""
+    inside = set(cells)
+    window = MeshWindow(pin, dim)
+    for r in cells:
+        constraints = []
+        for kind, base in circuits(r):
+            others = [q for q in circuit_members(pin, kind, base) if q != r]
+            if all(q in inside for q in others):
+                constraints.append([window.get(q) for q in others])
+        window.set(r, _place(rng, dim, constraints))
+    _spanning_check(window)
+    return window
+
+
+def _generate_filtration(pin, dim, i_lo, i_hi, rng):
+    """The filtration sweep: cells in birth order, each bound by its
+    g-circuit."""
+    spec = FiltrationSpec(pin)
+    cells = sorted(((i, j) for j in range(1, pin.m + 1) for i in range(i_lo, i_hi + 1)),
+                   key=spec.birth_order_key)
+    return _sweep(pin, dim, cells, lambda r: [spec.g_inverse(r)], rng)
+
+
+def _greedy(pin, rows, kinds, i_lo, i_hi, rng):
+    """A planar window on rows 1..rows by a column sweep: each circuit of
+    the given kinds binds its lexicographically last member, which the
+    sweep visits after the others."""
+    last = [(kind, max(pin.offset(word) for word in Pin.CIRCUIT_WORDS[kind])) for kind in kinds]
+    cells = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(1, rows + 1)]
+    return _sweep(pin, 2, cells,
+                  lambda r: [(kind, (r[0] - o1, r[1] - o2)) for kind, (o1, o2) in last], rng)
+
+
 def generate_window(pin, dim, i_lo, i_hi, seed=0):
     """Generic window of an X_{D,S} mesh on rows 1..m, columns [i_lo, i_hi].
 
@@ -159,9 +206,9 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     no L1, L2 or line instance of the result may repeat a point; otherwise
     it is redrawn from the same random stream, at most REDRAW_LIMIT times,
     before DegenerateConfig is raised.  Boundary pins (a zero
-    convex-relation coefficient, so FiltrationSpec raises) use a
-    left-to-right greedy sweep instead and support D = 2 only; their draws
-    are redrawn the same way.
+    convex-relation coefficient, so FiltrationSpec raises) use the column
+    sweep of ``_greedy`` on their L1 and L2 circuits instead and support
+    D = 2 only; their draws are redrawn the same way.
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
@@ -173,7 +220,7 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
             raise MeshError("boundary pins: only D = 2 generation is supported")
 
         def draw(rng):
-            return _generate_boundary(pin, dim, i_lo, i_hi, rng)
+            return _greedy(pin, pin.m, ("L1", "L2"), i_lo, i_hi, rng)
     elif case == CASE_TRIANGLE_C:
         rev = pin.time_reverse()
         sh = -min(j for (_, j) in rev.points)  # renormalize rows to start at 0
@@ -214,73 +261,6 @@ def _propagates(window, steps, rule):
         except MeshError:
             break
     return not _has_coincident_points(window)
-
-
-def _generate_filtration(pin, dim, i_lo, i_hi, rng):
-    spec = FiltrationSpec(pin)
-    m = pin.m
-    window = MeshWindow(pin, dim)
-    pts = [(i, j) for j in range(1, m + 1) for i in range(i_lo, i_hi + 1)]
-    pts.sort(key=spec.birth_order_key)
-    inside = set(pts)
-    for r in pts:
-        kind, base = spec.g_inverse(r)
-        members = circuit_members(pin, kind, base)
-        others = [q for q in members if q != r]
-        if all(q in inside for q in others):
-            other_pts = [window.get(q) for q in others]
-            rank = rank_of(other_pts)
-            if rank >= dim + 1:
-                window.set(r, _random_free(rng, dim, avoid=other_pts))
-            else:
-                # keep proper subsets of the circuit independent: for the
-                # coplanar quadruple, stay off the lines through member pairs
-                avoid_lines = []
-                if len(other_pts) == 3 and rank == 3:
-                    avoid_lines = [(other_pts[u], other_pts[v])
-                                   for u in range(3) for v in range(u + 1, 3)]
-                window.set(r, _combine_members(rng, other_pts, avoid_lines))
-        else:
-            window.set(r, _random_free(rng, dim))
-    _spanning_check(window)
-    return window
-
-
-def _generate_boundary(pin, dim, i_lo, i_hi, rng):
-    m = pin.m
-    window = MeshWindow(pin, dim)
-    # sweep-last member offset for each collinearity circuit kind
-    last_off = {kind: max(pin.offset(lab) for lab in Pin.CIRCUIT_WORDS[kind])
-                for kind in ("L1", "L2")}
-    inside = {(i, j) for j in range(1, m + 1) for i in range(i_lo, i_hi + 1)}
-    for i in range(i_lo, i_hi + 1):
-        for j in range(1, m + 1):
-            r = (i, j)
-            constraints = []
-            for kind in ("L1", "L2"):
-                base = (i - last_off[kind][0], j - last_off[kind][1])
-                lo, hi = base_row_range(pin, kind)
-                if not (lo < base[1] <= hi):
-                    continue
-                members = circuit_members(pin, kind, base)
-                others = [q for q in members if q != r]
-                if all(q in inside and (q[0], q[1]) < (i, j) for q in others):
-                    constraints.append([window.get(q) for q in others])
-            if not constraints:
-                window.set(r, _random_free(rng, dim))
-            elif len(constraints) == 1:
-                flat = span(constraints[0])
-                window.set(r, _place_on_span(rng, flat, constraints[0]))
-            else:
-                flats = [span(c) for c in constraints]
-                cur = flats[0]
-                for f in flats[1:]:
-                    cur = meet(cur, f)
-                if cur.rank != 1:
-                    raise DegenerateConfig("inconsistent boundary constraints at %s" % (r,))
-                window.set(r, cur.point())
-    _spanning_check(window)
-    return window
 
 
 def _spanning_check(window):
@@ -399,35 +379,18 @@ def step_1d(window, backward=False):
 
 def generate_reduced(pin, i_lo, i_hi, seed=0):
     """Generic planar window of the order-reduced system: m' = max(c2-a2,
-    d2-b2) rows constrained only by the L1 collinearity (greedy sweep),
-    redrawn like generate_window by the rule of ``step_reduced_forward``."""
+    d2-b2) rows constrained only by the L1 collinearity (the column sweep of
+    ``_greedy``), redrawn like generate_window by the rule of
+    ``step_reduced_forward``."""
     a, b, c, d = pin.points
     if d[1] - b[1] < c[1] - a[1]:
         raise MeshError("reduced system needs d2-b2 >= c2-a2; time-reverse first")
     if d_of_s(pin) < 2:
         raise MeshError("the reduced system is planar; D(S) = %d" % d_of_s(pin))
     mp = m2_of_s(pin)
-    last = max(pin.offset(lab) for lab in "abc")  # the sweep-last member offset
-    inside = {(i, j) for j in range(1, mp + 1) for i in range(i_lo, i_hi + 1)}
-
-    def draw(rng):
-        window = MeshWindow(pin, 2)
-        for i in range(i_lo, i_hi + 1):
-            for j in range(1, mp + 1):
-                r = (i, j)
-                base = (i - last[0], j - last[1])
-                ok = -a[1] < base[1] <= mp - c[1]
-                others = [q for q in (pin.shift(base, lab) for lab in "abc") if q != r]
-                if ok and all(q in inside for q in others):
-                    pts = [window.get(q) for q in others]
-                    window.set(r, _place_on_span(rng, span(pts), pts))
-                else:
-                    window.set(r, _random_free(rng, 2))
-        _spanning_check(window)
-        return window
-
     rule = TOP if c[1] == d[1] else REDUCED  # as step_reduced_forward
-    return _certified_draw(draw, random.Random(seed), pin.l + 2, rule)
+    return _certified_draw(lambda rng: _greedy(pin, mp, ("L1",), i_lo, i_hi, rng),
+                           random.Random(seed), pin.l + 2, rule)
 
 
 # ---- validation --------------------------------------------------------

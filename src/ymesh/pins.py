@@ -1,9 +1,6 @@
 """Index pins S = {a,b,c,d} in Z^2 and their combinatorial invariants."""
 
-from fractions import Fraction
 from math import gcd
-
-from .projective import rref
 
 
 class PinError(ValueError):

@@ -169,33 +169,53 @@ def qs_period(pin):
     return (c[0] + d[0] - a[0] - b[0], pin.l)
 
 
-def build_qs(pin, n):
-    """Finite quotient Q_{n,S} on (Z/n) x {0..l-1}."""
-    i0, l = qs_period(pin)
+def infinite_arrow_classes(pin):
+    """Net arrow classes of the pin's (unquotiented) quiver: dict
+    (source_row, displacement) -> positive multiplicity, after 2-cycle
+    cancellation; translation-invariant in the i-coordinate."""
+    l = pin.l
     offs = _pin_offsets(pin)
-    max_i = max(abs(v[0]) for v in offs)
-    if n < 3 or n <= 2 * max_i:
-        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
-    verts = {(i, j) for i in range(n) for j in range(l)}
-    q = Quiver(verts)
+    signed = {}
+
+    def bump(row, disp, mult):
+        # canonical orientation: displacement lexicographically positive
+        if disp < (0, 0):
+            row, disp, mult = row + disp[1], (-disp[0], -disp[1]), -mult
+        signed[(row, disp)] = signed.get((row, disp), 0) + mult
+
     for v, mv in offs.items():
         for r in range(0, l - v[1]):
-            for k in range(n):
-                u, w = (k, r), ((k + v[0]) % n, r + v[1])
-                if mv > 0:
-                    q._bump(u, w, mv)
-                else:
-                    q._bump(w, u, -mv)
+            if mv > 0:
+                bump(r, v, mv)
+            else:
+                bump(r + v[1], (-v[0], -v[1]), -mv)
     for v, mv in offs.items():
         for w, mw in offs.items():
             eps = (abs(mw) * mv - mw * abs(mv)) // 2
             if eps <= 0 or v[1] + w[1] > l - 1:
                 continue
             for r in range(0, l - v[1] - w[1]):
-                for k in range(n):
-                    u1 = ((k + v[0]) % n, r + v[1])
-                    u2 = ((k + w[0]) % n, r + w[1])
-                    q._bump(u1, u2, eps)
+                bump(r + v[1], (w[0] - v[0], w[1] - v[1]), eps)
+    out = {}
+    for (row, disp), val in signed.items():
+        if val > 0:
+            out[(row, disp)] = val
+        elif val < 0:
+            out[(row + disp[1], (-disp[0], -disp[1]))] = -val
+    return out
+
+
+def build_qs(pin, n):
+    """Finite quotient Q_{n,S} on (Z/n) x {0..l-1}: each arrow class of
+    ``infinite_arrow_classes`` at every column k mod n."""
+    l = pin.l
+    max_i = max(abs(v[0]) for v in _pin_offsets(pin))
+    if n < 3 or n <= 2 * max_i:
+        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
+    q = Quiver({(i, j) for i in range(n) for j in range(l)})
+    for (row, (di, dj)), mult in infinite_arrow_classes(pin).items():
+        for k in range(n):
+            q._bump((k, row), ((k + di) % n, row + dj), mult)
     return q
 
 

@@ -10,7 +10,6 @@ import io
 import json
 from fractions import Fraction
 
-from .rational import ExtQ
 from .pins import Pin
 from .projective import Point
 from .mesh import MeshWindow

@@ -78,15 +78,23 @@ def eqmain_residual(window, r, cache=None):
 
 def check_eqmain(window, min_instances=1):
     """Verify the exchange identity at every base fully inside the window on
-    integer pairs (``eqmain_instance``); each y-value is computed once."""
-    keys = list(window.points)
-    i_vals = [i for (i, _) in keys]
-    j_vals = [j for (_, j) in keys]
+    integer pairs (``eqmain_instance``); each y-value is computed once.  The
+    scan covers every base whose 24 points (four per y-value) can reach the
+    window's bounding box."""
+    pin = window.pin
+    offsets = [pin.offset(lab) for lab in EQMAIN_LABELS]
+    reach = [(o1 + p1, o2 + p2) for o1, o2 in offsets for p1, p2 in pin.points]
+
+    def scan(axis):
+        vals = [r[axis] for r in window.points]
+        offs = [o[axis] for o in reach]
+        return range(min(vals) - max(offs), max(vals) - min(offs) + 1)
+
     checked = skipped = 0
     cache = {}
-    offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
-    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
-        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
+    cols = scan(0)
+    for r2 in scan(1):
+        for r1 in cols:
             rel = _eqmain_instance(window, (r1, r2), cache, offsets)
             if rel is None:
                 continue

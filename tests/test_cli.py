@@ -6,7 +6,7 @@ from click.testing import CliRunner
 import pytest
 
 from ymesh.cli import main
-from ymesh.mesh import generate_1d, step_1d
+from ymesh.mesh import MeshWindow, generate_1d, step_1d
 from ymesh.projective import Point
 from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
 from ymesh.yvars import check_eqmain
@@ -203,6 +203,20 @@ def test_export_quiver_dot(tmp_path):
     res = run("export", "quiver-dot", "--in", q, "--out", d)
     assert res.exit_code == 0
     assert open(d).read().startswith("digraph")
+
+
+def test_mesh_on_one_line_is_degenerate_data(tmp_path):
+    # distinct points on the line y = z pass every collinearity check but do
+    # not span RP^2: degenerate data (exit 3), not a configuration error
+    w = MeshWindow(zoo_pin("sideways"), 2)
+    for i in range(8):
+        for j in (1, 2):
+            w.set((i, j), Point((i + 8 * j, 1, 1)))
+    path = str(tmp_path / "line.json")
+    open(path, "w").write(dumps(mesh_to_json(w)))
+    res = run("mesh", "check", "--mesh", path)
+    assert res.exit_code == 3, res.output
+    assert "does not span RP^2" in res.output
 
 
 def test_bad_json_is_config_error(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ymesh import projective
 from ymesh.projective import Point, join, meet_point
 from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         generate_reduced, generate_polygon_window,
@@ -192,12 +193,38 @@ def test_polygon_first_draw_is_unchanged():
     assert [w.get((i, 1)) for i in range(7)] == drawn
 
 
+def test_generation_makes_no_rref_call(monkeypatch):
+    # every point is free, an integer combination of circuit members or the
+    # meet of two lines; none of these builds an RREF basis
+    def no_rref(rows):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(projective, "rref", no_rref)
+    generate_window(zoo_pin("penguin"), 2, 0, 30, seed=0)
+    for name in ("rabbit", "giraffe"):
+        pin = zoo_pin(name)
+        generate_reduced(pin, 0, 8 * (pin.l + 2), seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 8, 14, 19, 22, 33, 39])
 def test_boundary_draws_are_certified(seed):
     # penguin/2 draws at these seeds propagated into coincident points
     pin = zoo_pin("penguin")
     span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
     _propagate_all_rows(generate_window(pin, 2, 0, 4 * (pin.l + 2) + 8 * span, seed=seed))
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (0, 1), (0, 3), (1, 4)],
+                                    [(0, 0), (0, 1), (2, 2), (3, 3)]])
+def test_boundary_pin_with_two_binding_lines(points):
+    # boundary pins whose L1 and L2 circuits both fit in m rows: the column
+    # sweep places some points as the meet of two lines
+    pin = Pin(points)
+    for seed in range(5):
+        w = generate_window(pin, 2, 0, 4 * (pin.l + 2) + 24, seed=seed)
+        for _ in range(pin.l + 1):
+            w = step_forward(w)
+        check_relations(w)
 
 
 def _offsets(pin, words):
@@ -270,5 +297,6 @@ def test_translated_pin_propagates_and_counts_alike(i0):
         w, wt = step_forward(w), step_forward(wt)
     assert wt.points == w.points
     assert check_menelaus(wt) == check_menelaus(w) > 0
+    assert check_eqmain(wt) == check_eqmain(w)
     for k in (1, 2, 3):
         assert len(fractal_bases_in_window(wt, k)) == len(fractal_bases_in_window(w, k)) > 0
