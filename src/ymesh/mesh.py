@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
-from .projective import Point, join, meet_point, multi_ratio_pair, rank_of, collinear
+from .projective import Point, join, meet_point, multi_ratio_pair, rank_of, collinear, det2
 from .pins import Pin, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
                          CASE_TRIANGLE_C)
@@ -457,42 +457,25 @@ def check_relations(window, require_instances=1):
 # ---- one-dimensional meshes --------------------------------------------
 
 
-def _det2(p, q):
-    return p.v[0] * q.v[1] - p.v[1] * q.v[0]
-
-
 def solve_menelaus(points):
     """Given six RP^1 points with exactly one None, return the point making
-    the cyclic multi-ratio equal -1 (triples {1,2,3},{3,4,5},{5,6,1})."""
-    idx = points.index(None)
-    num_pairs = [(0, 1), (2, 3), (4, 5)]
-    den_pairs = [(1, 2), (3, 4), (5, 0)]
-    s_num, s_den = Fraction(1), Fraction(1)
-    lin_num = lin_den = None
-    for (u, v) in num_pairs:
-        if idx in (u, v):
-            lin_num = (u, v)
-        else:
-            s_num *= _det2(points[u], points[v])
-    for (u, v) in den_pairs:
-        if idx in (u, v):
-            lin_den = (u, v)
-        else:
-            s_den *= _det2(points[u], points[v])
-
-    def linform(pair):
-        u, v = pair
-        if u == idx:  # det(P, q) = x*y_q - y*x_q
-            q = points[v]
-            return (q.v[1], -q.v[0])
-        q = points[u]  # det(q, P) = x_q*y - y_q*x
-        return (-q.v[1], q.v[0])
-
-    a1, b1 = linform(lin_num)
-    a2, b2 = linform(lin_den)
-    # s_num*(a1 x + b1 y) + s_den*(a2 x + b2 y) = 0
-    ax = s_num * a1 + s_den * a2
-    by = s_num * b1 + s_den * b2
+    the cyclic multi-ratio equal -1 (triples {1,2,3},{3,4,5},{5,6,1}).  Each
+    known point's integer vector appears once in each term, so scales cancel."""
+    zs = [None if p is None else p.z for p in points]
+    idx = zs.index(None)
+    terms = []
+    for pairs in (((0, 1), (2, 3), (4, 5)), ((1, 2), (3, 4), (5, 0))):
+        scale = 1
+        for u, v in pairs:
+            if u == idx:  # det(P, z_v) = x*y_v - y*x_v
+                form = (zs[v][1], -zs[v][0])
+            elif v == idx:  # det(z_u, P) = x_u*y - y_u*x
+                form = (-zs[u][1], zs[u][0])
+            else:
+                scale *= det2(zs[u], zs[v], 0, 1)
+        terms.append((scale * form[0], scale * form[1]))
+    # numerator term + denominator term = ax x + by y = 0
+    ax, by = terms[0][0] + terms[1][0], terms[0][1] + terms[1][1]
     if ax == 0 and by == 0:
         raise DegenerateError("Menelaus solve is indeterminate")
     return Point((by, -ax))
@@ -522,15 +505,18 @@ def check_menelaus(window):
     """Verify the six-point relation (= -1) for every base fully inside a 1D
     or higher-dimensional window, each once (mod n on a periodic window);
     returns the instance count.  The multi-ratio is compared as an integer
-    pair: num + den == 0.  Instances whose multi-ratio is undefined
-    (coincident points can occur on boundary-pin meshes and for pins with
-    a+d = b+c) are skipped."""
+    pair: num + den == 0.  Undefined ones (0/0 or inf * 0, from coincident
+    points on boundary-pin meshes and pins with a+d = b+c) are skipped; a
+    triple off a line raises."""
     offs = [window.pin.offset(word) for word in MENELAUS_WORDS]
     count = 0
     for r in bases(window, offs):
+        pts = window.at(r, offs)
         try:
-            num, den = multi_ratio_pair(window.at(r, offs))
+            num, den = multi_ratio_pair(pts)
         except DegenerateError:
+            if not all(collinear(t) for t in (pts[0:3], pts[2:5], pts[4:6] + pts[:1])):
+                raise MeshError("Menelaus triple not collinear at base (%d, %d)" % r)
             continue
         if num + den != 0:
             raise MeshError("Menelaus relation fails at base (%d, %d): %s"

@@ -4,11 +4,15 @@ Points of RP^D are nonzero homogeneous vectors in Q^(D+1) up to scale, kept as
 primitive integer vectors; flats are linear subspaces stored as reduced row
 echelon bases, so equality of flats is equality of tuples.  Ranks, cross
 ratios and the meet of two lines work on the integer vectors without
-fractions (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).
-Everything is exact; no floats.
+fractions (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  One
+integer line chart decides every collinearity (``_line_of``): x is on the line
+of p, q iff d·x = det(x, q)·p + det(p, x)·q, and on a chart i, j where
+d = det(p, q) != 0 that holds for every x, so only the other D - 1
+coordinates are compared.  Everything is exact; no floats.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .rational import ExtQ, DegenerateError
@@ -168,10 +172,10 @@ def join(*points):
     return span(points)
 
 
-def _int_rank(rows, stop=None):
-    """Rank of a list of integer vectors, or ``stop`` once the rank reaches
-    it.  Fraction-free (Bareiss) elimination: every division is exact, and
-    it ends once the rank equals the number of rows or columns."""
+def _int_rank(rows):
+    """Rank of a list of integer vectors.  Fraction-free (Bareiss)
+    elimination: every division is exact, and it ends once the rank equals
+    the number of rows or columns."""
     mat = [list(r) for r in rows]
     if not mat:
         return 0
@@ -190,7 +194,7 @@ def _int_rank(rows, stop=None):
                                         for x, y in zip(row[col + 1:], top[col + 1:])]
         prev = pv
         rank += 1
-        if rank == stop or rank == len(mat):
+        if rank == len(mat):
             break
     return rank
 
@@ -200,7 +204,8 @@ def rank_of(points):
 
 
 def collinear(points):
-    return _int_rank([p.z for p in points], 3) <= 2
+    """Whether the points span at most a line (rank <= 2)."""
+    return _line_of([p.z for p in points]) is not None
 
 
 def meet(f1, f2):
@@ -222,24 +227,31 @@ def meet(f1, f2):
     return Flat(basis, ncols=n)
 
 
+_NO_MEET = "flats meet in rank %d, expected a point"
+
+
 def meet_point(f1, f2):
     """Intersection of two flats, required to be a single point.
 
     Two lines given by two vectors each (as ``join`` builds them) meet by
-    Cramer's rule on those vectors (``_meet_lines``); every other input, and
-    every degenerate one, goes through ``meet``.
+    Cramer's rule on those vectors (``_meet_lines``), or else coincide or are
+    skew; every other input (a line through one point too) goes through ``meet``.
     """
     if len(f1.gens) == 2 == len(f2.gens) and f1.ncols == f2.ncols:
         x = _meet_lines(*f1.gens, *f2.gens)
         if x is not None:
             return Point(x)
+        if _chart2(*f1.gens) and _chart2(*f2.gens):  # coincident or skew lines
+            rank = 4 - _int_rank([Point(g).z for g in f1.gens + f2.gens])
+            raise DegenerateError(_NO_MEET % rank)
     m = meet(f1, f2)
     if m.rank != 1:
-        raise DegenerateError("flats meet in rank %d, expected a point" % m.rank)
+        raise DegenerateError(_NO_MEET % m.rank)
     return m.point()
 
 
-def _det2(p, q, i, j):
+def det2(p, q, i, j):
+    """det(p, q) on coordinates i and j."""
     return p[i] * q[j] - p[j] * q[i]
 
 
@@ -250,23 +262,33 @@ def _cross3(p, q, i, j, k):
 
 
 def _chart2(p, q):
-    """Two coordinates on which the integer vectors p, q are independent, or
-    None when they are proportional."""
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _det2(p, q, i, j):
-                return i, j
+    """The chart (i, j, d) of integer vectors p, q: the first coordinates
+    with d = det(p, q) != 0 on them; None when p and q are proportional."""
+    for i, j in combinations(range(len(p)), 2):
+        d = det2(p, q, i, j)
+        if d:
+            return i, j, d
     return None
 
 
-def _on_line(x, p, q, chart):
-    """Whether the integer vector x lies in the span of p and q (independent
-    on the coordinates ``chart``)."""
-    i, j = chart
-    d = _det2(p, q, i, j)
-    s, t = _det2(x, q, i, j), _det2(p, x, i, j)
-    return all(d * xk == s * pk + t * qk for xk, pk, qk in zip(x, p, q))
+def _line_of(zs):
+    """The chart of the first two distinct vectors p, q of zs (independent,
+    as primitive vectors are) when every vector after q is on their line:
+    d·x = det(x, q)·p + det(p, x)·q off the chart.  () when zs holds one
+    vector or none, None when zs spans more than a line."""
+    p = zs[0] if zs else None
+    for k, q in enumerate(zs):
+        if q != p:
+            break
+    else:
+        return ()
+    i, j, d = chart = _chart2(p, q)
+    for x in zs[k + 1:]:
+        s, t = det2(x, q, i, j), det2(p, x, i, j)
+        for m in range(len(x)):
+            if m != i and m != j and d * x[m] != s * p[m] + t * q[m]:
+                return None
+    return chart
 
 
 def _meet_lines(a, b, u, w):
@@ -277,33 +299,25 @@ def _meet_lines(a, b, u, w):
     projects isomorphically, Cramer's rule gives the meet as
     det(a, b, w) u - det(a, b, u) w.
     """
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                c = _cross3(a, b, i, j, k)
-                lam = c[0] * w[i] + c[1] * w[j] + c[2] * w[k]
-                mu = c[0] * u[i] + c[1] * u[j] + c[2] * u[k]
-                if not (lam or mu):
-                    continue
-                x = [lam * s - mu * t for s, t in zip(u, w)]
-                if any(x) and (n == 3 or _on_line(x, a, b, _chart2(a, b))):
-                    return x
-                return None
+    for i, j, k in combinations(range(len(a)), 3):
+        c = _cross3(a, b, i, j, k)
+        lam = c[0] * w[i] + c[1] * w[j] + c[2] * w[k]
+        mu = c[0] * u[i] + c[1] * u[j] + c[2] * u[k]
+        if not (lam or mu):
+            continue
+        x = [lam * s - mu * t for s, t in zip(u, w)]
+        return x if any(x) and (len(a) == 3 or _line_of([a, b, x])) else None
     return None
 
 
 def _common_line(pts):
-    """Integer vectors of points on one line and a chart of that line: two
-    coordinates on which the line projects isomorphically.  Points that do
-    not span a line raise DegenerateError."""
+    """Integer vectors of points on one line and a chart (i, j) of it; points
+    that do not span a line raise DegenerateError."""
     zs = [x.z for x in pts]
-    p = zs[0]
-    q = next((x for x in zs[1:] if x != p), None)
-    chart = _chart2(p, q) if q is not None else None
-    if chart is None or not all(_on_line(x, p, q, chart) for x in zs):
+    chart = _line_of(zs)
+    if not chart:
         raise DegenerateError("points span rank %d, expected a line" % rank_of(pts))
-    return zs, chart
+    return zs, chart[:2]
 
 
 def cross_ratio_pair(x1, x2, x3, x4):
@@ -311,8 +325,8 @@ def cross_ratio_pair(x1, x2, x3, x4):
     inf: the 2x2 determinants ``cross_ratio`` divides.  Raises where
     ``cross_ratio`` does."""
     (z1, z2, z3, z4), chart = _common_line((x1, x2, x3, x4))
-    num = _det2(z1, z2, *chart) * _det2(z3, z4, *chart)
-    den = _det2(z2, z3, *chart) * _det2(z4, z1, *chart)
+    num = det2(z1, z2, *chart) * det2(z3, z4, *chart)
+    den = det2(z2, z3, *chart) * det2(z4, z1, *chart)
     if num == 0 and den == 0:
         raise DegenerateError("0/0")
     return num, den
@@ -338,8 +352,8 @@ def multi_ratio_pair(points):
     num, den = 1, 1
     for i in range(0, n, 2):
         (z1, z2, z3), chart = _common_line([pts[i], pts[(i + 1) % n], pts[(i + 2) % n]])
-        a = _det2(z1, z2, *chart)
-        b = _det2(z2, z3, *chart)
+        a = det2(z1, z2, *chart)
+        b = det2(z2, z3, *chart)
         if a == 0 and b == 0:
             raise DegenerateError("0/0 factor in multi-ratio")
         num *= a

@@ -300,3 +300,18 @@ def test_translated_pin_propagates_and_counts_alike(i0):
     assert check_eqmain(wt) == check_eqmain(w)
     for k in (1, 2, 3):
         assert len(fractal_bases_in_window(wt, k)) == len(fractal_bases_in_window(w, k)) > 0
+
+
+def test_menelaus_triple_off_a_line_raises():
+    # a point moved off its lines leaves six-point instances whose triples
+    # are not collinear; check_menelaus raises on them instead of skipping
+    # them as undefined
+    w = generate_window(zoo_pin("pentagram"), 2, 0, 24, seed=0)
+    for _ in range(4):
+        w = step_forward(w)
+    assert check_menelaus(w) == 48
+    v = list(w.get((11, 3)).v)
+    v[0] += 1
+    w.set((11, 3), Point(v))
+    with pytest.raises(MeshError, match=r"Menelaus triple not collinear at base \(10, 1\)"):
+        check_menelaus(w)

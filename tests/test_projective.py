@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ymesh import projective
 from ymesh.rational import ExtQ, INF, DegenerateError
-from ymesh.projective import (Point, Flat, span, join, meet, meet_point,
-                              rank_of, collinear, cross_ratio, multi_ratio, rref)
+from ymesh.projective import (Point, Flat, span, join, meet, meet_point, rank_of, collinear,
+                              cross_ratio, cross_ratio_pair, multi_ratio, multi_ratio_pair, rref)
+from ymesh.mesh import solve_menelaus
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -256,3 +258,174 @@ def test_integer_kernel_degenerate_inputs_raise_alike(dim):
     assert _outcome(cross_ratio, p, p, p, p) == ("raises", DegenerateError)
     if dim >= 3:
         assert _outcome(_line_meet, p, q, r, s) == ("raises", DegenerateError)
+
+
+# ---- one line chart decides every collinearity ---------------------------
+
+
+def _bareiss_rank(rows):
+    """Rank of integer rows by fraction-free elimination, pivoting on the
+    first nonzero entry of each column."""
+    mat = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            mat[r] = [(mat[rank][col] * x - mat[r][col] * y) // prev
+                      for x, y in zip(mat[r], mat[rank])]
+        prev = mat[rank][col]
+        rank += 1
+    return rank
+
+
+def _point_sets(rng, n):
+    """Collinear, non-collinear, repeated and all-equal point lists in
+    RP^(n-1), each shuffled."""
+    p, q, r = (_rand_vec(rng, n) for _ in range(3))
+    on = [_combo(rng, p, q) for _ in range(rng.randint(1, 5))]
+    off = [_combo(rng, p, q, r) for _ in range(rng.randint(1, 5))]
+    one = Point(p)
+    sets = [on, off, on + off, on + on, [one] * rng.randint(1, 5),
+            [one] * 2 + [Point(q)] + [one], [Point(p), Point(q), Point(r)]]
+    for pts in sets:
+        rng.shuffle(pts)
+    return sets
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_collinear_matches_bareiss_reference(dim):
+    rng = random.Random(200 + dim)
+    seen = set()
+    for _ in range(60):
+        for pts in _point_sets(rng, dim + 1):
+            want = _bareiss_rank([x.z for x in pts]) <= 2
+            assert collinear(pts) == want, pts
+            seen.add(want)
+    assert seen == {True, False} or dim == 1
+    assert collinear([]) and collinear([Point(1, 2)])
+
+
+def _outcome_msg(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except DegenerateError as e:
+        return ("raises", str(e))
+
+
+def _pair_cross_ratio(*pts):
+    return ExtQ(*cross_ratio_pair(*pts))
+
+
+def _pair_multi_ratio(pts):
+    return ExtQ(*multi_ratio_pair(pts))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_pair_helpers_match_line_chart_reference(dim):
+    rng = random.Random(300 + dim)
+    n = dim + 1
+    for _ in range(30):
+        p, q, r = (_rand_vec(rng, n) for _ in range(3))
+        a, b = Point(p), Point(q)
+        line = [_combo(rng, p, q) for _ in range(4)]
+        quads = [line, [a, a, a, a], [a, a, b, b], [a, a, a, b], [a, b, a, b],
+                 line[:3] + [_combo(rng, p, q, r)]]
+        for quad in quads:
+            got, want = _outcome(_pair_cross_ratio, *quad), _outcome(_flat_cross_ratio, *quad)
+            assert got == want, quad
+            if want[0] == "value":
+                continue
+            got, want = _outcome_msg(_pair_cross_ratio, *quad), _outcome_msg(_flat_cross_ratio, *quad)
+            assert got == want or "rank" not in want[1], quad
+        if dim == 1:
+            six = [Point(_rand_vec(rng, n)) for _ in range(6)]
+        else:
+            lines = [[_combo(rng, p, q, r) for _ in range(2)] for _ in range(4)]
+            six = [_flat_meet(*lines[u], *lines[v])
+                   for u, v in ((0, 3), (0, 2), (0, 1), (1, 2), (1, 3), (2, 3))]
+        chains = [six, line + line[:2], [a, a, a, b], [a, b, a, b, a, b], [a, a, b, b, a, b]]
+        if dim >= 2:
+            chains.append(six[:5] + [_combo(rng, p, q, r)])
+        for chain in chains:
+            assert _outcome(_pair_multi_ratio, chain) == _outcome(_flat_multi_ratio, chain), chain
+
+
+def _fraction_solve_menelaus(points):
+    """The six-point relation solved in the leading-coordinate charts
+    (Point.v), as a Fraction reference."""
+    idx = points.index(None)
+
+    def det(u, v):
+        return points[u].v[0] * points[v].v[1] - points[u].v[1] * points[v].v[0]
+
+    terms = []
+    for pairs in (((0, 1), (2, 3), (4, 5)), ((1, 2), (3, 4), (5, 0))):
+        scale, form = Fraction(1), None
+        for u, v in pairs:
+            if u == idx:
+                form = (points[v].v[1], -points[v].v[0])
+            elif v == idx:
+                form = (-points[u].v[1], points[u].v[0])
+            else:
+                scale *= det(u, v)
+        terms.append((scale * form[0], scale * form[1]))
+    ax, by = terms[0][0] + terms[1][0], terms[0][1] + terms[1][1]
+    if ax == 0 and by == 0:
+        raise DegenerateError("Menelaus solve is indeterminate")
+    return Point((by, -ax))
+
+
+def test_solve_menelaus_matches_fraction_reference():
+    rng = random.Random(7)
+    pool = [Point(1, 0), Point(0, 1), Point(-3, 7)]
+    raised = 0
+    for _ in range(300):
+        pts = [Point(rng.randint(-40, 40) or 1, rng.randint(-40, 40)) for _ in range(5)]
+        if rng.random() < 0.3:
+            pts[rng.randrange(5)] = rng.choice(pool + pts)
+        for slot in range(6):
+            six = pts[:slot] + [None] + pts[slot:]
+            got = _outcome_msg(solve_menelaus, six)
+            assert got == _outcome_msg(_fraction_solve_menelaus, six), six
+            raised += got[0] == "raises"
+            six[slot] = got[1] if got[0] == "value" else None
+            if None not in six and len(set(six)) == 6:
+                assert sum(multi_ratio_pair(six)) == 0
+    assert raised > 0
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_degenerate_meets_match_flat_route_without_rref(dim, monkeypatch):
+    rng = random.Random(400 + dim)
+    n = dim + 1
+    calls, checked = [], 0
+    original = projective.rref
+
+    def counted(rows):
+        calls.append(1)
+        return original(rows)
+
+    for _ in range(10):
+        p, q, r, s = (Point(_rand_vec(rng, n)) for _ in range(4))
+        x, y = _combo(rng, p.z, q.z), _combo(rng, p.z, q.z)
+        if len({p, q, x, y}) < 4:
+            continue
+        cases = [(p, q, p, q), (p, q, x, y), (p, q, q, p)]  # coincident lines
+        if _bareiss_rank([p.z, q.z, r.z, s.z]) == 4:
+            cases.append((p, q, r, s))  # skew lines
+        for case in cases:
+            want = _outcome_msg(_flat_meet, *case)
+            assert want[0] == "raises"
+            monkeypatch.setattr(projective, "rref", counted)
+            assert _outcome_msg(_line_meet, *case) == want, case
+            monkeypatch.setattr(projective, "rref", original)
+            checked += 1
+        assert not calls
+        # a line given by one point twice goes through meet: it can meet
+        # the other line in that point
+        assert meet_point(join(p, p), join(p, q)) == p
+        assert _outcome_msg(_line_meet, p, p, q, r) == _outcome_msg(_flat_meet, p, p, q, r)
+    assert checked >= 20
