@@ -8,6 +8,7 @@ import functools
 import json
 import os
 import sys
+import time
 
 import click
 
@@ -42,23 +43,33 @@ def resolve_pin(name, pin_json):
     raise PinError("provide --name or --pin")
 
 
+# (library errors, exit code, label), matched in order: DegenerateConfig
+# before MeshError, which it subclasses
+_EXIT_CODES = (
+    ((DegenerateError, DegenerateConfig), 3, "degenerate data"),
+    ((PinError, QuiverConfigError, IJMapError, FiltrationUnavailable, LiftedUnavailable,
+      MeshError, json.JSONDecodeError), 2, "config error"),
+    ((AssertionError,), 1, "assertion failure"),
+)
+_LIBRARY_ERRORS = tuple(t for types, _, _ in _EXIT_CODES for t in types)
+
+
+def _fail(error):
+    """Report a library error and exit with its code."""
+    code, label = next((code, label) for types, code, label in _EXIT_CODES
+                       if isinstance(error, types))
+    click.echo("%s: %s" % (label, error), err=True)
+    sys.exit(code)
+
+
 def guarded(fn):
     """Map library errors onto the exit-code contract."""
     @functools.wraps(fn)
     def wrap(*a, **kw):
         try:
             return fn(*a, **kw)
-        except (DegenerateError, DegenerateConfig) as e:
-            # before MeshError, which DegenerateConfig subclasses
-            click.echo("degenerate data: %s" % e, err=True)
-            sys.exit(3)
-        except (PinError, QuiverConfigError, IJMapError, FiltrationUnavailable,
-                LiftedUnavailable, MeshError, json.JSONDecodeError) as e:
-            click.echo("config error: %s" % e, err=True)
-            sys.exit(2)
-        except AssertionError as e:
-            click.echo("assertion failure: %s" % e, err=True)
-            sys.exit(1)
+        except _LIBRARY_ERRORS as e:
+            _fail(e)
     return wrap
 
 
@@ -235,23 +246,32 @@ def verify_menelaus(mesh_path):
     click.echo(sz.dumps(rep), nl=False)
 
 
-def _verify_one(name, dim, seed):
-    """One (pin, dim, seed) verification job; returns a report dict."""
-    pin = zoo_pin(name)
-    job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "skips": []}
+def _note_height(job, w):
+    """Raise the job's height to the largest bit length of a coordinate of
+    a point of the window."""
+    bits = max(max(abs(x) for x in p.z).bit_length() for p in w.points.values())
+    job["height_max_bits"] = max(job["height_max_bits"], bits)
+
+
+def _verify_one(job):
+    """Run the checks of one (pin, dim, seed) job into its report."""
+    pin, dim, seed = zoo_pin(job["pin"]), job["dim"], job["seed"]
     ck = job["checks"]
     if dim == 1:
         w = generate_1d(pin, 0, 20 + 2 * pin.l, seed=seed)
         w = step_1d(w)
+        _note_height(job, w)
         ck["menelaus"] = check_menelaus(w)
-        return job
+        return
     try:
         w = generate_window(pin, dim, 0, 8 * (pin.l + 2), seed=seed)
     except MeshError as e:
         job["skips"].append("generate: %s" % e)
-        return job
+        return
+    _note_height(job, w)
     for _ in range(pin.l + 2):
         w = step_forward(w)
+    _note_height(job, w)
     ck["relations"] = check_relations(w)
     back = step_backward(step_forward(w))
     common = [k for k in w.points if k in back.points]
@@ -267,7 +287,23 @@ def _verify_one(name, dim, seed):
                         pin.c[0] - pin.b[0], pin.d[0] - pin.a[0])) + 1)
     verify_period_one(pin, n)
     ck["period_one_n"] = n
-    return job
+
+
+def _run_job(name, dim, seed):
+    """One job's report, with its status, seconds and height, and the
+    library error it stopped on (None when it passed)."""
+    job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "skips": [],
+           "height_max_bits": 0}
+    start = time.perf_counter()
+    error = None
+    try:
+        _verify_one(job)
+    except _LIBRARY_ERRORS as e:
+        error = e
+        job["error"] = {"type": type(e).__name__, "message": str(e)}
+    job["status"] = "failed" if error else "ok"
+    job["seconds"] = round(time.perf_counter() - start, 3)
+    return job, error
 
 
 @verify_group.command("all")
@@ -275,18 +311,24 @@ def _verify_one(name, dim, seed):
 @click.option("--out", type=click.Path())
 @guarded
 def verify_all(seed, out):
-    """Run the full check battery over the zoo; exit 0 iff no hard failure."""
+    """Run the full check battery over the zoo.  Every job runs and is
+    reported; then the first failed job's error sets the exit code."""
     seed = default_seed() if seed is None else seed
-    jobs = []
+    jobs, errors = [], []
     for name in sorted(ZOO):
         pin = zoo_pin(name)
         dims = sorted({1, 2, min(3, d_of_s(pin)), d_of_s(pin)})
         for dim in dims:
             if dim < 1 or dim > d_of_s(pin):
                 continue
-            jobs.append(_verify_one(name, dim, seed))
-    report = {"seed": seed, "jobs": jobs, "hard_failures": 0}
+            job, error = _run_job(name, dim, seed)
+            jobs.append(job)
+            if error:
+                errors.append(error)
+    report = {"seed": seed, "jobs": jobs, "hard_failures": len(errors)}
     emit(sz.dumps(report), out)
+    if errors:
+        _fail(errors[0])
 
 
 # ---- quiver -------------------------------------------------------------

@@ -32,7 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
-from .projective import Point, join, meet_point, multi_ratio_pair, rank_of, collinear, det2
+from .projective import (Point, join, meet_point, multi_ratio_pair, rank_of, collinear, coplanar,
+                         det2)
 from .pins import Pin, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
                          CASE_TRIANGLE_C)
@@ -96,7 +97,11 @@ class MeshWindow:
 
     def at(self, r, offsets):
         """The points at r + offset, one per offset."""
-        return [self.get((r[0] + d1, r[1] + d2)) for d1, d2 in offsets]
+        r1, r2 = r
+        n = self.periodic_n
+        if n:
+            return [self.points[((r1 + d1) % n, r2 + d2)] for d1, d2 in offsets]
+        return [self.points[(r1 + d1, r2 + d2)] for d1, d2 in offsets]
 
     def copy(self):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
@@ -398,13 +403,17 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
 
 def bases(window, offsets):
     """Every base r whose points r + offset all lie inside the window, once
-    each (mod n on a periodic window), ordered by (r2, r1).  The candidates
-    are read off the window's keys through the first offset."""
+    each (mod n on a periodic window), ordered by (r2, r1): the window's
+    keys shifted back by the first offset, intersected with the keys
+    shifted back by each other offset."""
+    keys = window.points.keys()
+    n = window.periodic_n
     o1, o2 = offsets[0]
-    cands = {window._key((i - o1, j - o2)) for (i, j) in window.points}
-    for r1, r2 in sorted(cands, key=lambda r: (r[1], r[0])):
-        if all(window.has((r1 + d1, r2 + d2)) for d1, d2 in offsets):
-            yield (r1, r2)
+    found = {((i - o1) % n if n else i - o1, j - o2) for i, j in keys}
+    for d1, d2 in offsets[1:]:
+        found = {(r1, r2) for r1, r2 in found
+                 if ((r1 + d1) % n if n else r1 + d1, r2 + d2) in keys}
+    return sorted(found, key=lambda r: (r[1], r[0]))
 
 
 def _repeats(pts):
@@ -433,7 +442,7 @@ def check_relations(window, require_instances=1):
         for r in bases(window, offs):
             pts = window.at(r, offs)
             if kind == "P3":
-                if rank_of(pts) > 3:
+                if not coplanar(pts):
                     raise MeshError("coplanarity fails at base (%d, %d)" % r)
             else:
                 if not collinear(pts):

@@ -8,7 +8,11 @@ fractions (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  One
 integer line chart decides every collinearity (``_line_of``): x is on the line
 of p, q iff d·x = det(x, q)·p + det(p, x)·q, and on a chart i, j where
 d = det(p, q) != 0 that holds for every x, so only the other D - 1
-coordinates are compared.  Everything is exact; no floats.
+coordinates are compared.  A plane chart extends it to coplanarity
+(``coplanar``): the first vector x off that line gives a chart i, j, k where
+e = det(p, q, x) != 0, and y is on the plane iff
+e·y = det(y, q, x)·p + det(p, y, x)·q + det(p, q, y)·x off that chart.
+Everything is exact; no floats.
 """
 
 from fractions import Fraction
@@ -200,12 +204,54 @@ def _int_rank(rows):
 
 
 def rank_of(points):
-    return _int_rank([p.z for p in points])
+    """Rank of the points' vectors.  A list longer than the vectors first
+    reduces only its first D + 1 vectors, and spans RP^D if they do."""
+    zs = [p.z for p in points]
+    full = len(zs[0]) if zs else 0
+    if len(zs) > full and _int_rank(zs[:full]) == full:
+        return full
+    return _int_rank(zs)
 
 
 def collinear(points):
     """Whether the points span at most a line (rank <= 2)."""
     return _line_of([p.z for p in points]) is not None
+
+
+def coplanar(points):
+    """Whether the points span at most a plane (rank <= 3): the line chart
+    of the first two distinct vectors p, q, extended by the first later
+    vector x off their line to a plane chart (i, j, k), then every vector
+    after x compared off that chart."""
+    zs = [p.z for p in points]
+    if len(zs) <= 3 or len(zs[0]) <= 3:  # rank <= 3 however they lie
+        return True
+    start = _first_two(zs)
+    if start is None:
+        return True
+    n, p, q = start
+    i, j, d = _chart2(p, q)
+    for n in range(n + 1, len(zs)):
+        x = zs[n]
+        off = _off_line(x, p, q, i, j, d)
+        if off:
+            k, e = off
+            break
+    else:
+        return True
+    # det(y, q, x), det(p, y, x), det(p, q, y) on the chart are dot products
+    # of (y_i, y_j, y_k) with these cofactors
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
+        _cross3(q, x, i, j, k), _cross3(x, p, i, j, k), _cross3(p, q, i, j, k))
+    for y in zs[n + 1:]:
+        yi, yj, yk = y[i], y[j], y[k]
+        a = a1 * yi + a2 * yj + a3 * yk
+        b = b1 * yi + b2 * yj + b3 * yk
+        c = c1 * yi + c2 * yj + c3 * yk
+        for m in range(len(y)):
+            if m != i and m != j and m != k and e * y[m] != a * p[m] + b * q[m] + c * x[m]:
+                return False
+    return True
 
 
 def meet(f1, f2):
@@ -271,23 +317,42 @@ def _chart2(p, q):
     return None
 
 
-def _line_of(zs):
-    """The chart of the first two distinct vectors p, q of zs (independent,
-    as primitive vectors are) when every vector after q is on their line:
-    d·x = det(x, q)·p + det(p, x)·q off the chart.  () when zs holds one
-    vector or none, None when zs spans more than a line."""
+def _first_two(zs):
+    """(n, p, q): the first vector p of zs and the first vector q != p, at
+    index n (independent of p, as primitive vectors are); None when zs holds
+    one vector or none."""
     p = zs[0] if zs else None
-    for k, q in enumerate(zs):
+    for n, q in enumerate(zs):
         if q != p:
-            break
-    else:
+            return n, p, q
+    return None
+
+
+def _off_line(x, p, q, i, j, d):
+    """(k, e) for the first coordinate k off the chart (i, j, d) of p, q
+    where e = d·x_k - det(x, q)·p_k - det(p, x)·q_k, that is det(p, q, x) on
+    coordinates i, j, k, is nonzero; None when x is on the line of p, q."""
+    s, t = det2(x, q, i, j), det2(p, x, i, j)
+    for k in range(len(x)):
+        if k != i and k != j:
+            e = d * x[k] - s * p[k] - t * q[k]
+            if e:
+                return k, e
+    return None
+
+
+def _line_of(zs):
+    """The chart of the first two distinct vectors p, q of zs when every
+    vector after q is on their line.  () when zs holds one vector or none,
+    None when zs spans more than a line."""
+    start = _first_two(zs)
+    if start is None:
         return ()
+    n, p, q = start
     i, j, d = chart = _chart2(p, q)
-    for x in zs[k + 1:]:
-        s, t = det2(x, q, i, j), det2(p, x, i, j)
-        for m in range(len(x)):
-            if m != i and m != j and d * x[m] != s * p[m] + t * q[m]:
-                return None
+    for x in zs[n + 1:]:
+        if _off_line(x, p, q, i, j, d):
+            return None
     return chart
 
 

@@ -5,12 +5,13 @@ from click.testing import CliRunner
 
 import pytest
 
+from ymesh import cli
 from ymesh.cli import main
-from ymesh.mesh import MeshWindow, generate_1d, step_1d
+from ymesh.mesh import MeshError, MeshWindow, check_relations, generate_1d, step_1d
 from ymesh.projective import Point
 from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
 from ymesh.yvars import check_eqmain
-from ymesh.zoo import zoo_pin
+from ymesh.zoo import ZOO, zoo_dim, zoo_pin
 
 
 def run(*args, **kw):
@@ -235,3 +236,28 @@ def test_verify_all_at_default_seed():
     assert report["seed"] == 0
     penguin = [job for job in report["jobs"] if job["pin"] == "penguin" and job["dim"] == 2]
     assert penguin and penguin[0]["checks"]["relations"]["L1"] > 0
+
+
+def test_verify_all_reports_every_job_past_a_failure(monkeypatch):
+    def failing(w):
+        if w.pin == zoo_pin("pentagram"):
+            raise MeshError("L1 collinearity fails at base (0, 1)")
+        return check_relations(w)
+
+    monkeypatch.setattr(cli, "check_relations", failing)
+    res = CliRunner().invoke(main, ["verify", "all", "--seed", "0"])
+    assert res.exit_code == 2, res.output
+    report = json.loads(res.stdout)
+    assert report["hard_failures"] == 1
+    failed = [job for job in report["jobs"] if job["status"] != "ok"]
+    assert [(job["pin"], job["dim"]) for job in failed] == [("pentagram", 2)]
+    assert failed[0]["error"] == {"type": "MeshError",
+                                  "message": "L1 collinearity fails at base (0, 1)"}
+    assert failed[0]["height_max_bits"] > 0
+    assert "config error: L1 collinearity fails" in res.stderr
+    # every job is still reported, after the failed one too
+    want = [(name, dim) for name in sorted(ZOO)
+            for dim in sorted({1, 2, min(3, zoo_dim(name)), zoo_dim(name)})
+            if dim <= zoo_dim(name)]
+    assert [(job["pin"], job["dim"]) for job in report["jobs"]] == want
+    assert all(job["seconds"] >= 0 and job["height_max_bits"] > 0 for job in report["jobs"])

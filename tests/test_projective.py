@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from ymesh import projective
 from ymesh.rational import ExtQ, INF, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point, rank_of, collinear,
-                              cross_ratio, cross_ratio_pair, multi_ratio, multi_ratio_pair, rref)
+                              coplanar, cross_ratio, cross_ratio_pair, multi_ratio,
+                              multi_ratio_pair, rref)
 from ymesh.mesh import solve_menelaus
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -306,6 +307,55 @@ def test_collinear_matches_bareiss_reference(dim):
             seen.add(want)
     assert seen == {True, False} or dim == 1
     assert collinear([]) and collinear([Point(1, 2)])
+
+
+def _plane_sets(rng, n):
+    """Coplanar, non-coplanar, mixed, repeated and all-equal point lists in
+    RP^(n-1), each shuffled, and lists whose first three distinct points
+    are collinear, left in order so the plane chart is found later."""
+    p, q, r, s = (_rand_vec(rng, n) for _ in range(4))
+    on = [_combo(rng, p, q, r) for _ in range(rng.randint(1, 6))]
+    off = [_combo(rng, p, q, r, s) for _ in range(rng.randint(1, 5))]
+    one = Point(p)
+    sets = [on, off, on + off, on + on, [one] * rng.randint(1, 5),
+            [one] * 2 + [Point(q)] + [one] + [Point(r)], [Point(v) for v in (p, q, r, s)]]
+    for pts in sets:
+        rng.shuffle(pts)
+    line = [Point(p), Point(p), Point(q)] + [_combo(rng, p, q) for _ in range(rng.randint(1, 3))]
+    sets += [line, line + [Point(r)] + on, line + [Point(r), Point(s)], line + off]
+    return sets
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_coplanar_matches_bareiss_reference(dim):
+    rng = random.Random(300 + dim)
+    seen = set()
+    for _ in range(60):
+        for pts in _plane_sets(rng, dim + 1):
+            want = _bareiss_rank([x.z for x in pts]) <= 3
+            assert coplanar(pts) == want, pts
+            seen.add(want)
+    assert seen == {True, False} or dim <= 2
+    assert coplanar([]) and coplanar([Point(1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_rank_of_tall_lists_match_bareiss(dim):
+    """Lists longer than the vectors, independent or not in their first
+    D + 1 vectors (a repeat, a collinear prefix), so both the prefix and the
+    full elimination run."""
+    rng = random.Random(400 + dim)
+    n = dim + 1
+    for _ in range(40):
+        basis = [_rand_vec(rng, n) for _ in range(rng.randint(1, n))]
+        pts = [_combo(rng, *basis) for _ in range(rng.randint(n + 1, n + 6))]
+        p, q = pts[0], pts[1]
+        for head in ([], [p] * n, [p, q] + [_combo(rng, p.z, q.z) for _ in range(n - 2)]):
+            tall = head + pts
+            assert rank_of(tall) == _bareiss_rank([x.z for x in tall]), tall
+    free = [Point(_rand_vec(rng, n)) for _ in range(n + 3)]
+    assert rank_of(free) == _bareiss_rank([x.z for x in free])
+    assert rank_of([]) == 0
 
 
 def _outcome_msg(fn, *args):
