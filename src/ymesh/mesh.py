@@ -24,7 +24,16 @@ points P_{r+source}:
     MENELAUS_BOTTOM: six-point relation solved for ab  (step_1d backward)
 
 The checks list their instances with ``bases``, which reads the bases off
-the window's keys, so no scan range depends on the size of the pin.
+the window's keys, so no scan range depends on the size of the pin.  Each
+collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
+and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
+So every call of ``check_relations`` and ``check_menelaus`` keeps a
+``LineTable``, which charts each line it touches once, on the line's points
+inside the window (``chart_of``).  A line whose present points are distinct
+and on one line answers its sub-tests by lookup, and its 2x2 determinants
+give the Menelaus factors; any other line falls back to the per-instance
+kernels (``collinear``, ``multi_ratio_pair``) on the instance's own points,
+so decisions, counts and messages are those of the kernels.
 """
 
 import random
@@ -32,8 +41,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .rational import ExtQ, DegenerateError
-from .projective import (Point, join, meet_point, multi_ratio_pair, rank_of, collinear, coplanar,
-                         det2)
+from .projective import (Point, join, meet_point, multi_ratio_pair, factor_pair, rank_of,
+                         collinear, coplanar, chart_of, det2)
 from .pins import Pin, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
                          CASE_TRIANGLE_C)
@@ -416,6 +425,36 @@ def bases(window, offsets):
     return sorted(found, key=lambda r: (r[1], r[0]))
 
 
+class LineTable(dict):
+    """An entry for each line L_s a check call touches, keyed by base s and
+    made on first use by ``entry`` (once per line mod n on a periodic
+    window): (zs, chart), the primitive vectors of P_{s+a} .. P_{s+d} (None
+    for a point outside the window) and their ``chart_of``.  A table serves
+    one check call, so in-place edits of ``window.points`` cannot leave it
+    stale."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, window):
+        super().__init__()
+        self.window = window
+
+    def __missing__(self, s):
+        key = self.window._key(s)
+        self[s] = entry = self[key] if key != s else self.entry(s)
+        return entry
+
+    def entry(self, s):
+        s1, s2 = s
+        n = self.window.periodic_n
+        get = self.window.points.get
+        zs = []
+        for o1, o2 in self.window.pin.points:
+            p = get(((s1 + o1) % n if n else s1 + o1, s2 + o2))
+            zs.append(None if p is None else p.z)
+        return zs, chart_of(zs)
+
+
 def _repeats(pts):
     return len(set(pts)) != len(pts)
 
@@ -434,28 +473,35 @@ def _has_coincident_points(window):
 def check_relations(window, require_instances=1):
     """Verify every relation instance fully inside the window: L1/L2
     collinearity, P3 coplanarity, full-line collinearity of {r+a,...,r+d},
-    distinctness, and that the window spans RP^D.  Returns instance counts."""
+    distinctness, and that the window spans RP^D.  Returns instance counts.
+
+    L1 = {r+a, r+b, r+c} and L2 = {r+b, r+c, r+d} lie on L_r, so every
+    collinearity and distinctness test of base r holds when L_r has a chart
+    in the call's ``LineTable``; a line without one tests each instance on
+    its points."""
     pin = window.pin
+    lines = LineTable(window)
     counts = {"L1": 0, "L2": 0, "P3": 0, "line": 0}
     for kind, words in Pin.CIRCUIT_WORDS.items():
         offs = [pin.offset(word) for word in words]
         for r in bases(window, offs):
-            pts = window.at(r, offs)
             if kind == "P3":
-                if not coplanar(pts):
+                if not coplanar(window.at(r, offs)):
                     raise MeshError("coplanarity fails at base (%d, %d)" % r)
-            else:
+            elif not lines[r][1]:
+                pts = window.at(r, offs)
                 if not collinear(pts):
                     raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
                 if _repeats(pts):
                     raise MeshError("%s has coincident points at base (%d, %d)" % ((kind,) + r))
             counts[kind] += 1
     # full lines L_r: all four of r+a .. r+d collinear and distinct
-    offs = [pin.offset(label) for label in "abcd"]
+    offs = pin.points
     for r in bases(window, offs):
-        pts = window.at(r, offs)
-        if not collinear(pts) or _repeats(pts):
-            raise MeshError("line L_(%d,%d) degenerate" % r)
+        if not lines[r][1]:
+            pts = window.at(r, offs)
+            if not collinear(pts) or _repeats(pts):
+                raise MeshError("line L_(%d,%d) degenerate" % r)
         counts["line"] += 1
     _spanning_check(window)
     if sum(counts.values()) < require_instances:
@@ -510,21 +556,40 @@ def generate_1d(pin, i_lo, i_hi, seed=0):
     return w
 
 
+# the triples of the six-point relation by line, as indices into a..d:
+# (ad, ac, ab) on L_{r+a}, (ab, bc, bd) on L_{r+b}, (bd, cd, ad) on L_{r+d}
+MENELAUS_LINES = (("a", (3, 2, 1)), ("b", (0, 2, 3)), ("d", (1, 2, 0)))
+
+
 def check_menelaus(window):
     """Verify the six-point relation (= -1) for every base fully inside a 1D
     or higher-dimensional window, each once (mod n on a periodic window);
     returns the instance count.  The multi-ratio is compared as an integer
     pair: num + den == 0.  Undefined ones (0/0 or inf * 0, from coincident
     points on boundary-pin meshes and pins with a+d = b+c) are skipped; a
-    triple off a line raises."""
-    offs = [window.pin.offset(word) for word in MENELAUS_WORDS]
+    triple off a line raises.
+
+    Each triple lies on a line L_s; when all three lines have a chart in the
+    call's ``LineTable``, the factors are 2x2 determinants on those charts,
+    else the instance goes through ``multi_ratio_pair`` on its points."""
+    pin = window.pin
+    offs = [pin.offset(word) for word in MENELAUS_WORDS]
+    triples = [(pin.offset(label), idx) for label, idx in MENELAUS_LINES]
+    lines = LineTable(window)
     count = 0
     for r in bases(window, offs):
-        pts = window.at(r, offs)
+        r1, r2 = r
+        on = [(lines[(r1 + o1, r2 + o2)], idx) for (o1, o2), idx in triples]
         try:
-            num, den = multi_ratio_pair(pts)
+            if all(chart for (_, chart), _ in on):
+                num, den = factor_pair((det2(zs[x], zs[y], i, j), det2(zs[y], zs[z], i, j))
+                                       for (zs, (i, j)), (x, y, z) in on)
+            else:
+                num, den = multi_ratio_pair(window.at(r, offs))
         except DegenerateError:
-            if not all(collinear(t) for t in (pts[0:3], pts[2:5], pts[4:6] + pts[:1])):
+            pts = window.at(r, offs)
+            if not all(chart or collinear(t) for ((_, chart), _), t
+                       in zip(on, (pts[0:3], pts[2:5], pts[4:6] + pts[:1]))):
                 raise MeshError("Menelaus triple not collinear at base (%d, %d)" % r)
             continue
         if num + den != 0:

@@ -12,7 +12,9 @@ coordinates are compared.  A plane chart extends it to coplanarity
 (``coplanar``): the first vector x off that line gives a chart i, j, k where
 e = det(p, q, x) != 0, and y is on the plane iff
 e·y = det(y, q, x)·p + det(p, y, x)·q + det(p, q, y)·x off that chart.
-Everything is exact; no floats.
+The identity checks chart each mesh line once (``chart_of``) and read cross
+ratios (``cross_ratio_on``) and multi-ratio factors (``factor_pair``) off
+that chart.  Everything is exact; no floats.
 """
 
 from fractions import Fraction
@@ -281,15 +283,27 @@ def meet_point(f1, f2):
 
     Two lines given by two vectors each (as ``join`` builds them) meet by
     Cramer's rule on those vectors (``_meet_lines``), or else coincide or are
-    skew; every other input (a line through one point too) goes through ``meet``.
+    skew.  A line given by one point twice meets a point in that point when
+    they are equal, and a line when the point is on it; otherwise the flats
+    meet in rank 0.  Every other input goes through ``meet``.
     """
     if len(f1.gens) == 2 == len(f2.gens) and f1.ncols == f2.ncols:
         x = _meet_lines(*f1.gens, *f2.gens)
         if x is not None:
             return Point(x)
-        if _chart2(*f1.gens) and _chart2(*f2.gens):  # coincident or skew lines
+        c1, c2 = _chart2(*f1.gens), _chart2(*f2.gens)
+        if c1 and c2:  # coincident or skew lines
             rank = 4 - _int_rank([Point(g).z for g in f1.gens + f2.gens])
             raise DegenerateError(_NO_MEET % rank)
+        if not (c1 or c2):  # two points
+            p = Point(f1.gens[0])
+            if p == Point(f2.gens[0]):
+                return p
+        else:  # a point and a line
+            p, line = (Point(f2.gens[0]), f1.gens) if c1 else (Point(f1.gens[0]), f2.gens)
+            if _line_of([*line, p.z]) is not None:
+                return p
+        raise DegenerateError(_NO_MEET % 0)
     m = meet(f1, f2)
     if m.rank != 1:
         raise DegenerateError(_NO_MEET % m.rank)
@@ -356,6 +370,17 @@ def _line_of(zs):
     return chart
 
 
+def chart_of(zs):
+    """The chart (i, j) of ``_line_of`` on the vectors of zs that are not
+    None, in order, or None unless they are distinct (at least two) and lie
+    on one line.  On a chart every collinearity and distinctness test of
+    those vectors holds, and their 2x2 determinants differ from those on any
+    other chart of the line by one common nonzero factor."""
+    present = [z for z in zs if z is not None]
+    chart = _line_of(present)
+    return chart[:2] if chart and len(set(present)) == len(present) else None
+
+
 def _meet_lines(a, b, u, w):
     """The vector where line <a, b> meets line <u, w>, or None when the input
     is degenerate (a line through one point, coincident or skew lines).
@@ -389,9 +414,16 @@ def cross_ratio_pair(x1, x2, x3, x4):
     """[x1,x2,x3,x4] as an unreduced integer pair (num, den), den = 0 for
     inf: the 2x2 determinants ``cross_ratio`` divides.  Raises where
     ``cross_ratio`` does."""
-    (z1, z2, z3, z4), chart = _common_line((x1, x2, x3, x4))
-    num = det2(z1, z2, *chart) * det2(z3, z4, *chart)
-    den = det2(z2, z3, *chart) * det2(z4, z1, *chart)
+    zs, chart = _common_line((x1, x2, x3, x4))
+    return cross_ratio_on(*zs, *chart)
+
+
+def cross_ratio_on(z1, z2, z3, z4, i, j):
+    """``cross_ratio_pair`` of the integer vectors z1..z4 on a chart (i, j)
+    of their common line.  The pairs of two charts differ by a positive
+    factor, the square of the ratio of their det(p, q)."""
+    num = det2(z1, z2, i, j) * det2(z3, z4, i, j)
+    den = det2(z2, z3, i, j) * det2(z4, z1, i, j)
     if num == 0 and den == 0:
         raise DegenerateError("0/0")
     return num, den
@@ -414,11 +446,22 @@ def multi_ratio_pair(points):
     n = len(pts)
     if n % 2 != 0 or n < 4:
         raise ValueError("multi-ratio needs an even number (>= 4) of points")
+
+    def factors():
+        for i in range(0, n, 2):
+            (z1, z2, z3), (k, m) = _common_line([pts[i], pts[(i + 1) % n], pts[(i + 2) % n]])
+            yield det2(z1, z2, k, m), det2(z2, z3, k, m)
+
+    return factor_pair(factors())
+
+
+def factor_pair(factors):
+    """The product of the factors a/b, given as integer pairs (a, b) in
+    charts of their lines, as an unreduced pair (num, den); raises like
+    ``multi_ratio_pair``.  A factor read on another chart of its line
+    changes the pair by a common nonzero factor only."""
     num, den = 1, 1
-    for i in range(0, n, 2):
-        (z1, z2, z3), chart = _common_line([pts[i], pts[(i + 1) % n], pts[(i + 2) % n]])
-        a = det2(z1, z2, *chart)
-        b = det2(z2, z3, *chart)
+    for a, b in factors:
         if a == 0 and b == 0:
             raise DegenerateError("0/0 factor in multi-ratio")
         num *= a

@@ -5,11 +5,19 @@ The propagation dynamics satisfies, for every base r,
 
   y_{r+a+b} y_{r+c+d} = (1+y_{r+a+c})(1+y_{r+b+d})
                         / ((1+1/y_{r+a+d})(1+1/y_{r+b+c})) .
+
+``check_eqmain`` and ``verify eqmain`` read their y-values off a ``YTable``,
+the line table of ``ymesh.mesh`` with one y-value per line, made for one
+check call: whether L_s is inside the window is a set lookup, and its cross
+ratio is four 2x2 determinants on the line's chart.  A line without a chart
+(points off one line, or repeated) goes through ``y_pair``, which raises as
+``cross_ratio_pair`` does.
 """
 
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
                        out_factor)
-from .projective import cross_ratio_pair, multi_ratio, join, meet_point
+from .projective import cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point
+from .mesh import LineTable, bases
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
@@ -45,25 +53,45 @@ def eqmain_instance(window, r, cache=None):
     """``eqmain_relation`` at base r; None when one of its y-values is not
     inside the window, "degenerate" when one is 0, -1 or inf.
 
-    ``cache`` (a dict, window key -> y-value as an integer pair, or False
-    where it is not inside the window) lets calls on one window share their
-    y-values; on a periodic window the key is taken mod n."""
+    ``cache`` (a ``YTable`` of the window) lets calls on one window share
+    their y-values."""
     offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
-    return _eqmain_instance(window, r, {} if cache is None else cache, offsets)
+    return _eqmain_instance(window, r, YTable(window) if cache is None else cache, offsets)
 
 
-def _eqmain_instance(window, r, cache, offsets):
-    ys = []
-    for off in offsets:
-        u = (r[0] + off[0], r[1] + off[1])
-        key = window._key(u)
-        y = cache.get(key)
-        if y is None:
-            cache[key] = y = y_available(window, u) and y_pair(window, u)
+class YTable(LineTable):
+    """A ``LineTable`` whose entry for L_s is its y-value as an integer
+    pair, or False when a point of L_s is outside the window: a lookup in
+    the set of lines inside (``bases`` over the offsets a, b, c, d).  The
+    y-value is read off the line's chart; a line without one goes through
+    ``y_pair``, which raises as ``cross_ratio_pair`` does.  The pair may
+    differ from ``y_pair``'s by a positive factor."""
+
+    __slots__ = ("inside",)
+
+    def __init__(self, window):
+        super().__init__(window)
+        self.inside = set(bases(window, window.pin.points))
+
+    def entry(self, s):
+        if s not in self.inside:
+            return False
+        (za, zb, zc, zd), chart = super().entry(s)
+        if chart is None:
+            return y_pair(self.window, s)
+        num, den = cross_ratio_on(za, zc, zb, zd, *chart)
+        return -num, den
+
+
+def _eqmain_instance(window, r, ys, offsets):
+    r1, r2 = r
+    pairs = []
+    for o1, o2 in offsets:
+        y = ys[(r1 + o1, r2 + o2)]
         if not y:
             return None
-        ys.append(y)
-    return "degenerate" if any(degenerate_pair(*y) for y in ys) else eqmain_relation(ys)
+        pairs.append(y)
+    return "degenerate" if any(degenerate_pair(*y) for y in pairs) else eqmain_relation(pairs)
 
 
 def eqmain_residual(window, r, cache=None):
@@ -78,9 +106,15 @@ def eqmain_residual(window, r, cache=None):
 
 def check_eqmain(window, min_instances=1):
     """Verify the exchange identity at every base fully inside the window on
-    integer pairs (``eqmain_instance``); each y-value is computed once.  The
-    scan covers every base whose 24 points (four per y-value) can reach the
-    window's bounding box."""
+    integer pairs (``eqmain_instance``); each y-value is computed once, in
+    the call's ``YTable``.  The scan covers every base whose 24 points (four
+    per y-value) can reach the window's bounding box.
+
+    On a periodic window the scan counts a base once for each unreduced r1
+    that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
+    1.75 on its ``polygon_periodic`` workload.  The fix, listing the bases
+    with ``bases`` as ``verify eqmain`` does, waits on open item 1 of
+    ROADMAP.md, because a benchmark test pins the overcount."""
     pin = window.pin
     offsets = [pin.offset(lab) for lab in EQMAIN_LABELS]
     reach = [(o1 + p1, o2 + p2) for o1, o2 in offsets for p1, p2 in pin.points]
@@ -91,7 +125,7 @@ def check_eqmain(window, min_instances=1):
         return range(min(vals) - max(offs), max(vals) - min(offs) + 1)
 
     checked = skipped = 0
-    cache = {}
+    cache = YTable(window)
     cols = scan(0)
     for r2 in scan(1):
         for r1 in cols:

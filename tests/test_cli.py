@@ -7,7 +7,8 @@ import pytest
 
 from ymesh import cli
 from ymesh.cli import main
-from ymesh.mesh import MeshError, MeshWindow, check_relations, generate_1d, step_1d
+from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, check_relations,
+                        generate_1d, generate_window, step_1d)
 from ymesh.projective import Point
 from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
 from ymesh.yvars import check_eqmain
@@ -261,3 +262,25 @@ def test_verify_all_reports_every_job_past_a_failure(monkeypatch):
             if dim <= zoo_dim(name)]
     assert [(job["pin"], job["dim"]) for job in report["jobs"]] == want
     assert all(job["seconds"] >= 0 and job["height_max_bits"] > 0 for job in report["jobs"])
+
+
+def test_verify_all_reports_a_degenerate_draw_as_failed(monkeypatch):
+    # a job whose draws all propagate degenerately is degenerate data, not a
+    # skip: it fails, and the command exits 3
+    def degenerate(pin, *args, **kw):
+        if pin == zoo_pin("sideways"):
+            raise DegenerateConfig("32 draws of the window all propagated degenerately")
+        return generate_window(pin, *args, **kw)
+
+    monkeypatch.setattr(cli, "generate_window", degenerate)
+    res = CliRunner().invoke(main, ["verify", "all", "--seed", "0"])
+    assert res.exit_code == 3, res.output
+    report = json.loads(res.stdout)
+    assert report["hard_failures"] == 1
+    failed = [job for job in report["jobs"] if job["status"] != "ok"]
+    assert [(job["pin"], job["dim"], job["status"]) for job in failed] == [
+        ("sideways", 2, "failed")]
+    assert failed[0]["error"] == {"type": "DegenerateConfig",
+                                  "message": "32 draws of the window all propagated degenerately"}
+    assert all("skips" not in job for job in report["jobs"])
+    assert "degenerate data: 32 draws" in res.stderr

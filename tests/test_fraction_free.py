@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 
 from ymesh.rational import ExtQ, DegenerateError
-from ymesh.projective import Point, join, multi_ratio
-from ymesh.mesh import (MeshError, generate_1d, generate_window,
-                        step_1d, step_forward, check_menelaus, MENELAUS_WORDS,
-                        _random_free)
+from ymesh.pins import Pin
+from ymesh.projective import Point, join, multi_ratio, rank_of
+from ymesh.mesh import (DegenerateConfig, MeshError, generate_1d, generate_window,
+                        step_1d, step_forward, check_menelaus, check_relations,
+                        MENELAUS_WORDS, _random_free)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
                          eqmain_relation, bracket, bracket_product, _parity)
 from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin, build_qs,
@@ -82,14 +83,52 @@ def _extq_check_menelaus(window):
             labels = [window.pin.shift((r1, r2), word) for word in MENELAUS_WORDS]
             if not all(window.has(q) for q in labels):
                 continue
+            pts = [window.get(q) for q in labels]
             try:
-                val = multi_ratio([window.get(q) for q in labels])
+                val = multi_ratio(pts)
             except DegenerateError:
+                if any(rank_of(t) > 2 for t in (pts[0:3], pts[2:5], pts[4:6] + pts[:1])):
+                    raise MeshError("Menelaus triple not collinear at base (%d, %d)" % (r1, r2))
                 continue
             if val != ExtQ(-1):
                 raise MeshError("Menelaus relation fails at base (%d, %d): %s" % (r1, r2, val))
             count += 1
     return count
+
+
+def _rank_check_relations(window):
+    """check_relations instance by instance: a Bareiss rank for every L1,
+    L2, P3 and full-line instance of the bounding box scan."""
+    pin = window.pin
+    i_vals = [i for (i, _) in window.points]
+    j_vals = [j for (_, j) in window.points]
+    scan = [(r1, r2) for r2 in range(min(j_vals) - 8, max(j_vals) + 8)
+            for r1 in range(min(i_vals) - 8, max(i_vals) + 9)]
+    counts = {}
+    for kind, words in list(Pin.CIRCUIT_WORDS.items()) + [("line", "abcd")]:
+        counts[kind] = 0
+        for r in scan:
+            labels = [pin.shift(r, word) for word in words]
+            if not all(window.has(q) for q in labels):
+                continue
+            pts = [window.get(q) for q in labels]
+            distinct = len(set(pts)) == len(pts)
+            if kind == "P3":
+                if rank_of(pts) > 3:
+                    raise MeshError("coplanarity fails at base (%d, %d)" % r)
+            elif kind == "line":
+                if rank_of(pts) > 2 or not distinct:
+                    raise MeshError("line L_(%d,%d) degenerate" % r)
+            elif rank_of(pts) > 2:
+                raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
+            elif not distinct:
+                raise MeshError("%s has coincident points at base (%d, %d)" % ((kind,) + r))
+            counts[kind] += 1
+    if rank_of(list(window.points.values())) != window.dim + 1:
+        raise DegenerateConfig("window does not span RP^%d" % window.dim)
+    if sum(counts.values()) < 1:
+        raise MeshError("window too small: only %s relation instances" % counts)
+    return counts
 
 
 def _extq_check_exchange_trace(pin, n, exported):
@@ -461,6 +500,71 @@ def test_planar_mesh_checks_match_extq_route():
         w = step_forward(w)
     assert _outcome(check_eqmain, w) == _outcome(_extq_check_eqmain, w)
     assert _outcome(check_menelaus, w) == _outcome(_extq_check_menelaus, w)
+
+
+def _moved(w, k):
+    """A copy of w with the point at k moved by one unit in its first
+    homogeneous coordinate: off every line through it."""
+    z = list(w.points[k].z)
+    z[0] += 1
+    bad = w.copy()
+    bad.points[k] = Point(z)
+    return bad
+
+
+def _replaced(w, changes):
+    bad = w.copy()
+    for k, src in changes.items():
+        bad.points[k] = w.points[src]
+    return bad
+
+
+@pytest.mark.parametrize("name, dim", [("pentagram", 2), ("gopher", 2), ("dented", 3),
+                                       ("short_diagonal", 3)])
+def test_corrupted_planar_and_spatial_checks_match_references(name, dim):
+    """The line-table checks against per-instance references on windows
+    with points moved off their lines or replaced by a neighbour."""
+    pin = zoo_pin(name)
+    w = generate_window(pin, dim, 0, 14, seed=2)
+    for _ in range(pin.l + 1):
+        w = step_forward(w)
+    rng = random.Random(20 + dim)
+    keys = sorted(w.points)
+    d = pin.d
+    # an inner point x: the line L_{x-d} it breaks keeps a collinear L1
+    # triple, which the L1 scan reaches before x's own L1 instances
+    x = next(k for k in keys if all(w.has(pin.shift((k[0] - d[0], k[1] - d[1]), lab))
+                                    for lab in "abcd"))
+    # at the first Menelaus base r: the triple ad, ac, ab made to coincide;
+    # and ac = cd = ad, an inf * 0 instance whose triples stay collinear
+    # while their lines L_{r+a} and L_{r+d} repeat a point
+    offs = [pin.offset(word) for word in MENELAUS_WORDS]
+    r = next(k for k in sorted(keys, key=lambda k: (k[1], k[0]))
+             if all(w.has((k[0] + o1, k[1] + o2)) for o1, o2 in offs))
+    ad, ac, ab, cd = (pin.shift(r, word) for word in ("ad", "ac", "ab", "cd"))
+    cases = [w, _moved(w, x), _replaced(w, {ac: ad, ab: ad}), _replaced(w, {ac: ad, cd: ad})]
+    for _ in range(4):
+        cases.append(_moved(w, rng.choice(keys)))
+        k = rng.choice(keys)
+        near = (k[0] + 1, k[1])
+        cases.append(_replaced(w, {k: near if near in w.points else rng.choice(keys)}))
+    outcomes = []
+    for bad in cases:
+        for check, ref in ((check_relations, _rank_check_relations),
+                           (check_menelaus, _extq_check_menelaus),
+                           (check_eqmain, _extq_check_eqmain)):
+            want = _outcome(ref, bad)
+            assert _outcome(check, bad) == want, (check.__name__, want)
+            outcomes.append(want)
+    assert outcomes[0][0] == outcomes[1][0] == outcomes[2][0] == "value"
+    # the moved inner point fails at an L1 instance of its own, not at x - d
+    assert outcomes[3][:2] == ("raises", MeshError)
+    assert "L1 collinearity fails" in outcomes[3][2]
+    assert "(%d, %d)" % (x[0] - d[0], x[1] - d[1]) not in outcomes[3][2]
+    # the inf * 0 instance at r is skipped, not reported
+    assert "base (%d, %d)" % r not in str(outcomes[10])
+    raised = {o[1] for o in outcomes if o[0] == "raises"}
+    assert {MeshError, AssertionError} <= raised or {MeshError, DegenerateError} <= raised
 
 
 def test_bracket_product_matches_extq_route():

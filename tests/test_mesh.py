@@ -204,6 +204,9 @@ def test_generation_makes_no_rref_call(monkeypatch):
     for name in ("rabbit", "giraffe"):
         pin = zoo_pin(name)
         generate_reduced(pin, 0, 8 * (pin.l + 2), seed=0)
+    # its redraws meet a line given by one point twice
+    pin = zoo_pin("gopher")
+    generate_reduced(pin, 0, 8 * (pin.l + 2), seed=33)
 
 
 @pytest.mark.parametrize("seed", [0, 8, 14, 19, 22, 33, 39])

@@ -473,9 +473,16 @@ def test_degenerate_meets_match_flat_route_without_rref(dim, monkeypatch):
             assert _outcome_msg(_line_meet, *case) == want, case
             monkeypatch.setattr(projective, "rref", original)
             checked += 1
-        assert not calls
-        # a line given by one point twice goes through meet: it can meet
-        # the other line in that point
+        # a line given by one point twice meets a point in that point when
+        # they are equal, and a line when the point is on it
+        one_point = [(p, p, p, q), (p, p, q, p), (p, p, x, y), (x, y, p, p), (p, p, q, r),
+                     (q, r, p, p), (p, p, p, p), (p, p, q, q), (q, q, p, p)]
+        for case in one_point:
+            want = _outcome_msg(_flat_meet, *case)
+            monkeypatch.setattr(projective, "rref", counted)
+            assert _outcome_msg(_line_meet, *case) == want, case
+            monkeypatch.setattr(projective, "rref", original)
         assert meet_point(join(p, p), join(p, q)) == p
-        assert _outcome_msg(_line_meet, p, p, q, r) == _outcome_msg(_flat_meet, p, p, q, r)
+        assert meet_point(join(p, p), join(p, p)) == p
+        assert not calls
     assert checked >= 20
