@@ -27,13 +27,18 @@ The checks list their instances with ``bases``, which reads the bases off
 the window's keys, so no scan range depends on the size of the pin.  Each
 collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
 and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
-So every call of ``check_relations`` and ``check_menelaus`` keeps a
-``LineTable``, which charts each line it touches once, on the line's points
-inside the window (``chart_of``).  A line whose present points are distinct
-and on one line answers its sub-tests by lookup, and its 2x2 determinants
-give the Menelaus factors; any other line falls back to the per-instance
-kernels (``collinear``, ``multi_ratio_pair``) on the instance's own points,
-so decisions, counts and messages are those of the kernels.
+So a window keeps a line store (``MeshWindow.line``) that charts each line
+once, on the line's points inside the window (``chart_of``), and keeps the
+chart while those points stay the same objects or equal ones; the checks
+and ``yvars.y_pair`` read it through a per-call ``LineTable``, so each line
+is charted once per window and checked against the window's current points
+once per call.  A line whose present points are distinct and on one line
+answers its sub-tests by lookup, its 2x2 determinants give the Menelaus
+factors, and two such lines L_{r+c}, L_{r+d} through a point P_{r+cd} in the
+window decide the P3 instance at r; any other line falls back to the
+per-instance kernels (``collinear``, ``coplanar``, ``multi_ratio_pair``) on
+the instance's own points, so decisions, counts and messages are those of
+the kernels.
 """
 
 import random
@@ -73,13 +78,18 @@ def random_point(rng, dim):
 
 class MeshWindow:
     """Sparse window of a mesh: dict (i, j) -> Point; optionally periodic in i
-    (closed polygons: index i is taken mod periodic_n)."""
+    (closed polygons: index i is taken mod periodic_n).
+
+    ``lines`` is the window's line store, filled by ``line``: base s (mod n)
+    -> (pts, zs, chart) for the line L_s.  A new window, a ``copy`` and a
+    ``shift`` start with an empty store."""
 
     def __init__(self, pin, dim, points=None, periodic_n=None):
         self.pin = pin
         self.dim = dim
         self.periodic_n = periodic_n
         self.points = {}
+        self.lines = {}
         if points:
             for r, p in points.items():
                 self.set(r, p)
@@ -111,6 +121,27 @@ class MeshWindow:
         if n:
             return [self.points[((r1 + d1) % n, r2 + d2)] for d1, d2 in offsets]
         return [self.points[(r1 + d1, r2 + d2)] for d1, d2 in offsets]
+
+    def line(self, s):
+        """(pts, zs, chart) of the line L_s at a key s: the points P_{s+a} ..
+        P_{s+d} (None for a point outside the window), their primitive
+        vectors and their ``chart_of``.  The store's entry for s is used
+        while its pts equal the window's points at those keys, and made
+        again otherwise, so in-place edits of ``points`` cannot leave it
+        stale: an entry depends only on its Points, and a Point never
+        changes."""
+        s1, s2 = s
+        n = self.periodic_n
+        get = self.points.get
+        if n:
+            pts = tuple([get(((s1 + o1) % n, s2 + o2)) for o1, o2 in self.pin.points])
+        else:
+            pts = tuple([get((s1 + o1, s2 + o2)) for o1, o2 in self.pin.points])
+        held = self.lines.get(s)
+        if held is None or held[0] != pts:
+            zs = tuple([None if p is None else p.z for p in pts])
+            self.lines[s] = held = pts, zs, chart_of(zs)
+        return held
 
     def copy(self):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
@@ -428,10 +459,10 @@ def bases(window, offsets):
 class LineTable(dict):
     """An entry for each line L_s a check call touches, keyed by base s and
     made on first use by ``entry`` (once per line mod n on a periodic
-    window): (zs, chart), the primitive vectors of P_{s+a} .. P_{s+d} (None
-    for a point outside the window) and their ``chart_of``.  A table serves
-    one check call, so in-place edits of ``window.points`` cannot leave it
-    stale."""
+    window): the window's ``line(s)``, (pts, zs, chart).  The window's line
+    store keeps the entries between calls and checks them against the
+    window's current points; the table makes that check once per line and
+    call."""
 
     __slots__ = ("window",)
 
@@ -445,14 +476,7 @@ class LineTable(dict):
         return entry
 
     def entry(self, s):
-        s1, s2 = s
-        n = self.window.periodic_n
-        get = self.window.points.get
-        zs = []
-        for o1, o2 in self.window.pin.points:
-            p = get(((s1 + o1) % n if n else s1 + o1, s2 + o2))
-            zs.append(None if p is None else p.z)
-        return zs, chart_of(zs)
+        return self.window.line(s)
 
 
 def _repeats(pts):
@@ -478,17 +502,22 @@ def check_relations(window, require_instances=1):
     L1 = {r+a, r+b, r+c} and L2 = {r+b, r+c, r+d} lie on L_r, so every
     collinearity and distinctness test of base r holds when L_r has a chart
     in the call's ``LineTable``; a line without one tests each instance on
-    its points."""
+    its points.  P3 = {r+ac, r+ad, r+bc, r+bd} spans at most a plane when
+    L_{r+c} and L_{r+d} have charts and P_{r+cd}, on both, is in the
+    window; any other P3 instance runs ``coplanar``."""
     pin = window.pin
     lines = LineTable(window)
+    (c1, c2), (d1, d2), (e1, e2) = pin.c, pin.d, pin.offset("cd")
     counts = {"L1": 0, "L2": 0, "P3": 0, "line": 0}
     for kind, words in Pin.CIRCUIT_WORDS.items():
         offs = [pin.offset(word) for word in words]
         for r in bases(window, offs):
             if kind == "P3":
-                if not coplanar(window.at(r, offs)):
+                r1, r2 = r
+                if not (window.has((r1 + e1, r2 + e2)) and lines[(r1 + c1, r2 + c2)][2]
+                        and lines[(r1 + d1, r2 + d2)][2]) and not coplanar(window.at(r, offs)):
                     raise MeshError("coplanarity fails at base (%d, %d)" % r)
-            elif not lines[r][1]:
+            elif not lines[r][2]:
                 pts = window.at(r, offs)
                 if not collinear(pts):
                     raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
@@ -498,7 +527,7 @@ def check_relations(window, require_instances=1):
     # full lines L_r: all four of r+a .. r+d collinear and distinct
     offs = pin.points
     for r in bases(window, offs):
-        if not lines[r][1]:
+        if not lines[r][2]:
             pts = window.at(r, offs)
             if not collinear(pts) or _repeats(pts):
                 raise MeshError("line L_(%d,%d) degenerate" % r)
@@ -581,14 +610,14 @@ def check_menelaus(window):
         r1, r2 = r
         on = [(lines[(r1 + o1, r2 + o2)], idx) for (o1, o2), idx in triples]
         try:
-            if all(chart for (_, chart), _ in on):
+            if all(chart for (_, _, chart), _ in on):
                 num, den = factor_pair((det2(zs[x], zs[y], i, j), det2(zs[y], zs[z], i, j))
-                                       for (zs, (i, j)), (x, y, z) in on)
+                                       for (_, zs, (i, j)), (x, y, z) in on)
             else:
                 num, den = multi_ratio_pair(window.at(r, offs))
         except DegenerateError:
             pts = window.at(r, offs)
-            if not all(chart or collinear(t) for ((_, chart), _), t
+            if not all(chart or collinear(t) for ((_, _, chart), _), t
                        in zip(on, (pts[0:3], pts[2:5], pts[4:6] + pts[:1]))):
                 raise MeshError("Menelaus triple not collinear at base (%d, %d)" % r)
             continue

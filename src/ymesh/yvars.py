@@ -6,12 +6,14 @@ The propagation dynamics satisfies, for every base r,
   y_{r+a+b} y_{r+c+d} = (1+y_{r+a+c})(1+y_{r+b+d})
                         / ((1+1/y_{r+a+d})(1+1/y_{r+b+c})) .
 
-``check_eqmain`` and ``verify eqmain`` read their y-values off a ``YTable``,
-the line table of ``ymesh.mesh`` with one y-value per line, made for one
-check call: whether L_s is inside the window is a set lookup, and its cross
-ratio is four 2x2 determinants on the line's chart.  A line without a chart
-(points off one line, or repeated) goes through ``y_pair``, which raises as
-``cross_ratio_pair`` does.
+A y-value is read off the line L_r of the window's line store
+(``MeshWindow.line``): on a line with a chart its cross ratio is four 2x2
+determinants on that chart, and a line without one (points off one line, or
+repeated) goes through ``cross_ratio_pair``, which raises as before.
+``check_eqmain`` and ``verify eqmain`` keep one y-value per line in a
+``YTable``, the per-call line table of ``ymesh.mesh``: whether L_s is inside
+the window is a set lookup.  The charts come from the store, so the checks
+and ``y_of`` on one window chart each line once.
 """
 
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
@@ -29,10 +31,17 @@ def y_of(window, r):
 
 def y_pair(window, r):
     """y_of(window, r) as an unreduced integer pair (num, den), den = 0 for
-    inf."""
-    pin = window.pin
-    pts = [window.get(pin.shift(r, lab)) for lab in "acbd"]
-    num, den = cross_ratio_pair(*pts)
+    inf: -[z_a, z_c, z_b, z_d] on the chart of L_r in the window's line
+    store, which may differ from the pair on another chart by a positive
+    factor.  When L_r has no chart or a point outside the window, the pair
+    comes from ``cross_ratio_pair`` on the points, raising as it does."""
+    _, zs, chart = window.line(window._key(r))
+    if chart is None or None in zs:
+        pin = window.pin
+        num, den = cross_ratio_pair(*[window.get(pin.shift(r, lab)) for lab in "acbd"])
+    else:
+        za, zb, zc, zd = zs
+        num, den = cross_ratio_on(za, zc, zb, zd, *chart)
     return -num, den
 
 
@@ -60,12 +69,10 @@ def eqmain_instance(window, r, cache=None):
 
 
 class YTable(LineTable):
-    """A ``LineTable`` whose entry for L_s is its y-value as an integer
-    pair, or False when a point of L_s is outside the window: a lookup in
-    the set of lines inside (``bases`` over the offsets a, b, c, d).  The
-    y-value is read off the line's chart; a line without one goes through
-    ``y_pair``, which raises as ``cross_ratio_pair`` does.  The pair may
-    differ from ``y_pair``'s by a positive factor."""
+    """A ``LineTable`` of one check call whose entry for L_s is its y-value
+    as an integer pair (``y_pair``, on the line of the window's line store),
+    or False when a point of L_s is outside the window: a lookup in the set
+    of lines inside (``bases`` over the offsets a, b, c, d)."""
 
     __slots__ = ("inside",)
 
@@ -74,13 +81,7 @@ class YTable(LineTable):
         self.inside = set(bases(window, window.pin.points))
 
     def entry(self, s):
-        if s not in self.inside:
-            return False
-        (za, zb, zc, zd), chart = super().entry(s)
-        if chart is None:
-            return y_pair(self.window, s)
-        num, den = cross_ratio_on(za, zc, zb, zd, *chart)
-        return -num, den
+        return y_pair(self.window, s) if s in self.inside else False
 
 
 def _eqmain_instance(window, r, ys, offsets):
@@ -106,9 +107,10 @@ def eqmain_residual(window, r, cache=None):
 
 def check_eqmain(window, min_instances=1):
     """Verify the exchange identity at every base fully inside the window on
-    integer pairs (``eqmain_instance``); each y-value is computed once, in
-    the call's ``YTable``.  The scan covers every base whose 24 points (four
-    per y-value) can reach the window's bounding box.
+    integer pairs (``eqmain_instance``); each y-value is computed once per
+    call, in the call's ``YTable``, on the line charted in the window's
+    line store.  The scan covers every base whose 24 points (four per
+    y-value) can reach the window's bounding box.
 
     On a periodic window the scan counts a base once for each unreduced r1
     that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is

@@ -15,9 +15,9 @@ import pytest
 from ymesh.rational import ExtQ, DegenerateError
 from ymesh.pins import Pin
 from ymesh.projective import Point, join, multi_ratio, rank_of
-from ymesh.mesh import (DegenerateConfig, MeshError, generate_1d, generate_window,
+from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, generate_1d, generate_window,
                         step_1d, step_forward, check_menelaus, check_relations,
-                        MENELAUS_WORDS, _random_free)
+                        MENELAUS_WORDS, _random_free, bases)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
                          eqmain_relation, bracket, bracket_product, _parity)
 from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin, build_qs,
@@ -548,6 +548,8 @@ def test_corrupted_planar_and_spatial_checks_match_references(name, dim):
         k = rng.choice(keys)
         near = (k[0] + 1, k[1])
         cases.append(_replaced(w, {k: near if near in w.points else rng.choice(keys)}))
+    if dim >= 3:
+        cases.append(_skew_lines(w))
     outcomes = []
     for bad in cases:
         for check, ref in ((check_relations, _rank_check_relations),
@@ -565,6 +567,28 @@ def test_corrupted_planar_and_spatial_checks_match_references(name, dim):
     assert "base (%d, %d)" % r not in str(outcomes[10])
     raised = {o[1] for o in outcomes if o[0] == "raises"}
     assert {MeshError, AssertionError} <= raised or {MeshError, DegenerateError} <= raised
+    if dim >= 3:
+        # the skew lines at a P3 base whose P_{r+cd} is outside the window
+        assert outcomes[-3][:2] == ("raises", MeshError)
+        assert "coplanarity fails" in outcomes[-3][2]
+
+
+def _skew_lines(w):
+    """The points of L_{r+c} and L_{r+d} at the first P3 base r of w, without
+    P_{r+cd}, those of L_{r+d} sheared: both lines keep a chart, but they
+    are skew, so the P3 instance at r fails."""
+    pin = w.pin
+    r = bases(w, [pin.offset(word) for word in Pin.CIRCUIT_WORDS["P3"]])[0]
+    on_c = {pin.shift(r, "c" + lab) for lab in "abcd"} & w.points.keys()
+    on_d = {pin.shift(r, "d" + lab) for lab in "abcd"} & w.points.keys()
+    cd = pin.shift(r, "cd")
+    skew = MeshWindow(pin, w.dim, {k: w.points[k] for k in on_c - {cd}})
+    for k in on_d - {cd}:
+        z = w.points[k].z
+        skew.points[k] = Point((z[0] + z[1],) + z[1:])
+    assert not skew.has(cd)
+    assert skew.line(pin.shift(r, "c"))[2] and skew.line(pin.shift(r, "d"))[2]
+    return skew
 
 
 def test_bracket_product_matches_extq_route():

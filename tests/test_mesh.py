@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ymesh import projective
+from ymesh import mesh, projective
 from ymesh.projective import Point, join, meet_point
 from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         generate_reduced, generate_polygon_window,
@@ -318,3 +318,86 @@ def test_menelaus_triple_off_a_line_raises():
     w.set((11, 3), Point(v))
     with pytest.raises(MeshError, match=r"Menelaus triple not collinear at base \(10, 1\)"):
         check_menelaus(w)
+
+
+def _store_window(kind):
+    if kind == "polygon":
+        w = generate_polygon_window(zoo_pin("pentagram"), 9, seed=3)
+        for _ in range(4):
+            w = step_forward(w)
+        return w
+    name, dim = kind
+    pin = zoo_pin(name)
+    w = generate_window(pin, dim, 0, 14, seed=2)
+    for _ in range(pin.l + 1):
+        w = step_forward(w)
+    return w
+
+
+def _store_outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as e:  # KeyError from y_of on a missing point included
+        return ("raises", type(e), str(e))
+
+
+def _store_outcomes(w, ys):
+    return ([_store_outcome(check, w) for check in (check_relations, check_menelaus, check_eqmain)]
+            + [_store_outcome(y_of, w, r) for r in ys])
+
+
+STORE_WINDOWS = [("pentagram", 2), ("dented", 3), "polygon"]
+STORE_IDS = ["pentagram-2", "dented-3", "polygon"]
+
+
+@pytest.mark.parametrize("kind", STORE_WINDOWS, ids=STORE_IDS)
+def test_line_store_follows_in_place_edits(kind):
+    """The checks and y_of on one window object, re-run after each in-place
+    edit of its points, give what they give on a fresh copy."""
+    w = _store_window(kind)
+    pin = w.pin
+    n = w.periodic_n or 0
+    inner = [k for k in sorted(w.points)
+             if all(y_available(w, (k[0] - o1, k[1] - o2)) for o1, o2 in pin.points)]
+    k = inner[len(inner) // 2]
+    # the four lines through P_k, at bases shifted by n on a polygon
+    ys = [(k[0] - o1 + n, k[1] - o2) for o1, o2 in pin.points]
+    ys += [r for r in sorted(w.points)[:6] if y_available(w, r)]
+    z = list(w.points[k].z)
+    z[0] += 1
+    near = (k[0] + 1, k[1]) if (k[0] + 1, k[1]) in w.points else (k[0] - 1, k[1])
+    original = w.points[k]
+    assert _store_outcomes(w, ys) == _store_outcomes(w.copy(), ys)
+    seen = set()
+    for edit in ("move", "replace", "delete", "restore"):
+        if edit == "move":
+            w.points[k] = Point(z)
+        elif edit == "replace":
+            w.points[k] = w.points[near]
+        elif edit == "delete":
+            del w.points[k]
+        else:
+            w.points[k] = original
+        got = _store_outcomes(w, ys)
+        assert got == _store_outcomes(w.copy(), ys), edit
+        seen.add(got[0][0])
+    assert seen == {"value", "raises"}
+
+
+@pytest.mark.parametrize("kind", STORE_WINDOWS, ids=STORE_IDS)
+def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
+    """The three checks and y_of on one window chart each line once, in the
+    window's line store; a second round on the unchanged window charts
+    none."""
+    charted = []
+    chart_of = mesh.chart_of
+    monkeypatch.setattr(mesh, "chart_of", lambda zs: charted.append(zs) or chart_of(zs))
+    w = _store_window(kind)
+    assert charted == []  # generation and propagation read no line store
+    first = [check(w) for check in (check_relations, check_menelaus, check_eqmain)]
+    ys = [y_of(w, r) for r in sorted(w.points) if y_available(w, r)]
+    assert 0 < len(charted) == len(w.lines)
+    charted.clear()
+    assert [check(w) for check in (check_relations, check_menelaus, check_eqmain)] == first
+    assert [y_of(w, r) for r in sorted(w.points) if y_available(w, r)] == ys
+    assert charted == []

@@ -19,7 +19,12 @@ message).  The entries cover
 - ``check_relations``, ``check_menelaus``, ``check_eqmain`` and
   ``genericity_audit`` on the generated, polygon and 1D windows and on
   corrupted copies of them (a point moved by one unit, or replaced by a
-  neighbour).
+  neighbour);
+- the same checks and the y-values of the four lines through one point,
+  re-run on the checked window object after each of four in-place edits of
+  its points: the point moved, replaced by a neighbour, deleted and
+  restored.  A window keeps a store of its lines between checks, so these
+  entries show that the store follows edits.
 
 The last line is the sha256 over all entries: two trees whose outputs agree
 print the same one.
@@ -105,10 +110,35 @@ def corrupted(w, rng):
     return out
 
 
+def edited_in_place(label, w):
+    """The checks and y-values on w after each in-place edit of its middle
+    point; the last edit restores w."""
+    keys = sorted(w.points)
+    k = keys[len(keys) // 2]
+    original = w.points[k]
+    z = list(original.z)
+    z[0] += 1
+    near = keys[len(keys) // 2 + 1]
+    ys = [(k[0] - o1, k[1] - o2) for o1, o2 in w.pin.points]
+    for what in ("moved", "replaced", "deleted", "restored"):
+        if what == "moved":
+            w.points[k] = Point(z)
+        elif what == "replaced":
+            w.points[k] = w.points[near]
+        elif what == "deleted":
+            del w.points[k]
+        else:
+            w.points[k] = original
+        edited = "%s %s %s in place" % (label, what, k)
+        checks(edited, w)
+        emit(edited + " y", " ".join(str(outcome(y_of, w, r)[1]) for r in ys))
+
+
 def checks_with_corruptions(label, w, rng):
     checks(label, w)
     for what, bad in corrupted(w, rng):
         checks("%s %s" % (label, what), bad)
+    edited_in_place(label, w)
 
 
 def planar(seed, rng):
