@@ -5,8 +5,10 @@ A quiver is stored as its skew-symmetric adjacency map: adj[u][w] = b_uw =
 entries kept and adj[w][u] == -adj[u][w].  Mutation at v touches only v and
 its neighbours: each path u->v->w adds b_uv*b_vw arrows u->w (2-cycles cancel
 as entries reach zero and are dropped), then the arrows at v reverse.  Its
-arithmetic costs O(deg(v)^2); the new quiver shares every row it does not
-change with the old one, which is never modified.
+arithmetic costs O(deg(v)^2).  ``Quiver.mutate`` never modifies its source:
+the new quiver shares every row it does not change with the old one.  The
+Y-run and the period-one check mutate a quiver of their own, built by
+``build_qs``, in place by the same rule (``Quiver._mutate_in_place``).
 """
 
 from collections.abc import Mapping
@@ -85,21 +87,28 @@ class Quiver:
         return set(self.adj.get(v, ()))
 
     def mutate(self, v):
-        row = self.adj[v]
+        """The quiver mutated at v; this one is left unchanged."""
         q = Quiver.__new__(Quiver)
         q.vertices, q._classes = self.vertices, self._classes
         q.adj = adj = dict(self.adj)
-        for u in row:
+        for u in self.adj[v]:
             adj[u] = dict(adj[u])
+        q._mutate_in_place(v)
+        return q
+
+    def _mutate_in_place(self, v):
+        """Mutate this quiver at v.  It must own the rows of v's neighbours:
+        no other quiver may share them (row v itself is replaced)."""
+        adj = self.adj
+        row = adj[v]
         ins = [(u, -b) for u, b in row.items() if b < 0]
         outs = [(w, b) for w, b in row.items() if b > 0]
         for u, buv in ins:
             for w, bvw in outs:
-                q._add(u, w, buv * bvw)
+                self._add(u, w, buv * bvw)
         adj[v] = {u: -b for u, b in row.items()}
         for u, b in row.items():
             adj[u][v] = b
-        return q
 
     def relabel(self, fn):
         return Quiver({fn(v) for v in self.vertices},
@@ -121,11 +130,12 @@ def mutate_y(quiver, ys, v):
     ExtQ values in and out, exchanged on integer pairs (``_mutate_pairs``)."""
     pairs = {u: ExtQ(ys[u]).as_pair() for u in (v, *quiver.adj[v])}
     _mutate_pairs(quiver.adj[v], pairs, v)
-    return quiver.mutate(v), {**ys, **{u: ExtQ(*pair) for u, pair in pairs.items()}}
+    return quiver.mutate(v), {**ys, **{u: ExtQ.from_reduced(*pair) for u, pair in pairs.items()}}
 
 
 def _mutate_pairs(row, ys, v):
-    """mutate_y in place on reduced integer pairs, row = quiver.adj[v]."""
+    """mutate_y in place on reduced integer pairs, row = quiver.adj[v]; the
+    pairs stay reduced (``ExtQ.from_reduced`` relies on it)."""
     p, q = ys[v]
     up, down = in_factor(p, q), out_factor(p, q)
     ys[v] = (q, p) if p >= 0 else (-q, -p)
@@ -243,15 +253,16 @@ def rho_relabel(pin, n):
 
 def verify_period_one(pin, n):
     """Check Q_{n,S} is period one: row 0 is arrow-free internally and
-    mutating all of row 0 equals the rho-relabeled quiver."""
+    mutating all of row 0 equals the rho-relabeled quiver.  rho(Q) is built
+    first; Q, which this check owns, is then mutated in place."""
     q = build_qs(pin, n)
     for u, w, _ in q.arrows():
         if u[1] == 0 and w[1] == 0:
             raise AssertionError("row 0 is not arrow-free: %s -> %s" % (u, w))
-    mq = q
+    rho_q = q.relabel(rho_relabel(pin, n))
     for i in range(n):
-        mq = mq.mutate((i, 0))
-    if mq != q.relabel(rho_relabel(pin, n)):
+        q._mutate_in_place((i, 0))
+    if q != rho_q:
         raise AssertionError("mu_row0(Q) != rho(Q) for %r, n=%d" % (pin, n))
     return True
 
@@ -260,10 +271,11 @@ def run_periodic_y(pin, n, y0, sweeps):
     """Drive the Y-dynamics of Q_{n,S}: mutate rows 0,1,...,l-1,0,... and
     record, before each mutation, the exported grid value of each vertex.
 
-    y0: dict vertex -> ExtQ on (Z/n) x {0..l-1}.  Returns (exported, final_ys)
+    y0: dict vertex -> value on (Z/n) x {0..l-1}, each value anything
+    ``ExtQ()`` accepts; y0 is not modified.  Returns (exported, final_ys)
     where exported maps grid labels (i, j), j >= 0, to ExtQ: a vertex (i, jr)
     mutated for the (t+1)-th time carries grid label ((i + t*i0) mod n,
-    jr + t*l).
+    jr + t*l).  The quiver is this run's own and is mutated in place.
     """
     i0, l = qs_period(pin)
     q = build_qs(pin, n)
@@ -272,11 +284,12 @@ def run_periodic_y(pin, n, y0, sweeps):
     for s in range(sweeps):
         jr, t = s % l, s // l
         for i in range(n):
-            exported[((i + t * i0) % n, jr + t * l)] = ExtQ(*ys[(i, jr)])
+            exported[((i + t * i0) % n, jr + t * l)] = ExtQ.from_reduced(*ys[(i, jr)])
         for i in range(n):
-            _mutate_pairs(q.adj[(i, jr)], ys, (i, jr))
-            q = q.mutate((i, jr))
-    return exported, {v: ExtQ(*pair) for v, pair in ys.items()}
+            v = (i, jr)
+            _mutate_pairs(q.adj[v], ys, v)
+            q._mutate_in_place(v)
+    return exported, {v: ExtQ.from_reduced(*pair) for v, pair in ys.items()}
 
 
 def check_exchange_trace(pin, n, exported, min_instances=1):
@@ -325,7 +338,7 @@ def run_1d_y(q, m, y_init, steps):
     ys = {j: ExtQ(y_init[j - 1]).as_pair() for j in range(1, m + 1)}
     out = []
     for _ in range(steps):
-        out.append(ExtQ(*ys[1]))
+        out.append(ExtQ.from_reduced(*ys[1]))
         _mutate_pairs(q.adj[1], ys, 1)
         ys = {j: ys[j % m + 1] for j in range(1, m + 1)}
     return out

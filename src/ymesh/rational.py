@@ -33,6 +33,22 @@ class ExtQ:
             self.q = Fraction(value)
 
     @classmethod
+    def from_reduced(cls, p, q):
+        """p/q for a pair that is already reduced: integers with gcd(p, q) = 1
+        and q > 0, or inf = (1, 0).  The pair is trusted, not reduced again
+        (``mul_pow`` and the Y-runs keep their pairs in this form); any other
+        pair makes a wrong value.  Sets the two slots of the Fraction, the
+        one way to skip its gcd on every Python this package supports."""
+        x = object.__new__(cls)
+        if q:
+            f = object.__new__(Fraction)
+            f._numerator, f._denominator = p, q
+            x.q = f
+        else:
+            x.q = None
+        return x
+
+    @classmethod
     def infinity(cls):
         return cls(None)
 

@@ -9,6 +9,7 @@ errors.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -345,12 +346,14 @@ def test_periodic_y_run_matches_extq_route(name):
     assert "value" in outcomes
 
 
+ONE_D_QUIVERS = [(Quiver({1, 2}, [(1, 2)]), 2), (Quiver({1, 2, 3}, [(1, 2), (3, 1)]), 3),
+                 (Quiver({1, 2, 3}, [(2, 1, 2), (1, 3)]), 3)]
+
+
 def test_1d_y_run_matches_extq_route():
     rng = random.Random(11)
-    quivers = [(Quiver({1, 2}, [(1, 2)]), 2), (Quiver({1, 2, 3}, [(1, 2), (3, 1)]), 3),
-               (Quiver({1, 2, 3}, [(2, 1, 2), (1, 3)]), 3)]
     outcomes = []
-    for q, m in quivers:
+    for q, m in ONE_D_QUIVERS:
         for seed in range(3):
             for _ in range(4):
                 init = _initial_values(rng, m, min(seed, m - 1))
@@ -358,6 +361,48 @@ def test_1d_y_run_matches_extq_route():
                 assert _outcome(run_1d_y, q, m, init, 14) == want
                 outcomes.append(want[0])
     assert {"value", "raises"} <= set(outcomes)
+
+
+def _assert_reduced(values):
+    """Each value is inf or num/den with den > 0 and gcd 1: the form
+    ``ExtQ.from_reduced`` trusts the Y-side's pairs to have."""
+    for y in values:
+        if not y.is_inf:
+            num, den = y.q.numerator, y.q.denominator
+            assert den > 0 and gcd(num, den) == 1, (num, den)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_y_side_values_are_reduced(name):
+    pin = zoo_pin(name)
+    _, l = qs_period(pin)
+    seen = 0
+    for n in (8, 16):
+        for seed in range(3):
+            rng = random.Random(100 * n + seed)
+            verts = [(i, j) for i in range(n) for j in range(l)]
+            y0 = dict(zip(verts, _initial_values(rng, len(verts), seed)))
+            got = _outcome(run_periodic_y, pin, n, y0, 3 * l)
+            if got[0] == "value":
+                exported, final = got[1]
+                _assert_reduced([*exported.values(), *final.values()])
+                seen += 1
+            q, ys = build_qs(pin, n), {v: ExtQ(y) for v, y in y0.items()}
+            for v in sorted(verts, key=lambda v: v[1]):  # rows in the run's order
+                got = _outcome(mutate_y, q, ys, v)
+                if got[0] == "raises":
+                    break
+                q, ys = got[1]
+                _assert_reduced(ys.values())
+                seen += 1
+    rng = random.Random(name)
+    for q, m in ONE_D_QUIVERS:
+        for seed in range(3):
+            got = _outcome(run_1d_y, q, m, _initial_values(rng, m, min(seed, m - 1)), 14)
+            if got[0] == "value":
+                _assert_reduced(got[1])
+                seen += 1
+    assert seen > 0
 
 
 def test_y_side_makes_no_extq_arithmetic(monkeypatch):
@@ -433,10 +478,8 @@ def test_exchange_trace_corruptions_raise_alike():
 
 def test_1d_y_relation_matches_extq_route():
     rng = random.Random(7)
-    quivers = [(Quiver({1, 2}, [(1, 2)]), 2), (Quiver({1, 2, 3}, [(1, 2), (3, 1)]), 3),
-               (Quiver({1, 2, 3}, [(2, 1, 2), (1, 3)]), 3)]
     raised = 0
-    for q, m in quivers:
+    for q, m in ONE_D_QUIVERS:
         trace = run_1d_y(q, m, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                                 for _ in range(m)], 14)
         assert check_1d_y_relation(q, m, trace) == _extq_check_1d_y_relation(q, m, trace) > 0

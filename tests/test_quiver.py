@@ -79,8 +79,13 @@ def test_exchange_trace_random_runs(zoo_name):
     rng = random.Random(13)
     y0 = {(i, j): Fraction(rng.randint(1, 9), rng.randint(1, 9))
           for i in range(n) for j in range(l)}
-    exported, _ = run_periodic_y(pin, n, y0, 12)
+    before = dict(y0)
+    exported, final = run_periodic_y(pin, n, y0, 12)
     assert check_exchange_trace(pin, n, exported) >= 1
+    # the run mutates its own quiver and pairs: y0 is untouched, and a
+    # second run starts from the same state
+    assert y0 == before
+    assert run_periodic_y(pin, n, y0, 12) == (exported, final)
 
 
 def test_1d_fm_recurrence():
@@ -129,12 +134,15 @@ def test_mutation_matches_dense_rule():
     created = cancelled = 0
     for _ in range(200):
         q, verts = _random_quiver(rng)
+        own = Quiver(verts, q.arrows())  # a private copy, mutated in place
         b = _dense(q, verts)
         for _ in range(6):
             k = rng.choice(verts)
             b2 = _dense_mutate(b, k)
             q = q.mutate(k)
+            own._mutate_in_place(k)
             assert _dense(q, verts) == b2
+            assert own == q and len(own.b) == len(q.b)
             assert len(q.b) == sum(1 for row in b2 for x in row if x > 0)
             assert dict(q.b) == {(u, w): x for u, row in enumerate(b2)
                                  for w, x in enumerate(row) if x > 0}
@@ -163,3 +171,27 @@ def test_period_one_at_large_n(zoo_name):
     # local mutation keeps this linear in n; the old O(|arrows|) rule took
     # seconds per pin here
     assert verify_period_one(zoo_pin(zoo_name), 200)
+
+
+@pytest.mark.parametrize("where", ["outside row 0", "inside row 0"])
+def test_period_one_check_catches_an_extra_arrow(monkeypatch, zoo_name, where):
+    """One arrow added to Q_{n,S}: off row 0 it breaks mu_row0(Q) == rho(Q),
+    inside row 0 it breaks the arrow-free precondition."""
+    import ymesh.quiver as quiver_module
+    pin = zoo_pin(zoo_name)
+    _, l = qs_period(pin)
+    build = quiver_module.build_qs
+
+    def broken(pin, n):
+        q = build(pin, n)
+        if where == "outside row 0":
+            q._bump((0, l - 1), (n // 2, l - 1), 1)
+        else:
+            q._bump((0, 0), (n // 2, 0), 1)
+        return q
+
+    assert verify_period_one(pin, 8)
+    monkeypatch.setattr(quiver_module, "build_qs", broken)
+    message = "mu_row0" if where == "outside row 0" else "row 0 is not arrow-free"
+    with pytest.raises(AssertionError, match=message):
+        verify_period_one(pin, 8)

@@ -1,4 +1,7 @@
+import operator
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,3 +58,42 @@ def test_field_ops_match_fraction(a, b):
 def test_double_inverse(a):
     x = ExtQ(a)
     assert x.inv().inv() == x  # inv is an involution, even through inf
+
+
+def _reduced_pairs(rng):
+    """0, +-1, inf, and random reduced pairs up to 2000 bits, either sign."""
+    pairs = [(0, 1), (1, 1), (-1, 1), (1, 0)]
+    for bits in (4, 64, 2000):
+        for _ in range(40):
+            p = rng.getrandbits(bits) * rng.choice((1, -1))
+            q = rng.getrandbits(bits) + 1
+            g = gcd(p, q)
+            pairs.append((p // g, q // g))
+    return pairs
+
+
+def test_from_reduced_matches_constructor():
+    rng = random.Random(18)
+    pairs = _reduced_pairs(rng)
+    values = []
+    for p, q in pairs:
+        x, want = ExtQ.from_reduced(p, q), ExtQ(p, q)
+        assert x.q == want.q and x == want
+        assert hash(x) == hash(want) and str(x) == str(want) and repr(x) == repr(want)
+        assert x.as_pair() == want.as_pair() == (p, q)
+        values.append((x, want))
+    for _ in range(400):
+        (x, xw), (y, yw) = rng.choice(values), rng.choice(values)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   lambda a, b: a.inv()):
+            try:
+                want = ("value", op(xw, yw))
+            except DegenerateError as e:
+                want = ("raises", str(e))
+            try:
+                got = ("value", op(x, y))
+            except DegenerateError as e:
+                got = ("raises", str(e))
+            assert got == want
+            if got[0] == "value":
+                assert got[1].as_pair() == want[1].as_pair()

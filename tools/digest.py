@@ -24,7 +24,13 @@ message).  The entries cover
   re-run on the checked window object after each of four in-place edits of
   its points: the point moved, replaced by a neighbour, deleted and
   restored.  A window keeps a store of its lines between checks, so these
-  entries show that the store follows edits.
+  entries show that the store follows edits;
+- the quiver side: ``verify_period_one`` at every zoo pin for n = 8 and 64;
+  ``run_periodic_y`` at every zoo pin for n = 8 and 16, its exported and
+  final values as (num, den) pairs, from y0 with none (seed 0), one (seed 1)
+  or all three (seed 2) of 0, -1 and inf among random values, and
+  ``check_exchange_trace`` on each trace and on a copy with one value
+  changed; ``run_1d_y`` on three small period-one quivers.
 
 The last line is the sha256 over all entries: two trees whose outputs agree
 print the same one.
@@ -34,6 +40,7 @@ import hashlib
 import os
 import random
 import sys
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -44,6 +51,9 @@ from ymesh.mesh import (generate_1d, generate_polygon_window, generate_reduced, 
                         step_reduced_forward, check_menelaus, check_relations)
 from ymesh.pins import d_of_s  # noqa: E402
 from ymesh.projective import Point  # noqa: E402
+from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
+                          run_periodic_y, verify_period_one)
+from ymesh.rational import ExtQ  # noqa: E402
 from ymesh.yvars import check_eqmain, y_available, y_of  # noqa: E402
 from ymesh.zoo import ZOO, zoo_pin  # noqa: E402
 
@@ -52,6 +62,12 @@ POLYGON_PINS = ("pentagram", "higher_pentagram")
 POLYGON_SIZES = (7, 9)
 POLYGONS_PER_SEED = 4  # per pin and size: 2 * 2 * 4 * 3 seeds = 48 polygons
 CORRUPTIONS = 2  # corrupted copies of each kind per window
+PERIOD_SIZES = (8, 64)
+Y_RUN_SIZES = (8, 16)
+Y_RUN_ROUNDS = 3  # sweeps = 3 l
+ONE_D_QUIVERS = (({1, 2}, [(1, 2)]), ({1, 2, 3}, [(1, 2), (3, 1)]),
+                 ({1, 2, 3}, [(2, 1, 2), (1, 3)]))
+DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
 
 entries = []
 
@@ -210,6 +226,63 @@ def one_dim(seed, rng):
         checks_with_corruptions(label, w, rng)
 
 
+def pairs_digest(items):
+    """(label, value) items as labels and (num, den) pairs, inf as (1, 0);
+    the integers in hex, which has no length limit."""
+    lines = ["%r %x %x" % (k, *y.as_pair()) for k, y in items]
+    return "%d values %s" % (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+
+
+def y_values(rng, count, seed):
+    """count random y-values, among them none (seed 0), one (seed 1) or all
+    three (seed 2) of 0, -1 and inf."""
+    ys = [Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99)) for _ in range(count)]
+    bad = {0: (), 1: (rng.choice(DEGENERATE),), 2: DEGENERATE}[seed]
+    for k, y in zip(rng.sample(range(count), len(bad)), bad):
+        ys[k] = y
+    return ys
+
+
+def y_runs(seed, rng):
+    for name in sorted(ZOO):
+        pin = zoo_pin(name)
+        _, l = qs_period(pin)
+        for n in Y_RUN_SIZES:
+            label = "y-run %s n=%d seed=%d" % (name, n, seed)
+            verts = [(i, j) for i in range(n) for j in range(l)]
+            y0 = dict(zip(verts, y_values(rng, len(verts), seed)))
+            ok, value = outcome(run_periodic_y, pin, n, y0, Y_RUN_ROUNDS * l)
+            if not ok:
+                emit(label, value)
+                continue
+            exported, final = value
+            emit(label + " exported", pairs_digest(sorted(exported.items())))
+            emit(label + " final", pairs_digest(sorted(final.items())))
+            emit(label + " trace", outcome(check_exchange_trace, pin, n, exported)[1])
+            # a finite value of the middle period, whose exchange instance
+            # has its top and every factor in the trace
+            middle = [k for k, y in sorted(exported.items()) if l <= k[1] < 2 * l and not y.is_inf]
+            if middle:
+                k = rng.choice(middle)
+                bad = dict(exported)
+                bad[k] = exported[k] + 1
+                emit("%s trace with %s changed" % (label, k),
+                     outcome(check_exchange_trace, pin, n, bad)[1])
+    for vertices, arrows in ONE_D_QUIVERS:
+        q, m = Quiver(vertices, arrows), len(vertices)
+        label = "1d y-run %s seed=%d" % (arrows, seed)
+        ok, value = outcome(run_1d_y, q, m, y_values(rng, m, min(seed, m - 1)), 14)
+        emit(label, pairs_digest(enumerate(value)) if ok else value)
+
+
+def quiver_side():
+    for name in sorted(ZOO):
+        for n in PERIOD_SIZES:
+            emit("period one %s n=%d" % (name, n), outcome(verify_period_one, zoo_pin(name), n)[1])
+    for seed in SEEDS:
+        y_runs(seed, random.Random(2000 + seed))
+
+
 def main():
     for seed in SEEDS:
         rng = random.Random(1000 + seed)
@@ -217,6 +290,7 @@ def main():
         reduced(seed)
         polygons(seed, rng)
         one_dim(seed, rng)
+    quiver_side()
     print("%d entries, sha256 %s" % (len(entries),
                                      hashlib.sha256("\n".join(entries).encode()).hexdigest()))
 
