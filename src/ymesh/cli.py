@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 assertion failure, 2 config error, 3 degenerate-data
-exhaustion.  All randomness is driven by --seed (default from YMESH_SEED).
+Exit codes: 0 ok, 1 an identity failed (or another assertion), 2 config
+error, 3 degenerate data.  All randomness is driven by --seed (default from
+YMESH_SEED).
 """
 
 import functools
@@ -16,7 +17,7 @@ from . import serialize as sz
 from .rational import DegenerateError
 from .pins import PinError, convex_relation, d_of_s, horizontal_info, ij_correspondence
 from .filtration import classify_case, FiltrationUnavailable
-from .mesh import (MeshError, DegenerateConfig, generate_window, generate_1d,
+from .mesh import (MeshError, DegenerateConfig, IdentityFailure, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
 from .yvars import EQMAIN_LABELS, YTable, check_eqmain, eqmain_instance, y_of
@@ -43,9 +44,10 @@ def resolve_pin(name, pin_json):
     raise PinError("provide --name or --pin")
 
 
-# (library errors, exit code, label), matched in order: DegenerateConfig
-# before MeshError, which it subclasses
+# (library errors, exit code, label), matched in order: IdentityFailure and
+# DegenerateConfig before MeshError, which they subclass
 _EXIT_CODES = (
+    ((IdentityFailure,), 1, "identity failed"),
     ((DegenerateError, DegenerateConfig), 3, "degenerate data"),
     ((PinError, QuiverConfigError, IJMapError, FiltrationUnavailable, LiftedUnavailable,
       MeshError, json.JSONDecodeError), 2, "config error"),

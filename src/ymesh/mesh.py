@@ -64,6 +64,13 @@ class MeshError(ValueError):
     pass
 
 
+class IdentityFailure(MeshError, AssertionError):
+    """An identity the mesh must satisfy fails on its points: a relation of
+    ``check_relations``, the six-point relation or the exchange identity.
+    It is a ``MeshError`` and an ``AssertionError``, so callers that catch
+    either still catch it, and the command line exits 1 on it."""
+
+
 class DegenerateConfig(MeshError):
     pass
 
@@ -486,7 +493,24 @@ def _repeats(pts):
 def _has_coincident_points(window):
     """Whether an L1 or L2 instance or a full line L_r inside the window
     repeats a point (what check_relations reports as coincident points or
-    a degenerate line)."""
+    a degenerate line).
+
+    Each instance takes its points at r + offset for distinct offsets among
+    a, b, c, d.  Unless the window is periodic with n at most the i-extent
+    of the pin, distinct offsets give distinct keys, so a window whose
+    points are pairwise distinct has no such instance: one pass over its
+    points decides.  Any other window is scanned instance by instance."""
+    n = window.periodic_n
+    xs = [o1 for o1, _ in window.pin.points]
+    if not n or n > max(xs) - min(xs):
+        pts = window.points.values()
+        if len(set(pts)) == len(pts):
+            return False
+    return _coincident_instance(window)
+
+
+def _coincident_instance(window):
+    """``_has_coincident_points`` by a scan of every instance."""
     for words in (Pin.CIRCUIT_WORDS["L1"], Pin.CIRCUIT_WORDS["L2"], "abcd"):
         offs = [window.pin.offset(word) for word in words]
         if any(_repeats(window.at(r, offs)) for r in bases(window, offs)):
@@ -497,7 +521,8 @@ def _has_coincident_points(window):
 def check_relations(window, require_instances=1):
     """Verify every relation instance fully inside the window: L1/L2
     collinearity, P3 coplanarity, full-line collinearity of {r+a,...,r+d},
-    distinctness, and that the window spans RP^D.  Returns instance counts.
+    distinctness, and that the window spans RP^D.  Returns instance counts;
+    a failed instance raises ``IdentityFailure``.
 
     L1 = {r+a, r+b, r+c} and L2 = {r+b, r+c, r+d} lie on L_r, so every
     collinearity and distinctness test of base r holds when L_r has a chart
@@ -516,13 +541,14 @@ def check_relations(window, require_instances=1):
                 r1, r2 = r
                 if not (window.has((r1 + e1, r2 + e2)) and lines[(r1 + c1, r2 + c2)][2]
                         and lines[(r1 + d1, r2 + d2)][2]) and not coplanar(window.at(r, offs)):
-                    raise MeshError("coplanarity fails at base (%d, %d)" % r)
+                    raise IdentityFailure("coplanarity fails at base (%d, %d)" % r)
             elif not lines[r][2]:
                 pts = window.at(r, offs)
                 if not collinear(pts):
-                    raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
+                    raise IdentityFailure("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
                 if _repeats(pts):
-                    raise MeshError("%s has coincident points at base (%d, %d)" % ((kind,) + r))
+                    raise IdentityFailure("%s has coincident points at base (%d, %d)"
+                                          % ((kind,) + r))
             counts[kind] += 1
     # full lines L_r: all four of r+a .. r+d collinear and distinct
     offs = pin.points
@@ -530,7 +556,7 @@ def check_relations(window, require_instances=1):
         if not lines[r][2]:
             pts = window.at(r, offs)
             if not collinear(pts) or _repeats(pts):
-                raise MeshError("line L_(%d,%d) degenerate" % r)
+                raise IdentityFailure("line L_(%d,%d) degenerate" % r)
         counts["line"] += 1
     _spanning_check(window)
     if sum(counts.values()) < require_instances:
@@ -596,7 +622,7 @@ def check_menelaus(window):
     returns the instance count.  The multi-ratio is compared as an integer
     pair: num + den == 0.  Undefined ones (0/0 or inf * 0, from coincident
     points on boundary-pin meshes and pins with a+d = b+c) are skipped; a
-    triple off a line raises.
+    failed relation or a triple off a line raises ``IdentityFailure``.
 
     Each triple lies on a line L_s; when all three lines have a chart in the
     call's ``LineTable``, the factors are 2x2 determinants on those charts,
@@ -619,10 +645,10 @@ def check_menelaus(window):
             pts = window.at(r, offs)
             if not all(chart or collinear(t) for ((_, _, chart), _), t
                        in zip(on, (pts[0:3], pts[2:5], pts[4:6] + pts[:1]))):
-                raise MeshError("Menelaus triple not collinear at base (%d, %d)" % r)
+                raise IdentityFailure("Menelaus triple not collinear at base (%d, %d)" % r)
             continue
         if num + den != 0:
-            raise MeshError("Menelaus relation fails at base (%d, %d): %s"
-                            % (r + (ExtQ(num, den),)))
+            raise IdentityFailure("Menelaus relation fails at base (%d, %d): %s"
+                                  % (r + (ExtQ(num, den),)))
         count += 1
     return count

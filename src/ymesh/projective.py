@@ -386,8 +386,11 @@ def _meet_lines(a, b, u, w):
     is degenerate (a line through one point, coincident or skew lines).
 
     On the three coordinates of a chart where the plane of the four vectors
-    projects isomorphically, Cramer's rule gives the meet as
-    det(a, b, w) u - det(a, b, u) w.
+    projects isomorphically, Cramer's rule gives the meet as lam u - mu w,
+    lam = det(a, b, w), mu = det(a, b, u).  Both are dot products with the
+    cofactors of a, b, so they share those cofactors' common factor (and
+    often more); they are divided by gcd(lam, mu) first, which leaves the
+    point as it was and makes the vector about half the size.
     """
     for i, j, k in combinations(range(len(a)), 3):
         c = _cross3(a, b, i, j, k)
@@ -395,6 +398,8 @@ def _meet_lines(a, b, u, w):
         mu = c[0] * u[i] + c[1] * u[j] + c[2] * u[k]
         if not (lam or mu):
             continue
+        g = gcd(lam, mu)
+        lam, mu = lam // g, mu // g
         x = [lam * s - mu * t for s, t in zip(u, w)]
         return x if any(x) and (len(a) == 3 or _line_of([a, b, x])) else None
     return None

@@ -9,32 +9,39 @@ The propagation dynamics satisfies, for every base r,
 A y-value is read off the line L_r of the window's line store
 (``MeshWindow.line``): on a line with a chart its cross ratio is four 2x2
 determinants on that chart, and a line without one (points off one line, or
-repeated) goes through ``cross_ratio_pair``, which raises as before.
+repeated) goes through ``cross_ratio_pair``, which raises as before.  The
+determinants of points on one line share a large factor of that line, so
+``y_pair`` reduces the pair once, where it is made: a y-value is its
+canonical pair (gcd 1, den >= 0, inf = (1, 0)), the same on every chart, and
+the exchange checks multiply pairs about 40% the size of the unreduced ones.
 ``check_eqmain`` and ``verify eqmain`` keep one y-value per line in a
 ``YTable``, the per-call line table of ``ymesh.mesh``: whether L_s is inside
 the window is a set lookup.  The charts come from the store, so the checks
 and ``y_of`` on one window chart each line once.
 """
 
+from math import gcd
+
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
                        out_factor)
-from .projective import cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point
-from .mesh import LineTable, bases
+from .projective import (cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point,
+                         collinear, rank_of)
+from .mesh import IdentityFailure, LineTable, bases
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
 
 def y_of(window, r):
     """The y-variable at base r (all four of r+a..r+d must be in the window)."""
-    return ExtQ(*y_pair(window, r))
+    return ExtQ.from_reduced(*y_pair(window, r))
 
 
 def y_pair(window, r):
-    """y_of(window, r) as an unreduced integer pair (num, den), den = 0 for
-    inf: -[z_a, z_c, z_b, z_d] on the chart of L_r in the window's line
-    store, which may differ from the pair on another chart by a positive
-    factor.  When L_r has no chart or a point outside the window, the pair
-    comes from ``cross_ratio_pair`` on the points, raising as it does."""
+    """y_of(window, r) as its reduced integer pair (num, den): gcd 1,
+    den >= 0, and inf = (1, 0).  The value is -[z_a, z_c, z_b, z_d] on the
+    chart of L_r in the window's line store; reduced, it does not depend on
+    the chart.  When L_r has no chart or a point outside the window, the
+    pair comes from ``cross_ratio_pair`` on the points, raising as it does."""
     _, zs, chart = window.line(window._key(r))
     if chart is None or None in zs:
         pin = window.pin
@@ -42,7 +49,12 @@ def y_pair(window, r):
     else:
         za, zb, zc, zd = zs
         num, den = cross_ratio_on(za, zc, zb, zd, *chart)
-    return -num, den
+    if not den:
+        return 1, 0
+    g = gcd(num, den)  # not 0: cross_ratio_on raises on 0/0
+    if den < 0:
+        g = -g
+    return -num // g, den // g
 
 
 def y_available(window, r):
@@ -70,9 +82,12 @@ def eqmain_instance(window, r, cache=None):
 
 class YTable(LineTable):
     """A ``LineTable`` of one check call whose entry for L_s is its y-value
-    as an integer pair (``y_pair``, on the line of the window's line store),
-    or False when a point of L_s is outside the window: a lookup in the set
-    of lines inside (``bases`` over the offsets a, b, c, d)."""
+    as its reduced integer pair (``y_pair``, on the line of the window's
+    line store), or False when a point of L_s is outside the window: a
+    lookup in the set of lines inside (``bases`` over the offsets a, b, c,
+    d).  A line inside whose points span more than a line fails the mesh's
+    line relation and raises ``IdentityFailure``; any other degenerate line
+    raises as ``y_pair`` does."""
 
     __slots__ = ("inside",)
 
@@ -81,7 +96,16 @@ class YTable(LineTable):
         self.inside = set(bases(window, window.pin.points))
 
     def entry(self, s):
-        return y_pair(self.window, s) if s in self.inside else False
+        if s not in self.inside:
+            return False
+        try:
+            return y_pair(self.window, s)
+        except DegenerateError:
+            pts = self.window.line(s)[0]
+            if collinear(pts):
+                raise
+            raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
+                                  % (s + (rank_of(pts),)))
 
 
 def _eqmain_instance(window, r, ys, offsets):
@@ -110,7 +134,9 @@ def check_eqmain(window, min_instances=1):
     integer pairs (``eqmain_instance``); each y-value is computed once per
     call, in the call's ``YTable``, on the line charted in the window's
     line store.  The scan covers every base whose 24 points (four per
-    y-value) can reach the window's bounding box.
+    y-value) can reach the window's bounding box.  A failed instance, or a
+    line L_s inside the window whose points are not on one line, raises
+    ``IdentityFailure``.
 
     On a periodic window the scan counts a base once for each unreduced r1
     that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
@@ -139,7 +165,7 @@ def check_eqmain(window, min_instances=1):
                 continue
             if not rel[0]:
                 res = eqmain_residual(window, (r1, r2), cache)
-                raise AssertionError("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
+                raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < min_instances:
         raise AssertionError("only %d exchange instances found (%d skipped)" % (checked, skipped))

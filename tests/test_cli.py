@@ -148,6 +148,26 @@ def test_verify_eqmain_exit_code(tmp_path):
         assert json.loads(res.output) == {"kind": "eqmain", "instances": 14, "failures": failures}
 
 
+def test_a_point_off_its_lines_fails_an_identity_everywhere(tmp_path):
+    # the point (11, 3) moved one unit off its lines: every command that
+    # checks an identity on the mesh exits 1, none reports a config error
+    # (2) or degenerate data (3)
+    path = str(tmp_path / "mesh.json")
+    run("mesh", "gen", "--name", "pentagram", "--dim", "2", "--cols", "24",
+        "--steps", "4", "--seed", "0", "--out", path)
+    w = mesh_from_json(loads(open(path).read()))
+    z = list(w.points[(11, 3)].z)
+    z[0] += 1
+    w.points[(11, 3)] = Point(z)
+    open(path, "w").write(dumps(mesh_to_json(w)))
+    for command, message in ((("verify", "eqmain"), "the points of L_(10,2) span rank 3"),
+                             (("verify", "menelaus"), "Menelaus triple not collinear"),
+                             (("mesh", "check"), "L1 collinearity fails at base (11, 2)")):
+        res = CliRunner().invoke(main, [*command, "--mesh", path])
+        assert res.exit_code == 1, (command, res.output)
+        assert res.stderr.startswith("identity failed: ") and message in res.stderr, command
+
+
 def test_quiver_build_and_verify():
     res = run("quiver", "build", "--name", "short_diagonal", "--n", "6")
     assert res.exit_code == 0

@@ -16,8 +16,8 @@ import pytest
 from ymesh.rational import ExtQ, DegenerateError
 from ymesh.pins import Pin
 from ymesh.projective import Point, join, multi_ratio, rank_of
-from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, generate_1d, generate_window,
-                        step_1d, step_forward, check_menelaus, check_relations,
+from ymesh.mesh import (DegenerateConfig, IdentityFailure, MeshError, MeshWindow, generate_1d,
+                        generate_window, step_1d, step_forward, check_menelaus, check_relations,
                         MENELAUS_WORDS, _random_free, bases)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
                          eqmain_relation, bracket, bracket_product, _parity)
@@ -46,7 +46,15 @@ def _extq_eqmain_residual(window, r):
         u = pin.shift(r, lab)
         if not y_available(window, u):
             return None
-        ys[lab] = y_of(window, u)
+        try:
+            ys[lab] = y_of(window, u)
+        except DegenerateError:
+            rank = rank_of([window.get(pin.shift(u, x)) for x in "abcd"])
+            if rank <= 2:
+                raise
+            # points off one line fail the mesh's line relation
+            raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
+                                  % (window._key(u) + (rank,)))
     if any(y in DEGENERATE for y in ys.values()):
         return "degenerate"
     lhs = ys["ab"] * ys["cd"]
@@ -68,7 +76,7 @@ def _extq_check_eqmain(window):
                 skipped += 1
                 continue
             if res != ExtQ(1):
-                raise AssertionError("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
+                raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < 1:
         raise AssertionError("only %d exchange instances found (%d skipped)" % (checked, skipped))
@@ -89,10 +97,12 @@ def _extq_check_menelaus(window):
                 val = multi_ratio(pts)
             except DegenerateError:
                 if any(rank_of(t) > 2 for t in (pts[0:3], pts[2:5], pts[4:6] + pts[:1])):
-                    raise MeshError("Menelaus triple not collinear at base (%d, %d)" % (r1, r2))
+                    raise IdentityFailure("Menelaus triple not collinear at base (%d, %d)"
+                                          % (r1, r2))
                 continue
             if val != ExtQ(-1):
-                raise MeshError("Menelaus relation fails at base (%d, %d): %s" % (r1, r2, val))
+                raise IdentityFailure("Menelaus relation fails at base (%d, %d): %s"
+                                      % (r1, r2, val))
             count += 1
     return count
 
@@ -116,14 +126,15 @@ def _rank_check_relations(window):
             distinct = len(set(pts)) == len(pts)
             if kind == "P3":
                 if rank_of(pts) > 3:
-                    raise MeshError("coplanarity fails at base (%d, %d)" % r)
+                    raise IdentityFailure("coplanarity fails at base (%d, %d)" % r)
             elif kind == "line":
                 if rank_of(pts) > 2 or not distinct:
-                    raise MeshError("line L_(%d,%d) degenerate" % r)
+                    raise IdentityFailure("line L_(%d,%d) degenerate" % r)
             elif rank_of(pts) > 2:
-                raise MeshError("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
+                raise IdentityFailure("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
             elif not distinct:
-                raise MeshError("%s has coincident points at base (%d, %d)" % ((kind,) + r))
+                raise IdentityFailure("%s has coincident points at base (%d, %d)"
+                                      % ((kind,) + r))
             counts[kind] += 1
     if rank_of(list(window.points.values())) != window.dim + 1:
         raise DegenerateConfig("window does not span RP^%d" % window.dim)
@@ -533,8 +544,11 @@ def test_mesh_corruptions_raise_alike(name):
             want = _outcome(ref, bad)
             assert _outcome(check, bad) == want
             if want[0] == "raises":
-                raised.add(want[1])
-    assert {AssertionError, MeshError} <= raised  # identity failures, not only skips
+                raised.add((check, want[1]))
+    # failures, not only skips: the six-point relation fails, and
+    # check_eqmain raises an AssertionError (IdentityFailure is one)
+    assert (check_menelaus, IdentityFailure) in raised
+    assert any(check is check_eqmain and issubclass(e, AssertionError) for check, e in raised)
 
 
 def test_planar_mesh_checks_match_extq_route():
@@ -603,16 +617,16 @@ def test_corrupted_planar_and_spatial_checks_match_references(name, dim):
             outcomes.append(want)
     assert outcomes[0][0] == outcomes[1][0] == outcomes[2][0] == "value"
     # the moved inner point fails at an L1 instance of its own, not at x - d
-    assert outcomes[3][:2] == ("raises", MeshError)
+    assert outcomes[3][:2] == ("raises", IdentityFailure)
     assert "L1 collinearity fails" in outcomes[3][2]
     assert "(%d, %d)" % (x[0] - d[0], x[1] - d[1]) not in outcomes[3][2]
     # the inf * 0 instance at r is skipped, not reported
     assert "base (%d, %d)" % r not in str(outcomes[10])
     raised = {o[1] for o in outcomes if o[0] == "raises"}
-    assert {MeshError, AssertionError} <= raised or {MeshError, DegenerateError} <= raised
+    assert IdentityFailure in raised
     if dim >= 3:
         # the skew lines at a P3 base whose P_{r+cd} is outside the window
-        assert outcomes[-3][:2] == ("raises", MeshError)
+        assert outcomes[-3][:2] == ("raises", IdentityFailure)
         assert "coplanarity fails" in outcomes[-3][2]
 
 

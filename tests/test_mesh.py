@@ -248,6 +248,80 @@ def _scanned_instances(window, offsets):
                 yield (r1, r2)
 
 
+def _repeats_by_scan(window):
+    """Whether an L1, L2 or full-line instance of the bounding-box scan
+    holds one Point twice."""
+    pin = window.pin
+    for words in (("a", "b", "c"), ("b", "c", "d"), "abcd"):
+        offsets = _offsets(pin, words)
+        for r1, r2 in _scanned_instances(window, offsets):
+            pts = [window.get((r1 + o1, r2 + o2)) for o1, o2 in offsets]
+            if len(set(pts)) < len(pts):
+                return True
+    return False
+
+
+def _guarded_rows(w):
+    """The window after the rows the generation guard propagates."""
+    for _ in range(w.pin.l + 2):
+        try:
+            w = step_forward(w)
+        except MeshError:
+            break
+    return w
+
+
+def _guard_windows():
+    """(label, window, fast): generated, corrupted and polygon windows, and
+    whether the guard's one-pass test may decide them."""
+    out = []
+    for name, dim in (("pentagram", 2), ("sideways", 2), ("penguin", 2), ("dented", 3),
+                      ("higher_pentagram", 3)):
+        pin = zoo_pin(name)
+        for seed in range(3):
+            w = _guarded_rows(generate_window(pin, dim, 0, 16, seed=seed))
+            out.append(("%s/%d/%d" % (name, dim, seed), w, True))
+            rng = random.Random(seed)
+            for k in rng.sample(sorted(w.points), 6):
+                row = [q for q in w.points if q[1] == k[1] and q != k]
+                if not row:
+                    continue
+                bad = w.copy()  # the point replaced by its nearest row neighbour
+                bad.points[k] = w.points[min(row, key=lambda q: abs(q[0] - k[0]))]
+                out.append(("%s/%d/%d %s" % (name, dim, seed, k), bad, False))
+    for name, n in (("pentagram", 7), ("higher_pentagram", 7), ("higher_pentagram", 5)):
+        w = _guarded_rows(generate_polygon_window(zoo_pin(name), n, seed=2))
+        out.append(("%s n=%d" % (name, n), w, True))
+    # two rows of distinct points, periodic with n at most the i-extent of
+    # the pin: a and b share a key, so every L1 instance repeats a point
+    rng = random.Random(4)
+    for name, n in (("higher_pentagram", 3), ("pentagram", 2)):
+        w = MeshWindow(zoo_pin(name), 2, periodic_n=n)
+        for i in range(n):
+            for j in (1, 2):
+                w.set((i, j), random_point(rng, 2))
+        assert len(set(w.points.values())) == len(w.points)
+        out.append(("%s n=%d" % (name, n), w, False))
+    return out
+
+
+def test_coincidence_guard_fast_path_matches_scan(monkeypatch):
+    decided = {True: 0, False: 0}
+    for label, w, fast in _guard_windows():
+        want = _repeats_by_scan(w)
+        assert mesh._coincident_instance(w) == want, label
+        assert mesh._has_coincident_points(w) == want, label
+        if fast:
+            # generated windows have pairwise distinct points, so the one
+            # pass decides them: the scan is never called
+            assert len(set(w.points.values())) == len(w.points) and not want, label
+            with monkeypatch.context() as mp:
+                mp.setattr(mesh, "_coincident_instance", lambda _: pytest.fail(label))
+                assert not mesh._has_coincident_points(w)
+        decided[want] += 1
+    assert decided[True] > 10 and decided[False] > 10
+
+
 def _offset_families(pin):
     words = [("a", "b", "c"), ("b", "c", "d"), ("ac", "ad", "bc", "bd"), "abcd", MENELAUS_WORDS]
     return ([_offsets(pin, w) for w in words]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -486,3 +487,60 @@ def test_degenerate_meets_match_flat_route_without_rref(dim, monkeypatch):
         assert meet_point(join(p, p), join(p, p)) == p
         assert not calls
     assert checked >= 20
+
+
+# ---- meets from a content-free Cramer vector -------------------------------
+
+
+def _cramer_meet_vector(a, b, u, w):
+    """The meet of lines <a, b> and <u, w> by Cramer's rule with lam and mu
+    left unreduced: det(a, b, w) u - det(a, b, u) w on the first chart of
+    three coordinates where they are not both zero; None where
+    ``projective._meet_lines`` gives None."""
+    for i, j, k in combinations(range(len(a)), 3):
+        def det3(x):
+            return (a[i] * (b[j] * x[k] - b[k] * x[j]) - a[j] * (b[i] * x[k] - b[k] * x[i])
+                    + a[k] * (b[i] * x[j] - b[j] * x[i]))
+        lam, mu = det3(w), det3(u)
+        if lam or mu:
+            x = [lam * s - mu * t for s, t in zip(u, w)]
+            on = len(a) == 3 or _bareiss_rank([a, b, x]) <= 2
+            return x if any(x) and on else None
+    return None
+
+
+def _scaled(rng, pts):
+    """Vectors of the points, each times a random large factor, so lam and
+    mu share a large common factor."""
+    out = []
+    for p in pts:
+        k = rng.choice((1, -1)) * rng.randint(1, 2 ** 40)
+        out.append([k * x for x in p.z])
+    return out
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_meet_point_matches_unreduced_cramer_reference(dim, monkeypatch):
+    rng = random.Random(300 + dim)
+    n = dim + 1
+    met = 0
+    for _ in range(60):
+        p, q, r, s = (_rand_vec(rng, n) for _ in range(4))
+        a, b, u, w = _scaled(rng, [_combo(rng, p, q, r) for _ in range(4)])
+        x = _cramer_meet_vector(a, b, u, w)
+        got = _outcome(meet_point, Flat([a, b]), Flat([u, w]))
+        if x is not None:
+            assert got == ("value", Point(x))
+            met += 1
+        # degenerate inputs: coincident lines, skew lines (D >= 3), a line
+        # given by one point twice, on the other line or off it
+        y, z = _combo(rng, p, q), _combo(rng, p, q)
+        cases = [([p, q], [y.z, z.z]), ([p, p], [p, q]), ([p, p], [q, r]), ([p, p], [p, p]),
+                 ([p, p], [q, q]), ([p, q], [r, s]),
+                 (_scaled(rng, [Point(p)] * 2), _scaled(rng, [Point(p), Point(q)]))]
+        want = [_outcome(meet_point, Flat(g1), Flat(g2)) for g1, g2 in cases]
+        with monkeypatch.context() as mp:
+            mp.setattr(projective, "_meet_lines", _cramer_meet_vector)
+            assert [_outcome(meet_point, Flat(g1), Flat(g2)) for g1, g2 in cases] == want
+            assert got == _outcome(meet_point, Flat([a, b]), Flat([u, w]))
+    assert met > 50
