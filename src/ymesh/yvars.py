@@ -25,7 +25,7 @@ from math import gcd
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
                        out_factor)
 from .projective import (cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point,
-                         collinear, rank_of)
+                         rank_of)
 from .mesh import IdentityFailure, LineTable, bases
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
@@ -101,11 +101,11 @@ class YTable(LineTable):
         try:
             return y_pair(self.window, s)
         except DegenerateError:
-            pts = self.window.line(s)[0]
-            if collinear(pts):
+            rank = rank_of(self.window.line(s)[0])
+            if rank <= 2:
                 raise
             raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
-                                  % (s + (rank_of(pts),)))
+                                  % (s + (rank,)))
 
 
 def _eqmain_instance(window, r, ys, offsets):
