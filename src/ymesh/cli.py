@@ -452,8 +452,13 @@ def fractal_cmd(name, pin_json, k, base, mesh_path, out):
 @guarded
 def ijmap_cmd(mesh_path, row, i_str, j_str):
     w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
-    I = tuple(int(x) for x in i_str.split(","))
-    J = tuple(int(x) for x in j_str.split(","))
+    try:
+        I, J = (tuple(int(x) for x in text.split(",")) for text in (i_str, j_str))
+    except ValueError:
+        raise IJMapError("I and J must be comma-separated integers, got %r and %r"
+                         % (i_str, j_str)) from None
+    if row not in w.rows():
+        raise IJMapError("row %d is not in the mesh" % row)
     img = t_ij(row_polygon(w, row), I, J)
     click.echo(sz.dumps({"row": row, "I": list(I), "J": list(J),
                          "points": {str(i): sz.point_to_json(p)

@@ -3,11 +3,13 @@
 Given step tuples I = (s1..s_{D-1}) and J = (t1..t_{D-1}) with distinct
 partial sums, H_i is the hyperplane through the D points A_{i+o}, o over the
 partial sums of I, and the image vertex with label i is the intersection of
-the D hyperplanes H_{i+o'}, o' over the partial sums of J.  The inverse map
-is the one with both tuples reversed.
+the D hyperplanes H_{i+o'}, o' over the partial sums of J.  H_i is kept as
+its covector, the one kernel vector of its D points, and the image vertex is
+the one kernel vector of its D covectors.  The inverse map is the one with
+both tuples reversed.
 """
 
-from .projective import span, meet
+from .projective import Point, meet, nullspace, span
 from .pins import offsets_of_tuple
 
 
@@ -15,23 +17,20 @@ class IJMapError(ValueError):
     pass
 
 
-def _check_tuple(tup, dim):
-    offs = offsets_of_tuple(tup)
+def _offsets(tup, dim):
+    offs = sorted(offsets_of_tuple(tup))
     if len(offs) != dim:
         raise IJMapError("partial sums of %s are not distinct" % (tup,))
+    return offs
 
 
 def t_ij(polygon, i_tuple, j_tuple):
     """Apply T_{I,J} to polygon (dict index -> Point); returns the image
     polygon on indices where all sources exist."""
-    some = next(iter(polygon.values()))
-    dim = some.dim
+    dim = next(iter(polygon.values())).dim
     if len(i_tuple) != dim - 1 or len(j_tuple) != dim - 1:
         raise IJMapError("tuples must have length D-1 = %d" % (dim - 1))
-    _check_tuple(i_tuple, dim)
-    _check_tuple(j_tuple, dim)
-    i_offs = sorted(offsets_of_tuple(i_tuple))
-    j_offs = sorted(offsets_of_tuple(j_tuple))
+    i_offs, j_offs = _offsets(i_tuple, dim), _offsets(j_tuple, dim)
     planes = {}
 
     def hyperplane(i):
@@ -39,8 +38,8 @@ def t_ij(polygon, i_tuple, j_tuple):
             if not all(i + o in polygon for o in i_offs):
                 planes[i] = None
             else:
-                h = span([polygon[i + o] for o in i_offs])
-                planes[i] = h if h.rank == dim else None
+                ker = nullspace([polygon[i + o].z for o in i_offs], dim + 1)
+                planes[i] = ker[0] if len(ker) == 1 else None
         return planes[i]
 
     out = {}
@@ -48,12 +47,10 @@ def t_ij(polygon, i_tuple, j_tuple):
         hs = [hyperplane(i + o) for o in j_offs]
         if any(h is None for h in hs):
             continue
-        cur = hs[0]
-        for h in hs[1:]:
-            cur = meet(cur, h)
-        if cur.rank != 1:
-            raise IJMapError("hyperplanes at %d meet in rank %d" % (i, cur.rank))
-        out[i] = cur.point()
+        ker = nullspace(hs, dim + 1)
+        if len(ker) != 1:
+            raise IJMapError("hyperplanes at %d meet in rank %d" % (i, len(ker)))
+        out[i] = Point(ker[0])
     if not out:
         raise IJMapError("no image vertex could be computed")
     return out

@@ -1,9 +1,10 @@
 """Exact projective geometry over the rationals.
 
 Points of RP^D are nonzero homogeneous vectors in Q^(D+1) up to scale, kept as
-primitive integer vectors; flats are linear subspaces stored as reduced row
-echelon bases, so equality of flats is equality of tuples.  Ranks, cross
-ratios and the meet of two lines work on the integer vectors without
+primitive integer vectors; flats are linear subspaces kept as integer reduced
+echelon bases (``rref``), so equality of flats is equality of tuples, and two
+flats meet in the common kernel of their covectors (``nullspace``).  Ranks,
+echelon forms, kernels, cross ratios and meets work on integer vectors without
 fractions (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  One
 integer line chart decides every collinearity (``_line_of``): x is on the line
 of p, q iff d·x = det(x, q)·p + det(p, x)·q, and on a chart i, j where
@@ -25,42 +26,44 @@ from .rational import ExtQ, DegenerateError
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns) as tuples."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
+    """Integer reduced row echelon form of integer rows: (rows, pivot_columns)
+    as tuples.  Each row is the row of the form over Q scaled to its
+    primitive integer vector, pivot positive, so the form is canonical.  A
+    row is divided by its content each time a pivot clears its column."""
+    mat = [list(r) for r in rows]
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        pv = top[col]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if f and r != rank:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:rank]), tuple(pivots)
+    return tuple(_primitive(r) for r in mat[:len(pivots)]), tuple(pivots)
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix given by rows (each of length ncols)."""
+    """Basis of the right kernel of the integer rows (each of length ncols):
+    for each free column c of ``rref``, the kernel vector over Q that is 1 at
+    c and 0 at the other free columns, as a primitive integer vector."""
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(r[pc] for r, pc in zip(red, pivots)))
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = scale
         for r, pc in zip(red, pivots):
-            vec[pc] = -r[fc]
-        basis.append(tuple(vec))
+            vec[pc] = -r[fc] * (scale // r[pc])
+        basis.append(_primitive(vec))
     return basis
 
 
@@ -121,7 +124,8 @@ class Point:
 
 
 class Flat:
-    """Projective flat = linear subspace of Q^(n), stored as an RREF basis.
+    """Projective flat = linear subspace of Q^(n), spanned by the integer
+    vectors ``gens``; ``rows`` is its integer reduced echelon form.
 
     The basis is reduced on first use of ``rows``, so a line built by
     ``join`` and only met with another line never reduces it."""
@@ -257,22 +261,12 @@ def coplanar(points):
 
 
 def meet(f1, f2):
-    """Intersection of two flats."""
+    """Intersection of two flats: the common kernel of the covectors that
+    cut out each of them."""
     if f1.ncols != f2.ncols:
         raise ValueError("ambient dimension mismatch")
     n = f1.ncols
-    k1, k2 = f1.rank, f2.rank
-    # columns of M are the basis vectors of f1 and -f2; kernel elements give
-    # coefficient pairs with equal combinations.
-    mat = [[f1.rows[j][i] for j in range(k1)] + [-f2.rows[j][i] for j in range(k2)]
-           for i in range(n)]
-    basis = []
-    for coef in nullspace(mat, k1 + k2):
-        vec = tuple(sum(coef[j] * f1.rows[j][i] for j in range(k1)) for i in range(n))
-        basis.append(vec)
-    if not basis:
-        return Flat([], ncols=n)
-    return Flat(basis, ncols=n)
+    return Flat(nullspace(nullspace(f1.gens, n) + nullspace(f2.gens, n), n), ncols=n)
 
 
 _NO_MEET = "flats meet in rank %d, expected a point"

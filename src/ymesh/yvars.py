@@ -26,7 +26,7 @@ from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation
                        out_factor)
 from .projective import (cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point,
                          rank_of)
-from .mesh import IdentityFailure, LineTable, bases
+from .mesh import IdentityFailure, LineTable, MeshError, bases
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
@@ -136,7 +136,8 @@ def check_eqmain(window, min_instances=1):
     line store.  The scan covers every base whose 24 points (four per
     y-value) can reach the window's bounding box.  A failed instance, or a
     line L_s inside the window whose points are not on one line, raises
-    ``IdentityFailure``.
+    ``IdentityFailure``; fewer than ``min_instances`` instances raise
+    ``MeshError`` ("window too small"), as in ``check_relations``.
 
     On a periodic window the scan counts a base once for each unreduced r1
     that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
@@ -168,7 +169,8 @@ def check_eqmain(window, min_instances=1):
                 raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < min_instances:
-        raise AssertionError("only %d exchange instances found (%d skipped)" % (checked, skipped))
+        raise MeshError("window too small: only %d exchange instances found (%d skipped)"
+                        % (checked, skipped))
     return {"checked": checked, "skipped": skipped}
 
 

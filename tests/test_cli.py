@@ -9,8 +9,10 @@ from ymesh import cli
 from ymesh.cli import main
 from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, check_relations,
                         generate_1d, generate_window, step_1d)
+from ymesh.ijmap import row_polygon, t_ij
+from ymesh.pins import ij_correspondence
 from ymesh.projective import Point
-from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
+from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json, point_to_json
 from ymesh.yvars import check_eqmain
 from ymesh.zoo import ZOO, zoo_dim, zoo_pin
 
@@ -246,6 +248,43 @@ def test_bad_json_is_config_error(tmp_path):
     open(path, "w").write("{not json")
     res = run("mesh", "check", "--mesh", path)
     assert res.exit_code == 2
+
+
+def _short_diagonal_mesh(tmp_path):
+    path = str(tmp_path / "mesh.json")
+    res = run("mesh", "gen", "--name", "short_diagonal", "--dim", "3",
+              "--cols", "20", "--steps", "1", "--seed", "2", "--out", path)
+    assert res.exit_code == 0, res.output
+    return path
+
+
+def test_ijmap_matches_library(tmp_path):
+    path = _short_diagonal_mesh(tmp_path)
+    w = mesh_from_json(loads(open(path).read()))
+    I, J, _ = ij_correspondence(zoo_pin("short_diagonal"))
+    row = w.rows()[1]
+    res = run("ijmap", "--mesh", path, "--row", str(row),
+              "--i-tuple", ",".join(map(str, I)), "--j-tuple", ",".join(map(str, J)))
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    img = t_ij(row_polygon(w, row), I, J)
+    assert (out["row"], out["I"], out["J"]) == (row, list(I), list(J))
+    assert out["points"] == {str(i): point_to_json(p) for i, p in img.items()}
+    assert len(img) >= 10
+
+
+@pytest.mark.parametrize("row, i_tuple, j_tuple, message", [
+    ("9", "2,2", "-1,2", "row 9 is not in the mesh"),
+    ("1", "1,x", "-1,2", "I and J must be comma-separated integers, got '1,x' and '-1,2'"),
+    ("1", "2,2", "-1,", "I and J must be comma-separated integers, got '2,2' and '-1,'"),
+    ("1", "2,2,2", "-1,2", "tuples must have length D-1 = 2"),
+], ids=["missing-row", "malformed-i", "malformed-j", "wrong-length"])
+def test_ijmap_bad_input_is_config_error(tmp_path, row, i_tuple, j_tuple, message):
+    path = _short_diagonal_mesh(tmp_path)
+    res = run("ijmap", "--mesh", path, "--row", row, "--i-tuple", i_tuple, "--j-tuple", j_tuple)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "config error: %s\n" % message
 
 
 def test_verify_all_at_default_seed():

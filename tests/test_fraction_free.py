@@ -79,7 +79,8 @@ def _extq_check_eqmain(window):
                 raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < 1:
-        raise AssertionError("only %d exchange instances found (%d skipped)" % (checked, skipped))
+        raise MeshError("window too small: only %d exchange instances found (%d skipped)"
+                        % (checked, skipped))
     return {"checked": checked, "skipped": skipped}
 
 
@@ -546,9 +547,14 @@ def test_mesh_corruptions_raise_alike(name):
             if want[0] == "raises":
                 raised.add((check, want[1]))
     # failures, not only skips: the six-point relation fails, and
-    # check_eqmain raises an AssertionError (IdentityFailure is one)
+    # check_eqmain raises an AssertionError (IdentityFailure is one) where
+    # the window holds exchange instances, and "window too small" where not
     assert (check_menelaus, IdentityFailure) in raised
-    assert any(check is check_eqmain and issubclass(e, AssertionError) for check, e in raised)
+    eqmain = {e for check, e in raised if check is check_eqmain}
+    if _outcome(check_eqmain, w)[0] == "value":
+        assert any(issubclass(e, AssertionError) for e in eqmain)
+    else:
+        assert eqmain == {MeshError}
 
 
 def test_planar_mesh_checks_match_extq_route():

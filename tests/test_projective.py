@@ -9,8 +9,10 @@ from ymesh import projective
 from ymesh.rational import ExtQ, INF, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point, rank_of, collinear,
                               coplanar, cross_ratio, cross_ratio_pair, multi_ratio,
-                              multi_ratio_pair, rref)
+                              multi_ratio_pair, nullspace, rref)
 from ymesh.mesh import solve_menelaus
+
+from fraction_gauss import fraction_meet, fraction_nullspace, fraction_rref
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -114,7 +116,7 @@ def test_menelaus_on_complete_quadrilateral():
     assert multi_ratio(six) == ExtQ(-1)
 
 
-# ---- the integer kernel agrees with the Flat/rref route -------------------
+# ---- the integer kernel agrees with the Fraction Gauss-Jordan route ---------
 
 
 def line_chart(points):
@@ -122,10 +124,9 @@ def line_chart(points):
     point the pair of its coordinates in the pivot columns of the line's RREF
     basis.  The points must span a line."""
     pts = list(points)
-    line = span(pts)
-    if line.rank != 2:
-        raise DegenerateError("points span rank %d, expected a line" % line.rank)
-    red = line.rows
+    red, _ = fraction_rref([p.z for p in pts])
+    if len(red) != 2:
+        raise DegenerateError("points span rank %d, expected a line" % len(red))
     j1 = next(i for i, c in enumerate(red[0]) if c != 0)
     j2 = next(i for i, c in enumerate(red[1]) if c != 0)
     return [(p.v[j1], p.v[j2]) for p in pts]
@@ -163,10 +164,10 @@ def _line_meet(a, b, c, d):
 
 
 def _flat_meet(a, b, c, d):
-    m = meet(span([a, b]), span([c, d]))  # reduces both bases
-    if m.rank != 1:
-        raise DegenerateError("flats meet in rank %d, expected a point" % m.rank)
-    return m.point()
+    m = fraction_meet([a.z, b.z], [c.z, d.z], len(a.z))
+    if len(m) != 1:
+        raise DegenerateError("flats meet in rank %d, expected a point" % len(m))
+    return Point(m[0])
 
 
 def _outcome(fn, *args):
@@ -203,7 +204,7 @@ def test_integer_kernel_matches_flat_route(dim):
         k = rng.randint(1, n)
         basis = [_rand_vec(rng, n) for _ in range(k)]
         pts = [_combo(rng, *basis) for _ in range(rng.randint(1, n + 2))]
-        assert rank_of(pts) == len(rref([x.v for x in pts])[0])
+        assert rank_of(pts) == len(fraction_rref([x.v for x in pts])[0])
         assert collinear(pts) == (span(pts).rank <= 2)
         # two lines of one plane
         l1 = [_combo(rng, p, q, r) for _ in range(2)]
@@ -260,6 +261,58 @@ def test_integer_kernel_degenerate_inputs_raise_alike(dim):
     assert _outcome(cross_ratio, p, p, p, p) == ("raises", DegenerateError)
     if dim >= 3:
         assert _outcome(_line_meet, p, q, r, s) == ("raises", DegenerateError)
+
+
+def _matrices(rng, n):
+    """Integer matrices with n columns, of every rank 0..n, with zero rows,
+    repeated rows and rows with a common factor, the rows shuffled."""
+    for k in range(n + 1):
+        basis = [_rand_vec(rng, n) for _ in range(k)]
+        rows = [list(_combo(rng, *basis).z) for _ in range(k + rng.randint(0, 2))] if k else []
+        rows += [[0] * n] * rng.randint(0, 2)
+        if rows:
+            rows += [rng.choice(rows), [rng.randint(2, 9) * x for x in rng.choice(rows)]]
+        rng.shuffle(rows)
+        yield rows
+
+
+def _flats(rng, n):
+    """Random point lists in RP^(n-1) whose spans share a random subspace."""
+    common = [_rand_vec(rng, n) for _ in range(rng.randint(0, n - 1))]
+    for _ in range(2):
+        free = n - len(common)
+        own = [_rand_vec(rng, n) for _ in range(rng.randint(0 if common else 1, free // 2 + 1))]
+        yield [_combo(rng, *common, *own) for _ in range(len(common) + len(own) + rng.randint(0, 1))]
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_integer_flats_match_fraction_reference(dim):
+    rng = random.Random(500 + dim)
+    n = dim + 1
+    ranks, meet_ranks = set(), set()
+    for _ in range(12):
+        for rows in _matrices(rng, n):
+            red, pivots = rref(rows)
+            want, want_pivots = fraction_rref(rows)
+            assert pivots == want_pivots, rows
+            assert red == tuple(Point(r).z for r in want), rows  # pivots positive
+            ranks.add(len(red))
+            ker = nullspace(rows, n)
+            assert len(ker) == n - len(red)
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows for v in ker)
+            assert ker == [Point(v).z for v in fraction_nullspace(rows, n)]
+    for _ in range(40):
+        a, b = _flats(rng, n)
+        m = meet(span(a), span(b))
+        want = fraction_meet([p.z for p in a], [p.z for p in b], n)
+        assert m.rank == len(want)
+        assert m.rows == tuple(Point(r).z for r in want)
+        if m.rank == 1:
+            assert m.point() == Point(want[0])
+        meet_ranks.add(m.rank)
+        assert meet(Flat([], ncols=n), span(a)).rank == 0
+    assert ranks == set(range(n + 1))
+    assert {0, 1, 2} <= meet_ranks
 
 
 # ---- one line chart decides every collinearity ---------------------------

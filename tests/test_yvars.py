@@ -6,7 +6,7 @@ import pytest
 
 from ymesh.rational import ExtQ, DegenerateError
 from ymesh.projective import Point, join, cross_ratio_on, det2
-from ymesh.mesh import (MeshWindow, generate_window, generate_polygon_window, generate_1d,
+from ymesh.mesh import (MeshError, MeshWindow, generate_window, generate_polygon_window, generate_1d,
                         step_forward, step_1d, _random_free)
 from ymesh.yvars import (y_of, y_pair, y_available, check_eqmain, eqmain_residual,
                          GENERAL_Y_TABLE, general_y_factor_route,
@@ -27,6 +27,15 @@ def test_eqmain_residual_is_one_on_pentagram():
     w = grown_window("pentagram", 2, seed=1)
     counts = check_eqmain(w)
     assert counts["checked"] >= 20
+
+
+def test_eqmain_on_a_window_without_instances_is_too_small():
+    # no exchange instance fits in four columns: a configuration error, as
+    # check_relations reports it, not a failed identity
+    w = generate_window(zoo_pin("pentagram"), 2, 0, 4, seed=0)
+    with pytest.raises(MeshError, match=r"window too small: only 0 exchange instances") as info:
+        check_eqmain(w)
+    assert not isinstance(info.value, AssertionError)
 
 
 def test_eqmain_residual_value():

@@ -30,7 +30,15 @@ message).  The entries cover
   final values as (num, den) pairs, from y0 with none (seed 0), one (seed 1)
   or all three (seed 2) of 0, -1 and inf among random values, and
   ``check_exchange_trace`` on each trace and on a copy with one value
-  changed; ``run_1d_y`` on three small period-one quivers.
+  changed; ``run_1d_y`` on three small period-one quivers;
+- ``t_ij`` with the pin's (I, J) on every row of the windows of the row
+  correspondence tests (short_diagonal at D = 3 with 34 columns and six
+  forward steps, giraffe at D = 4 with 44 columns and nine), and on 12
+  random polygons per D = 2..5 with random step tuples: generic ones, ones
+  with coordinates in -2..2 and a repeated vertex, and such ones moved into
+  a hyperplane, so that the hyperplanes H_i that they span are all one;
+- ``meet`` of 20 pairs of random flats per D = 2..5 whose spans share a
+  random subspace: its rank, and its point when it is one.
 
 The last line is the sha256 over all entries: two trees whose outputs agree
 print the same one.
@@ -46,11 +54,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ymesh.fractal import genericity_audit  # noqa: E402
+from ymesh.ijmap import row_polygon, t_ij  # noqa: E402
 from ymesh.mesh import (generate_1d, generate_polygon_window, generate_reduced,  # noqa: E402
                         generate_window, step_1d, step_backward, step_forward,
                         step_reduced_forward, check_menelaus, check_relations)
-from ymesh.pins import d_of_s  # noqa: E402
-from ymesh.projective import Point  # noqa: E402
+from ymesh.pins import d_of_s, ij_correspondence  # noqa: E402
+from ymesh.projective import Point, meet, span  # noqa: E402
 from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
                           run_periodic_y, verify_period_one)
 from ymesh.rational import ExtQ  # noqa: E402
@@ -68,6 +77,9 @@ Y_RUN_ROUNDS = 3  # sweeps = 3 l
 ONE_D_QUIVERS = (({1, 2}, [(1, 2)]), ({1, 2, 3}, [(1, 2), (3, 1)]),
                  ({1, 2, 3}, [(2, 1, 2), (1, 3)]))
 DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
+IJ_WINDOWS = (("short_diagonal", 3, 34, 6), ("giraffe", 4, 44, 9))  # pin, D, columns, steps
+IJ_POLYGONS = 12  # per D and seed
+MEET_PAIRS = 20  # per D and seed
 
 entries = []
 
@@ -86,9 +98,14 @@ def outcome(fn, *args, **kw):
         return False, "%s: %s" % (type(e).__name__, e)
 
 
-def window_digest(w):
-    points = sorted((k, p.z) for k, p in w.points.items())
+def points_digest(points):
+    """A dict of Points as a sha256 of its keys and integer vectors."""
+    points = sorted((k, p.z) for k, p in points.items())
     return "%d points %s" % (len(points), hashlib.sha256(repr(points).encode()).hexdigest()[:16])
+
+
+def window_digest(w):
+    return points_digest(w.points)
 
 
 def record(label, fn, *args, **kw):
@@ -275,6 +292,64 @@ def y_runs(seed, rng):
         emit(label, pairs_digest(enumerate(value)) if ok else value)
 
 
+def ij_maps(seed, rng):
+    for name, dim, cols, steps in IJ_WINDOWS:
+        pin = zoo_pin(name)
+        I, J, _ = ij_correspondence(pin)
+        w = generate_window(pin, dim, 0, cols, seed=seed)
+        for _ in range(steps):
+            w = step_forward(w)
+        for j in w.rows():
+            ok, img = outcome(t_ij, row_polygon(w, j), I, J)
+            emit("t_ij %s D=%d seed=%d row %d" % (name, dim, seed, j), points_digest(img) if ok else img)
+    for dim in range(2, 6):
+        for k in range(IJ_POLYGONS):
+            n = rng.randint(dim + 3, 4 * dim + 4)
+            if k % 3 == 0:
+                poly = {i: Point([rng.randint(-99, 99) for _ in range(dim)] + [1]) for i in range(n)}
+            else:
+                poly = {i: Point([rng.randint(-2, 2) for _ in range(dim)] + [1]) for i in range(n)}
+                poly[rng.randrange(n)] = poly[rng.randrange(n)]
+            if k % 3 == 2:
+                poly = {i: Point(p.z[:-1] + (0,)) if any(p.z[:-1]) else p for i, p in poly.items()}
+            I = tuple(rng.choice((-1, 1, 2, 3)) for _ in range(dim - 1))
+            J = tuple(rng.choice((-1, 1, 2, 3)) for _ in range(dim - 1))
+            ok, img = outcome(t_ij, poly, I, J)
+            emit("t_ij polygon D=%d seed=%d #%d %s %s" % (dim, seed, k, I, J),
+                 points_digest(img) if ok else img)
+
+
+def random_vector(rng, n):
+    while True:
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        if any(v):
+            return v
+
+
+def random_points(rng, basis, count):
+    """count nonzero points of the span of the integer vectors."""
+    out = []
+    while len(out) < count:
+        v = [sum(rng.randint(-5, 5) * x[m] for x in basis) for m in range(len(basis[0]))]
+        if any(v):
+            out.append(Point(v))
+    return out
+
+
+def meets(seed, rng):
+    for dim in range(2, 6):
+        n = dim + 1
+        for k in range(MEET_PAIRS):
+            common = [random_vector(rng, n) for _ in range(rng.randint(0, dim))]
+            flats = []
+            for _ in range(2):
+                own = [random_vector(rng, n) for _ in range(rng.randint(0 if common else 1, 3))]
+                flats.append(span(random_points(rng, common + own, len(common) + len(own))))
+            m = meet(*flats)
+            emit("meet D=%d seed=%d #%d" % (dim, seed, k),
+                 "rank %d%s" % (m.rank, " point %s" % (m.point().z,) if m.rank == 1 else ""))
+
+
 def quiver_side():
     for name in sorted(ZOO):
         for n in PERIOD_SIZES:
@@ -291,6 +366,10 @@ def main():
         polygons(seed, rng)
         one_dim(seed, rng)
     quiver_side()
+    for seed in SEEDS:
+        rng = random.Random(3000 + seed)
+        ij_maps(seed, rng)
+        meets(seed, rng)
     print("%d entries, sha256 %s" % (len(entries),
                                      hashlib.sha256("\n".join(entries).encode()).hexdigest()))
 
