@@ -3,12 +3,23 @@
 The k-fractal at base r is the set {r + alpha*a + beta*b + gamma*c + delta*d}
 over nonnegative integer exponents summing to k (coincident labels merge).
 A mesh is d-generic when every i-fractal with i <= d spans an i-flat.
+
+The audits decide the 1- and 2-fractals from the window's line store
+(``MeshWindow.line``, read through a ``mesh.LineTable``).  The 1-fractal at r
+is the line L_r, so it spans a line when L_r has a chart.  The 2-fractal at r
+is the union of the lines L_{r+a}, L_{r+b}, L_{r+c} and L_{r+d}.  When all
+four have charts and P_{r+aa}, P_{r+ab}, P_{r+bb} are not collinear, L_{r+a}
+and L_{r+b} are two lines through P_{r+ab} and span a plane; L_{r+c} passes
+through P_{r+ac} and P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd}, all
+on those two lines, so the fractal spans exactly that plane.  Any other
+fractal is decided by ``fractal_dim`` on its points, so the reported
+dimensions are the exact ones.
 """
 
 from itertools import combinations, islice
 
-from .projective import rank_of
-from .mesh import bases
+from .projective import collinear, rank_of
+from .mesh import LineTable, bases
 
 
 def make_fractal(pin, r, k):
@@ -67,6 +78,22 @@ def fractal_dim(window, labels):
     return rank_of([window.get(lab) for lab in labels]) - 1
 
 
+def _span_dim(window, lines, r, k):
+    """``fractal_dim`` of the k-fractal at r: read off the window's
+    ``LineTable`` lines where a certificate of the module docstring holds
+    (k <= 2), else computed on the fractal's points."""
+    pin = window.pin
+    if k == 1 and lines[r][2]:
+        return 1
+    if k == 2:
+        ra, rb, rc, rd = [pin.shift(r, label) for label in "abcd"]
+        la, lb = lines[ra], lines[rb]
+        if (la[2] and lb[2] and lines[rc][2] and lines[rd][2]
+                and not collinear((la[0][0], la[0][1], lb[0][1]))):
+            return 2
+    return fractal_dim(window, make_fractal(pin, r, k))
+
+
 def fractal_bases_in_window(window, k, limit=None):
     """Bases r whose whole k-fractal lies inside the window, in (r2, r1)
     order; the first ``limit`` of them if a limit is given."""
@@ -77,12 +104,12 @@ def fractal_bases_in_window(window, k, limit=None):
 def genericity_audit(window, d, max_bases=40):
     """Verify d-genericity: every i-fractal (i <= d) inside the window spans
     an i-flat.  Returns counts per i."""
+    lines = LineTable(window)
     counts = {}
     for i in range(1, d + 1):
         bases = fractal_bases_in_window(window, i, limit=max_bases)
         for r in bases:
-            f = make_fractal(window.pin, r, i)
-            dim = fractal_dim(window, f)
+            dim = _span_dim(window, lines, r, i)
             if dim != i:
                 raise AssertionError("%d-fractal at %s spans dim %d" % (i, r, dim))
         counts[i] = len(bases)
@@ -106,13 +133,13 @@ def genericity_evidence(window, dim, k_max=None, max_bases=25):
     min(k, D); reported, not asserted."""
     if k_max is None:
         k_max = dim
+    lines = LineTable(window)
     rows = []
     for k in range(1, k_max + 1):
         bases = fractal_bases_in_window(window, k, limit=max_bases)
         hits = 0
         for r in bases:
-            f = make_fractal(window.pin, r, k)
-            if fractal_dim(window, f) == min(k, dim):
+            if _span_dim(window, lines, r, k) == min(k, dim):
                 hits += 1
         rows.append({"k": k, "samples": len(bases), "generic": hits})
     return rows

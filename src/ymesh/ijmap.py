@@ -27,6 +27,8 @@ def _offsets(tup, dim):
 def t_ij(polygon, i_tuple, j_tuple):
     """Apply T_{I,J} to polygon (dict index -> Point); returns the image
     polygon on indices where all sources exist."""
+    if not polygon:
+        raise IJMapError("the polygon has no vertices")
     dim = next(iter(polygon.values())).dim
     if len(i_tuple) != dim - 1 or len(j_tuple) != dim - 1:
         raise IJMapError("tuples must have length D-1 = %d" % (dim - 1))

@@ -10,7 +10,13 @@ visits cells in birth order, each bound by its g-circuit, so free points sit
 on the low-phi edge.  Boundary pins and the reduced system sweep column by
 column (``_greedy``), and each L1 (for boundary pins also L2) circuit binds
 its lexicographically last member.  A draw is kept only if it propagates
-without a degenerate meet or coincident points.
+without a degenerate meet or coincident points (``_propagates``).  A planar
+draw is first propagated on its points mod the prime P = 2^61 - 1: a run
+mod P with no vanishing meet and no two points equal proves that the exact
+run has neither, as a nonzero meet mod P is the reduction of the exact
+meet and points that differ mod P differ.  Any other draw runs the exact
+guard, so every decision is the exact one; in D >= 3 the guard also rests
+on an equality (two lines meet), which no run mod P can prove.
 
 Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
 driven by a table of rules.  A rule names its source words, its target word
@@ -260,7 +266,10 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     before DegenerateConfig is raised.  Boundary pins (a zero
     convex-relation coefficient, so FiltrationSpec raises) use the column
     sweep of ``_greedy`` on their L1 and L2 circuits instead and support
-    D = 2 only; their draws are redrawn the same way.
+    D = 2 only; their draws are redrawn the same way.  A planar draw is
+    accepted by the same propagation on its points mod P = 2^61 - 1 when
+    that run meets no vanishing meet and no two equal points, which proves
+    the exact run clean; otherwise the exact run decides.
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
@@ -303,7 +312,19 @@ def _certified_draw(draw, rng, steps, rule):
 def _propagates(window, steps, rule):
     """Whether the window takes the given number of steps by the rule (or as
     many as its width allows) without a degenerate meet, and then has no
-    relation instance with coincident points."""
+    relation instance with coincident points.
+
+    A planar window under a meet rule is first propagated mod P
+    (``_propagates_mod_p``); when that run accepts, so does the exact one.
+    Every other window, and every planar one the run mod P does not accept,
+    is decided by the exact run (``_steps_cleanly``)."""
+    if window.dim == 2 and rule.solve is _meet and _propagates_mod_p(window, steps, rule):
+        return True
+    return _steps_cleanly(window, steps, rule)
+
+
+def _steps_cleanly(window, steps, rule):
+    """``_propagates`` on the window's own points."""
     for _ in range(steps):
         try:
             # the engine, so a profile of step_forward counts only kept steps
@@ -313,6 +334,45 @@ def _propagates(window, steps, rule):
         except MeshError:
             break
     return not _has_coincident_points(window)
+
+
+# a prime of 61 bits: the planar redraw guard propagates mod P first
+P = 2 ** 61 - 1
+
+
+def _mod_p(z):
+    """The integer vector z mod P, scaled so that its first nonzero entry is
+    1, as a tuple; DegenerateError when z vanishes mod P."""
+    for x in z:
+        x %= P
+        if x:
+            inv = pow(x, -1, P)
+            return tuple([y * inv % P for y in z])
+    raise DegenerateError("meet vanishes mod P")
+
+
+def _meet_mod_p(pts):
+    """``_meet`` of four points of RP^2 given by ``_mod_p`` vectors: the
+    Cramer meet lam·u - mu·w of ``projective._meet_lines`` mod P."""
+    (a0, a1, a2), (b0, b1, b2), u, w = pts
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    lam = (c0 * w[0] + c1 * w[1] + c2 * w[2]) % P
+    mu = (c0 * u[0] + c1 * u[1] + c2 * u[2]) % P
+    return _mod_p([lam * s - mu * t for s, t in zip(u, w)])
+
+
+def _propagates_mod_p(window, steps, rule):
+    """``_steps_cleanly`` on the window's primitive vectors mod P, with the
+    rule's meet taken mod P.  True proves that the exact run accepts.  A
+    meet that is nonzero mod P is the reduction of a nonzero integer meet,
+    so ``_meet_lines`` finds the exact meet, whose primitive vector reduces
+    to a multiple of the meet mod P: the exact run meets no degenerate pair
+    of lines and its points reduce to the points mod P.  Points that differ
+    mod P differ, so no relation instance repeats a point either.  A meet
+    that vanishes mod P, or points that coincide mod P, prove nothing."""
+    reduced = MeshWindow(window.pin, 2, periodic_n=window.periodic_n)
+    reduced.points = {k: _mod_p(p.z) for k, p in window.points.items()}
+    return _steps_cleanly(reduced, steps, rule._replace(solve=_meet_mod_p))
 
 
 def _spanning_check(window):

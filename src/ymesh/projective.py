@@ -9,7 +9,8 @@ fractions (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  One
 integer line chart decides every collinearity (``_line_of``): x is on the line
 of p, q iff d·x = det(x, q)·p + det(p, x)·q, and on a chart i, j where
 d = det(p, q) != 0 that holds for every x, so only the other D - 1
-coordinates are compared.  A plane chart extends it to coplanarity
+coordinates are compared; it also gives the rank of up to three vectors
+(``rank_of``).  A plane chart extends it to coplanarity
 (``coplanar``): the first vector x off that line gives a chart i, j, k where
 e = det(p, q, x) != 0, and y is on the plane iff
 e·y = det(y, q, x)·p + det(p, y, x)·q + det(p, q, y)·x off that chart.
@@ -210,9 +211,16 @@ def _int_rank(rows):
 
 
 def rank_of(points):
-    """Rank of the points' vectors.  A list longer than the vectors first
-    reduces only its first D + 1 vectors, and spans RP^D if they do."""
+    """Rank of the points' vectors.  Up to three vectors are decided by the
+    line chart (``_line_of``): () is one vector repeated (rank 1), a chart
+    a line (rank 2) and None a plane (rank 3), since two distinct primitive
+    vectors are independent.  A longer list is reduced by ``_int_rank``;
+    one longer than the vectors first reduces only its first D + 1 vectors,
+    and spans RP^D if they do."""
     zs = [p.z for p in points]
+    if 0 < len(zs) <= 3:
+        chart = _line_of(zs)
+        return 3 if chart is None else 2 if chart else 1
     full = len(zs[0]) if zs else 0
     if len(zs) > full and _int_rank(zs[:full]) == full:
         return full

@@ -298,7 +298,9 @@ def check_exchange_trace(pin, n, exported, min_instances=1):
 
     Both sides are products of the integer pairs of the exported values
     (``rational.exchange_relation``), compared and reported from those pairs.
-    Instances with a degenerate factor (0, -1 or inf) are skipped."""
+    Instances with a degenerate factor (0, -1 or inf) are skipped.  A
+    failed instance raises ``AssertionError``; a trace with fewer than
+    min_instances checked instances raises ``QuiverConfigError``."""
     i0, l = qs_period(pin)
     outs, ins = arrows_at_origin(pin)
     offsets = [(v, m, in_factor) for v, m in ins] + [(v, m, out_factor) for v, m in outs]
@@ -319,7 +321,7 @@ def check_exchange_trace(pin, n, exported, min_instances=1):
                                  % (u, ExtQ(*lhs), ExtQ(*rhs)))
         checked += 1
     if checked < min_instances:
-        raise AssertionError("only %d exchange-trace instances" % checked)
+        raise QuiverConfigError("only %d exchange-trace instances" % checked)
     return checked
 
 

@@ -1,11 +1,15 @@
+import random
 from math import comb
 
 import pytest
 
 from ymesh.fractal import (make_fractal, sub_fractals,
                            check_sub_fractal_intersections, fractal_dim,
-                           genericity_audit, bound_check, genericity_evidence)
-from ymesh.mesh import generate_window, step_forward
+                           fractal_bases_in_window, genericity_audit, bound_check,
+                           genericity_evidence, _span_dim)
+from ymesh.mesh import (LineTable, MeshWindow, generate_1d, generate_polygon_window,
+                        generate_window, step_1d, step_forward)
+from ymesh.projective import Point
 from ymesh.zoo import zoo_pin, zoo_dim
 
 
@@ -73,3 +77,94 @@ def test_evidence_table_reports_only():
     assert [r["k"] for r in rows] == [1, 2, 3]
     for r in rows:
         assert 0 <= r["generic"] <= r["samples"]
+
+
+# ---- line-store decisions against fractal_dim ------------------------------
+
+
+def _reference_audit(window, d, max_bases=40):
+    """genericity_audit with every span taken by fractal_dim."""
+    counts = {}
+    for i in range(1, d + 1):
+        bases = fractal_bases_in_window(window, i, limit=max_bases)
+        for r in bases:
+            dim = fractal_dim(window, make_fractal(window.pin, r, i))
+            if dim != i:
+                raise AssertionError("%d-fractal at %s spans dim %d" % (i, r, dim))
+        counts[i] = len(bases)
+    return counts
+
+
+def _reference_evidence(window, dim, k_max, max_bases=25):
+    """genericity_evidence with every span taken by fractal_dim."""
+    rows = []
+    for k in range(1, k_max + 1):
+        bases = fractal_bases_in_window(window, k, limit=max_bases)
+        hits = sum(fractal_dim(window, make_fractal(window.pin, r, k)) == min(k, dim)
+                   for r in bases)
+        rows.append({"k": k, "samples": len(bases), "generic": hits})
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except AssertionError as e:
+        return "raises", str(e)
+
+
+def _collinear_mesh(name, seed):
+    """A 1D mesh put on the line z = 0 of RP^2: every line of it has a chart
+    and L_{r+a} = L_{r+b}, so every 2-fractal spans a line only."""
+    pin = zoo_pin(name)
+    w = generate_1d(pin, 0, 12 * pin.m + 14, seed=seed)
+    for _ in range(2 * pin.m + 2):
+        w = step_1d(w)
+    flat = MeshWindow(pin, 2)
+    flat.points = {k: Point(p.z + (0,)) for k, p in w.points.items()}
+    return flat
+
+
+def _audited_windows():
+    """Generated, stepped, polygon, collinear and corrupted windows: each
+    point moved off its lines, or replaced by a neighbour (a line without a
+    chart)."""
+    out = [("%s/%d" % (name, dim), grown(name, dim, seed=dim))
+           for name, dim in (("pentagram", 2), ("sideways", 2), ("penguin", 2),
+                             ("short_diagonal", 3), ("giraffe", 4))]
+    out.append(("pentagram unstepped", grown("pentagram", 2, steps=0)))
+    poly = generate_polygon_window(zoo_pin("pentagram"), 7, seed=1)
+    for _ in range(6):
+        poly = step_forward(poly)
+    out.append(("pentagram n=7", poly))
+    out += [("collinear %s" % name, _collinear_mesh(name, 5)) for name in ("pentagram", "rabbit")]
+    rng = random.Random(30)
+    for label, w in list(out):
+        keys = sorted(w.points)
+        for _ in range(3):
+            k = rng.choice(keys)
+            moved = w.copy()
+            moved.points[k] = Point((w.points[k].z[0] + 1,) + w.points[k].z[1:])
+            out.append(("%s moved %s" % (label, k), moved))
+            near = w.copy()
+            near.points[k] = w.points[rng.choice(keys)]
+            out.append(("%s replaced %s" % (label, k), near))
+    return out
+
+
+def test_line_store_spans_match_fractal_dim():
+    """Every 1- and 2-fractal of each window, by the line store and by
+    fractal_dim; then the audit and the evidence table, messages included."""
+    seen = set()
+    for label, w in _audited_windows():
+        lines = LineTable(w)
+        for k in (1, 2):
+            for r in fractal_bases_in_window(w, k):
+                want = fractal_dim(w, make_fractal(w.pin, r, k))
+                assert _span_dim(w, lines, r, k) == want, (label, r, k)
+                seen.add((k, want))
+        d = min(2, w.dim)
+        assert _outcome(genericity_audit, w, d, None) == _outcome(_reference_audit, w, d, None), label
+        assert _outcome(genericity_audit, w, d) == _outcome(_reference_audit, w, d), label
+        assert genericity_evidence(w, w.dim, 2, None) == _reference_evidence(w, w.dim, 2, None), label
+    assert {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)} <= seen

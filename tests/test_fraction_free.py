@@ -21,8 +21,8 @@ from ymesh.mesh import (DegenerateConfig, IdentityFailure, MeshError, MeshWindow
                         MENELAUS_WORDS, _random_free, bases)
 from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
                          eqmain_relation, bracket, bracket_product, _parity)
-from ymesh.quiver import (Quiver, mutate_y, qs_period, arrows_at_origin, build_qs,
-                          run_periodic_y, check_exchange_trace, run_1d_y,
+from ymesh.quiver import (Quiver, QuiverConfigError, mutate_y, qs_period, arrows_at_origin,
+                          build_qs, run_periodic_y, check_exchange_trace, run_1d_y,
                           check_1d_y_relation)
 from ymesh.zoo import ZOO, zoo_pin
 
@@ -32,7 +32,7 @@ DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
 def _outcome(fn, *args):
     try:
         return ("value", fn(*args))
-    except (AssertionError, DegenerateError, MeshError) as e:
+    except (AssertionError, DegenerateError, MeshError, QuiverConfigError) as e:
         return ("raises", type(e), str(e))
 
 
@@ -169,7 +169,7 @@ def _extq_check_exchange_trace(pin, n, exported):
             raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
         checked += 1
     if checked < 1:
-        raise AssertionError("only %d exchange-trace instances" % checked)
+        raise QuiverConfigError("only %d exchange-trace instances" % checked)
     return checked
 
 
@@ -508,10 +508,10 @@ def test_1d_y_relation_matches_extq_route():
 # ---- meshes ------------------------------------------------------------------
 
 
-def _grown_1d(name, seed):
+def _grown_1d(name, seed, steps=2):
     pin = zoo_pin(name)
     w = generate_1d(pin, 0, 16 + 2 * pin.l, seed=seed)
-    for _ in range(2):
+    for _ in range(steps):
         w = step_1d(w)
     return w
 
@@ -527,8 +527,10 @@ def test_mesh_checks_match_extq_route(name):
 @pytest.mark.parametrize("name", ["pentagram", "sideways", "gopher", "rabbit"])
 def test_mesh_corruptions_raise_alike(name):
     """Moving a point of a 1D mesh keeps every cross ratio defined, so the
-    identities fail; replacing it by a neighbour makes factors degenerate."""
-    w = _grown_1d(name, 9)
+    identities fail; replacing it by a neighbour makes factors degenerate.
+    l steps give every pin's window exchange instances."""
+    w = _grown_1d(name, 9, steps=zoo_pin(name).l)
+    assert _outcome(check_eqmain, w)[0] == "value"
     rng = random.Random(10)
     keys = sorted(w.points)
     raised = set()
@@ -546,15 +548,10 @@ def test_mesh_corruptions_raise_alike(name):
             assert _outcome(check, bad) == want
             if want[0] == "raises":
                 raised.add((check, want[1]))
-    # failures, not only skips: the six-point relation fails, and
-    # check_eqmain raises an AssertionError (IdentityFailure is one) where
-    # the window holds exchange instances, and "window too small" where not
+    # failures, not only skips: the six-point relation and the exchange
+    # identity fail
     assert (check_menelaus, IdentityFailure) in raised
-    eqmain = {e for check, e in raised if check is check_eqmain}
-    if _outcome(check_eqmain, w)[0] == "value":
-        assert any(issubclass(e, AssertionError) for e in eqmain)
-    else:
-        assert eqmain == {MeshError}
+    assert (check_eqmain, IdentityFailure) in raised
 
 
 def test_planar_mesh_checks_match_extq_route():

@@ -23,6 +23,11 @@ def test_rejects_non_distinct_partial_sums():
         t_ij(random_polygon(10, 3), (1, -1), (1, 1))
 
 
+def test_empty_polygon_is_an_ijmap_error():
+    with pytest.raises(IJMapError, match="no vertices"):
+        t_ij({}, (1,), (1,))
+
+
 def test_inverse_round_trip_3d():
     poly = random_polygon(16, 3, seed=5)
     for I, J in (((2, 2), (1, 1)), ((1, 2), (2, 1))):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ymesh import mesh, projective
+from ymesh.rational import DegenerateError
 from ymesh.projective import Point, join, meet_point
 from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         generate_reduced, generate_polygon_window,
@@ -475,3 +476,113 @@ def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
     assert [check(w) for check in (check_relations, check_menelaus, check_eqmain)] == first
     assert [y_of(w, r) for r in sorted(w.points) if y_available(w, r)] == ys
     assert charted == []
+
+
+# ---- the planar redraw guard mod P ---------------------------------------
+
+
+def _exact_guard(window, steps, rule):
+    """The redraw guard on exact points only: propagate, then scan every
+    relation instance for a repeated point."""
+    for _ in range(steps):
+        try:
+            window = mesh._propagate(window, rule)
+        except DegenerateError:
+            return False
+        except MeshError:
+            break
+    return not mesh._coincident_instance(window)
+
+
+def _neighbour_replaced(w, rng):
+    """A copy of w with one point replaced by a point of its row."""
+    k = rng.choice(sorted(w.points))
+    row = [q for q in w.points if q[1] == k[1] and q != k]
+    bad = w.copy()
+    bad.points[k] = w.points[rng.choice(row)]
+    return bad
+
+
+def _planar_draws():
+    """(label, window, rule): raw draws of the filtration sweep, of the
+    reduced system's column sweep and of closed polygons, which the exact
+    guard accepts or rejects, and corrupted copies of some of them."""
+    out = []
+    rng = random.Random(21)
+    for name in ("pentagram", "higher_pentagram", "sideways", "elephant"):
+        pin = zoo_pin(name)
+        for k in range(4):
+            w = mesh._generate_filtration(pin, 2, 0, 4 * (pin.l + 2), rng)
+            out.append(("%s draw %d" % (name, k), w, mesh.TOP))
+    for name in ("elephant", "kangaroo", "higher_pentagram", "penguin"):
+        pin = zoo_pin(name)
+        c, d = pin.c, pin.d
+        rule = mesh.TOP if c[1] == d[1] else mesh.REDUCED
+        for k in range(8):
+            w = mesh._greedy(pin, m2_of_s(pin), ("L1",), 0, 8 * (pin.l + 2), rng)
+            out.append(("%s reduced draw %d" % (name, k), w, rule))
+    for name, n in (("pentagram", 7), ("higher_pentagram", 6), ("higher_pentagram", 7)):
+        pin = zoo_pin(name)
+        for k in range(6):
+            w = MeshWindow(pin, 2, periodic_n=n)
+            vertices = []
+            for i in range(n):
+                vertices.append(mesh._random_free(rng, 2, avoid=vertices))
+                w.set((i, 1), vertices[-1])
+            out.append(("%s n=%d polygon %d" % (name, n, k), w, mesh.TOP))
+    out += [(label + " corrupted", _neighbour_replaced(w, rng), rule)
+            for label, w, rule in out[::3]]
+    return out
+
+
+def test_planar_guard_mod_p_decides_as_the_exact_guard():
+    decided = {True: 0, False: 0}
+    by_mod_p = 0
+    for label, w, rule in _planar_draws():
+        steps = w.pin.l + 2
+        want = _exact_guard(w, steps, rule)
+        assert mesh._propagates(w, steps, rule) == want, label
+        if mesh._propagates_mod_p(w, steps, rule):
+            assert want, label  # an accept mod P is a proof
+            by_mod_p += 1
+        decided[want] += 1
+    assert decided[True] > 20 and decided[False] > 10
+    assert by_mod_p == decided[True]
+
+
+def test_planar_guard_falls_back_where_meets_vanish_mod_p():
+    """Third coordinates scaled by P (a projective map) keep the window a
+    generic mesh over Q, but put every point mod P on one line, so every
+    meet vanishes mod P and the exact guard decides."""
+    for name, seed in (("pentagram", 3), ("sideways", 4)):
+        pin = zoo_pin(name)
+        w = generate_window(pin, 2, 0, 4 * (pin.l + 2), seed=seed)
+        scaled = MeshWindow(pin, 2)
+        scaled.points = {k: Point((z[0], z[1], mesh.P * z[2])) for k, z in
+                         ((k, p.z) for k, p in w.points.items())}
+        steps = pin.l + 2
+        assert not mesh._propagates_mod_p(scaled, steps, mesh.TOP)
+        assert mesh._propagates(scaled, steps, mesh.TOP)
+        assert _exact_guard(scaled, steps, mesh.TOP)
+        bad = _neighbour_replaced(scaled, random.Random(seed))
+        assert mesh._propagates(bad, steps, mesh.TOP) == _exact_guard(bad, steps, mesh.TOP)
+
+
+def test_meet_mod_p_is_the_reduced_exact_meet():
+    """Random quadruples, and degenerate ones (a repeated point, one line
+    twice), where the integer meet vanishes and so does the meet mod P."""
+    rng = random.Random(22)
+    vanished = 0
+    for _ in range(200):
+        p, q, u, w = (Point([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)])
+                      for _ in range(4))
+        for pts in ([p, q, u, w], [p, p, u, w], [p, q, q, p], [p, q, u, u]):
+            reduced = [mesh._mod_p(x.z) for x in pts]
+            if projective._meet_lines(*(x.z for x in pts)) is None:
+                with pytest.raises(DegenerateError):
+                    mesh._meet_mod_p(reduced)
+                vanished += 1
+            else:
+                want = mesh._mod_p(meet_point(join(*pts[:2]), join(*pts[2:])).z)
+                assert mesh._meet_mod_p(reduced) == want, pts
+    assert vanished >= 600

@@ -412,6 +412,24 @@ def test_rank_of_tall_lists_match_bareiss(dim):
     assert rank_of([]) == 0
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_rank_of_short_lists_match_bareiss(dim):
+    """Lists of up to three vectors, decided by the line chart: repeated,
+    collinear, general and mixed, in every order."""
+    rng = random.Random(500 + dim)
+    n = dim + 1
+    seen = set()
+    for _ in range(40):
+        p, q, r = (Point(_rand_vec(rng, n)) for _ in range(3))
+        on = _combo(rng, p.z, q.z)
+        for pts in ([], [p], [p, p], [p, p, p], [p, q], [p, q, p], [p, p, q], [p, q, on],
+                    [on, p, q], [p, q, r], [p, r, q], [p, p, r]):
+            want = _bareiss_rank([x.z for x in pts])
+            assert rank_of(pts) == want, pts
+            seen.add(want)
+    assert seen == {0, 1, 2, 3} or (dim == 1 and seen == {0, 1, 2})
+
+
 def _outcome_msg(fn, *args):
     try:
         return ("value", fn(*args))

@@ -88,6 +88,11 @@ def test_exchange_trace_random_runs(zoo_name):
     assert run_periodic_y(pin, n, y0, 12) == (exported, final)
 
 
+def test_exchange_trace_without_instances_is_config_error():
+    with pytest.raises(QuiverConfigError, match="only 0 exchange-trace instances"):
+        check_exchange_trace(zoo_pin("pentagram"), 8, {})
+
+
 def test_1d_fm_recurrence():
     # m = 2 with a single arrow 1 -> 2: x_{j+2} x_j = x_{j+1} + 1 (period 5)
     q = Quiver({1, 2}, [(1, 2)])

@@ -20,6 +20,9 @@ message).  The entries cover
   ``genericity_audit`` on the generated, polygon and 1D windows and on
   corrupted copies of them (a point moved by one unit, or replaced by a
   neighbour);
+- the decision of the redraw guard, ``_propagates(w, l + 2, rule)``, on
+  every planar window: generated, stepped and reduced ones, polygons, and
+  their corrupted and edited copies;
 - the same checks and the y-values of the four lines through one point,
   re-run on the checked window object after each of four in-place edits of
   its points: the point moved, replaced by a neighbour, deleted and
@@ -55,9 +58,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ymesh.fractal import genericity_audit  # noqa: E402
 from ymesh.ijmap import row_polygon, t_ij  # noqa: E402
-from ymesh.mesh import (generate_1d, generate_polygon_window, generate_reduced,  # noqa: E402
-                        generate_window, step_1d, step_backward, step_forward,
-                        step_reduced_forward, check_menelaus, check_relations)
+from ymesh.mesh import (REDUCED, TOP, generate_1d, generate_polygon_window,  # noqa: E402
+                        generate_reduced, generate_window, step_1d, step_backward,
+                        step_forward, step_reduced_forward, check_menelaus,
+                        check_relations, _propagates)
 from ymesh.pins import d_of_s, ij_correspondence  # noqa: E402
 from ymesh.projective import Point, meet, span  # noqa: E402
 from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
@@ -115,11 +119,18 @@ def record(label, fn, *args, **kw):
     return value if ok else None
 
 
+def guard(label, w, rule=TOP):
+    """The redraw guard's decision on a planar window."""
+    if w.dim == 2:
+        emit(label + " guard", outcome(_propagates, w, w.pin.l + 2, rule)[1])
+
+
 def checks(label, w):
     emit(label + " relations", outcome(check_relations, w)[1])
     emit(label + " menelaus", outcome(check_menelaus, w)[1])
     emit(label + " eqmain", outcome(check_eqmain, w)[1])
     emit(label + " genericity", outcome(genericity_audit, w, min(2, w.dim))[1])
+    guard(label, w)
 
 
 def corrupted(w, rng):
@@ -184,6 +195,7 @@ def planar(seed, rng):
             w = record(label, generate_window, pin, dim, 0, cols, seed=seed)
             if w is None:
                 continue
+            guard(label, w)
             for s in range(pin.l + 1):
                 w = record("%s step %d" % (label, s + 1), step_forward, w)
                 if w is None:
@@ -200,12 +212,16 @@ def reduced(seed):
         pin = zoo_pin(name)
         label = "reduced %s seed=%d" % (name, seed)
         w = record(label, generate_reduced, pin, 0, 8 * (pin.l + 2), seed=seed)
+        rule = TOP if pin.c[1] == pin.d[1] else REDUCED  # as generate_reduced
+        if w is not None:
+            guard(label, w, rule)
         for s in range(3):
             if w is None:
                 break
             w = record("%s step %d" % (label, s + 1), step_reduced_forward, w)
         if w is not None:
             emit(label + " relations", outcome(check_relations, w)[1])
+            guard(label + " stepped", w, rule)
 
 
 def polygons(seed, rng):
@@ -217,6 +233,8 @@ def polygons(seed, rng):
                 s = draws.randrange(2 ** 31)
                 label = "polygon %s n=%d draw=%d" % (name, n, s)
                 w = record(label, generate_polygon_window, pin, n, seed=s, dim=2)
+                if w is not None:
+                    guard(label, w)
                 for step in range(8):
                     if w is None:
                         break
