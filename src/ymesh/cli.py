@@ -20,7 +20,7 @@ from .filtration import classify_case, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, IdentityFailure, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
-from .yvars import EQMAIN_LABELS, YTable, check_eqmain, eqmain_instance, y_of
+from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_of
 from .quiver import (QuiverConfigError, build_qs, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, tilde_ideal_generator, LiftedUnavailable
@@ -219,9 +219,8 @@ def _mesh_report(path, kind):
     else:
         # a base fits when the four points of each of its six y-values do
         offsets = [w.pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
-        cache = YTable(w)
         for r in bases(w, offsets):
-            rel = eqmain_instance(w, r, cache)
+            rel = eqmain_instance(w, r)
             if rel == "degenerate":
                 continue
             instances += 1
@@ -273,8 +272,8 @@ def _verify_one(job):
     ck["relations"] = check_relations(w)
     back = step_backward(step_forward(w))
     common = [k for k in w.points if k in back.points]
-    assert common and all(back.points[k] == w.points[k] for k in common), \
-        "forward/backward inverse check"
+    if not (common and all(back.points[k] == w.points[k] for k in common)):
+        raise AssertionError("forward/backward inverse check")
     ck["inverse_common_points"] = len(common)
     ck["eqmain"] = check_eqmain(w)
     counts = genericity_audit(w, 2)

@@ -226,7 +226,10 @@ class FiltrationSpec:
         return self.phi(r) - phi_ + 1
 
     def death(self, r):
+        """Largest t with r in H_t."""
         blk = self._block(r[1])
+        if blk is None:
+            raise ValueError("row %d outside strip" % r[1])
         plo, _ = blk
         return self.phi(r) - plo
 
@@ -292,47 +295,48 @@ def audit_filtration(pin, t_lo=None, t_hi=None):
     for t in range(t_lo, t_hi):
         H_t, H_t1 = H_prev, set(spec.H(t + 1))
         H_prev = H_t1
-        assert len(H_t) == want, "|H_%d| = %d != %d" % (t, len(H_t), want)
+        if len(H_t) != want:
+            raise AssertionError("|H_%d| = %d != %d" % (t, len(H_t), want))
         out_set, in_set = H_t - H_t1, H_t1 - H_t
         # (3): membership intervals are contiguous
         for r in H_t | H_t1:
-            assert spec.birth(r) <= t + 1 <= spec.death(r) + 1
-            assert spec.in_H(r, t) == (spec.birth(r) <= t <= spec.death(r))
+            if not (spec.birth(r) <= t + 1 <= spec.death(r) + 1
+                    and spec.in_H(r, t) == (spec.birth(r) <= t <= spec.death(r))):
+                raise AssertionError
         # (1)+(2): f,g belong to their circuits, differ, and invert correctly
         for r in in_set | out_set:
             for inv, fwd in ((spec.g_inverse, spec.g_point), (spec.f_inverse, spec.f_point)):
                 kind, base = inv(r)
-                members = circuit_members(pin, kind, base)
-                assert fwd(kind, base) == r and r in members
-            gk, gb = spec.g_inverse(r)
-            fk, fb = spec.f_inverse(r)
-            assert spec.f_point(gk, gb) != spec.g_point(gk, gb)
-            assert spec.f_point(fk, fb) != spec.g_point(fk, fb)
+                if not (fwd(kind, base) == r and r in circuit_members(pin, kind, base)):
+                    raise AssertionError
+            for kind, base in (spec.g_inverse(r), spec.f_inverse(r)):
+                if spec.f_point(kind, base) == spec.g_point(kind, base):
+                    raise AssertionError
         # (4): g o f^{-1} bijects out_set -> in_set
         image = set()
         for r in out_set:
             kind, base = spec.f_inverse(r)
             image.add(spec.g_point(kind, base))
-        assert image == in_set, "condition 4 fails at t=%d: %s vs %s" % (t, sorted(image), sorted(in_set))
+        if image != in_set:
+            raise AssertionError("condition 4 fails at t=%d: %s vs %s"
+                                 % (t, sorted(image), sorted(in_set)))
         # (5): f(I) dying at t => I inside H_t u H_{t+1}
         both = H_t | H_t1
         for r in out_set:
             kind, base = spec.f_inverse(r)
-            assert set(circuit_members(pin, kind, base)) <= both, \
-                "condition 5 fails at t=%d for %s" % (t, (kind, base))
+            if not set(circuit_members(pin, kind, base)) <= both:
+                raise AssertionError("condition 5 fails at t=%d for %s" % (t, (kind, base)))
         # (6): within in_set, members of g^{-1}(r) in in_set precede r
         for r in in_set:
             kind, base = spec.g_inverse(r)
             for r2 in circuit_members(pin, kind, base):
-                if r2 != r and r2 in in_set:
-                    assert spec.order6_key(r2) < spec.order6_key(r), \
-                        "condition 6 fails at t=%d: %s vs %s" % (t, r2, r)
+                if r2 != r and r2 in in_set and not spec.order6_key(r2) < spec.order6_key(r):
+                    raise AssertionError("condition 6 fails at t=%d: %s vs %s" % (t, r2, r))
         # (7): within out_set, members of f^{-1}(r) in out_set precede r
         for r in out_set:
             kind, base = spec.f_inverse(r)
             for r2 in circuit_members(pin, kind, base):
-                if r2 != r and r2 in out_set:
-                    assert spec.order7_key(r2) < spec.order7_key(r), \
-                        "condition 7 fails at t=%d: %s vs %s" % (t, r2, r)
+                if r2 != r and r2 in out_set and not spec.order7_key(r2) < spec.order7_key(r):
+                    raise AssertionError("condition 7 fails at t=%d: %s vs %s" % (t, r2, r))
     report["checked_t"] = t_hi - t_lo
     return report

@@ -4,22 +4,22 @@ The k-fractal at base r is the set {r + alpha*a + beta*b + gamma*c + delta*d}
 over nonnegative integer exponents summing to k (coincident labels merge).
 A mesh is d-generic when every i-fractal with i <= d spans an i-flat.
 
-The audits decide the 1- and 2-fractals from the window's line store
-(``MeshWindow.line``, read through a ``mesh.LineTable``).  The 1-fractal at r
-is the line L_r, so it spans a line when L_r has a chart.  The 2-fractal at r
-is the union of the lines L_{r+a}, L_{r+b}, L_{r+c} and L_{r+d}.  When all
-four have charts and P_{r+aa}, P_{r+ab}, P_{r+bb} are not collinear, L_{r+a}
-and L_{r+b} are two lines through P_{r+ab} and span a plane; L_{r+c} passes
-through P_{r+ac} and P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd}, all
-on those two lines, so the fractal spans exactly that plane.  Any other
-fractal is decided by ``fractal_dim`` on its points, so the reported
-dimensions are the exact ones.
+The audits decide the 1- and 2-fractals from the window's line store,
+``MeshWindow.lines``.  The 1-fractal at r is the line L_r, so it spans a
+line when L_r has a chart.  The 2-fractal at r is the union of the lines
+L_{r+a}, L_{r+b}, L_{r+c} and L_{r+d}.  When all four have charts and
+P_{r+aa}, P_{r+ab}, P_{r+bb} are not collinear, L_{r+a} and L_{r+b} are two
+lines through P_{r+ab} and span a plane; L_{r+c} passes through P_{r+ac} and
+P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd}, all on those two lines,
+so the fractal spans exactly that plane.  Any other fractal is decided by
+``fractal_dim`` on its points, so the reported dimensions are the exact
+ones.
 """
 
 from itertools import combinations, islice
 
 from .projective import collinear, rank_of
-from .mesh import LineTable, bases
+from .mesh import bases
 
 
 def make_fractal(pin, r, k):
@@ -78,11 +78,11 @@ def fractal_dim(window, labels):
     return rank_of([window.get(lab) for lab in labels]) - 1
 
 
-def _span_dim(window, lines, r, k):
-    """``fractal_dim`` of the k-fractal at r: read off the window's
-    ``LineTable`` lines where a certificate of the module docstring holds
-    (k <= 2), else computed on the fractal's points."""
-    pin = window.pin
+def _span_dim(window, r, k):
+    """``fractal_dim`` of the k-fractal at r: read off the window's line
+    store where a certificate of the module docstring holds (k <= 2), else
+    computed on the fractal's points."""
+    pin, lines = window.pin, window.lines
     if k == 1 and lines[r][2]:
         return 1
     if k == 2:
@@ -104,12 +104,11 @@ def fractal_bases_in_window(window, k, limit=None):
 def genericity_audit(window, d, max_bases=40):
     """Verify d-genericity: every i-fractal (i <= d) inside the window spans
     an i-flat.  Returns counts per i."""
-    lines = LineTable(window)
     counts = {}
     for i in range(1, d + 1):
         bases = fractal_bases_in_window(window, i, limit=max_bases)
         for r in bases:
-            dim = _span_dim(window, lines, r, i)
+            dim = _span_dim(window, r, i)
             if dim != i:
                 raise AssertionError("%d-fractal at %s spans dim %d" % (i, r, dim))
         counts[i] = len(bases)
@@ -133,13 +132,12 @@ def genericity_evidence(window, dim, k_max=None, max_bases=25):
     min(k, D); reported, not asserted."""
     if k_max is None:
         k_max = dim
-    lines = LineTable(window)
     rows = []
     for k in range(1, k_max + 1):
         bases = fractal_bases_in_window(window, k, limit=max_bases)
         hits = 0
         for r in bases:
-            if _span_dim(window, lines, r, k) == min(k, dim):
+            if _span_dim(window, r, k) == min(k, dim):
                 hits += 1
         rows.append({"k": k, "samples": len(bases), "generic": hits})
     return rows

@@ -33,27 +33,29 @@ The checks list their instances with ``bases``, which reads the bases off
 the window's keys, so no scan range depends on the size of the pin.  Each
 collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
 and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
-So a window keeps a line store (``MeshWindow.line``) that charts each line
-once, on the line's points inside the window (``chart_of``), and keeps the
-chart while those points stay the same objects or equal ones; the checks
-and ``yvars.y_pair`` read it through a per-call ``LineTable``, so each line
-is charted once per window and checked against the window's current points
-once per call.  A line whose present points are distinct and on one line
-answers its sub-tests by lookup, its 2x2 determinants give the Menelaus
-factors, and two such lines L_{r+c}, L_{r+d} through a point P_{r+cd} in the
-window decide the P3 instance at r; any other line falls back to the
-per-instance kernels (``collinear``, ``coplanar``, ``multi_ratio_pair``) on
-the instance's own points, so decisions, counts and messages are those of
-the kernels.
+So a window keeps a line store, ``MeshWindow.lines``, whose entry for L_s is
+made on first use from the line's points inside the window: the points,
+their vectors, their chart (``chart_of``) and, on a charted line with all
+four points, its y-value.  Every write to ``points`` empties the store, so
+an entry is never stale, and the checks and ``yvars.y_pair`` on one window
+chart each line once.  A line whose present points are distinct and on one
+line answers its sub-tests by lookup, its 2x2 determinants give the
+Menelaus factors, and two such lines L_{r+c}, L_{r+d} through a point
+P_{r+cd} in the window decide the P3 instance at r; any other line falls
+back to the per-instance kernels (``collinear``, ``coplanar``,
+``multi_ratio_pair``) on the instance's own points, so decisions, counts
+and messages are those of the kernels.
 """
 
 import random
+import weakref
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .rational import ExtQ, DegenerateError
 from .projective import (Point, join, meet_point, multi_ratio_pair, factor_pair, rank_of,
-                         collinear, coplanar, chart_of, det2)
+                         collinear, coplanar, chart_of, cross_ratio_on, det2)
 from .pins import Pin, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
                          CASE_TRIANGLE_C)
@@ -93,19 +95,24 @@ class MeshWindow:
     """Sparse window of a mesh: dict (i, j) -> Point; optionally periodic in i
     (closed polygons: index i is taken mod periodic_n).
 
-    ``lines`` is the window's line store, filled by ``line``: base s (mod n)
-    -> (pts, zs, chart) for the line L_s.  A new window, a ``copy`` and a
-    ``shift`` start with an empty store."""
+    ``lines`` is the window's line store (``_Lines``), emptied by every
+    write to ``points`` (a ``_Points``) and by assigning a dict to
+    ``points``, which keeps a copy of it.  A ``copy`` has its own store."""
 
     def __init__(self, pin, dim, points=None, periodic_n=None):
         self.pin = pin
         self.dim = dim
         self.periodic_n = periodic_n
-        self.points = {}
-        self.lines = {}
-        if points:
-            for r, p in points.items():
-                self.set(r, p)
+        self.lines = _Lines()
+        self.lines.window = weakref.ref(self)
+        self.points = {self._key(r): p for r, p in (points or {}).items()}
+
+    def __setattr__(self, name, value):
+        if name == "points":
+            self.lines.clear()
+            value = _Points(value)
+            value.lines = self.lines
+        object.__setattr__(self, name, value)
 
     def _key(self, r):
         if self.periodic_n:
@@ -135,37 +142,62 @@ class MeshWindow:
             return [self.points[((r1 + d1) % n, r2 + d2)] for d1, d2 in offsets]
         return [self.points[(r1 + d1, r2 + d2)] for d1, d2 in offsets]
 
-    def line(self, s):
-        """(pts, zs, chart) of the line L_s at a key s: the points P_{s+a} ..
-        P_{s+d} (None for a point outside the window), their primitive
-        vectors and their ``chart_of``.  The store's entry for s is used
-        while its pts equal the window's points at those keys, and made
-        again otherwise, so in-place edits of ``points`` cannot leave it
-        stale: an entry depends only on its Points, and a Point never
-        changes."""
-        s1, s2 = s
-        n = self.periodic_n
-        get = self.points.get
-        if n:
-            pts = tuple([get(((s1 + o1) % n, s2 + o2)) for o1, o2 in self.pin.points])
-        else:
-            pts = tuple([get((s1 + o1, s2 + o2)) for o1, o2 in self.pin.points])
-        held = self.lines.get(s)
-        if held is None or held[0] != pts:
-            zs = tuple([None if p is None else p.z for p in pts])
-            self.lines[s] = held = pts, zs, chart_of(zs)
-        return held
-
     def copy(self):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
-        w.points = dict(self.points)
+        w.points = self.points  # kept as a copy
         return w
 
-    def shift(self, di, dj):
-        w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
-        for (i, j), p in self.points.items():
-            w.points[(i + di, j + dj)] = p
-        return w
+
+class _Points(dict):
+    """The points of a window: a dict whose every write (set, del, pop,
+    popitem, setdefault, update, |= and clear) first empties the window's
+    line store, so no store entry outlives the points it was made from."""
+
+    __slots__ = ("lines",)
+
+
+def _emptying(write):
+    def method(self, *args, **kw):
+        self.lines.clear()
+        return write(self, *args, **kw)
+    return method
+
+
+for _write in "__setitem__ __delitem__ pop popitem setdefault update __ior__ clear".split():
+    setattr(_Points, _write, _emptying(getattr(dict, _write)))
+
+
+class _Lines(dict):
+    """A window's line store: base s -> (pts, zs, chart, y) for the line L_s,
+    made on first use: the points P_{s+a} .. P_{s+d} (None for a point
+    outside the window), their primitive vectors, their ``chart_of``, and
+    the reduced y-pair ``yvars.y_pair`` of a line with a chart and all four
+    points (else None).  On a periodic window s and s mod n share one entry.
+    It refers to its window weakly, so the two make no reference cycle."""
+
+    __slots__ = ("window",)
+
+    def __missing__(self, s):
+        w = self.window()
+        key = w._key(s)
+        if key != s:
+            entry = self[key]
+        else:
+            s1, s2 = s
+            n = w.periodic_n
+            get = w.points.get
+            pts = tuple([get(((s1 + o1) % n if n else s1 + o1, s2 + o2))
+                         for o1, o2 in w.pin.points])
+            zs = tuple([None if p is None else p.z for p in pts])
+            chart = chart_of(zs)
+            y = None
+            if chart and None not in zs:  # four distinct points: num, den != 0
+                num, den = cross_ratio_on(zs[0], zs[2], zs[1], zs[3], *chart)
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                y = -num // g, den // g
+            entry = pts, zs, chart, y
+        self[s] = entry
+        return entry
 
 
 # ---- generation --------------------------------------------------------
@@ -289,10 +321,7 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
 
         def draw(rng):
             w = _generate_filtration(rev, dim, i_lo, i_hi, rng)
-            window = MeshWindow(pin, dim)
-            for (i, j), p in w.points.items():
-                window.points[(i, pin.m + 1 - j)] = p
-            return window
+            return MeshWindow(pin, dim, {(i, pin.m + 1 - j): p for (i, j), p in w.points.items()})
     else:
         def draw(rng):
             return _generate_filtration(pin, dim, i_lo, i_hi, rng)
@@ -523,29 +552,6 @@ def bases(window, offsets):
     return sorted(found, key=lambda r: (r[1], r[0]))
 
 
-class LineTable(dict):
-    """An entry for each line L_s a check call touches, keyed by base s and
-    made on first use by ``entry`` (once per line mod n on a periodic
-    window): the window's ``line(s)``, (pts, zs, chart).  The window's line
-    store keeps the entries between calls and checks them against the
-    window's current points; the table makes that check once per line and
-    call."""
-
-    __slots__ = ("window",)
-
-    def __init__(self, window):
-        super().__init__()
-        self.window = window
-
-    def __missing__(self, s):
-        key = self.window._key(s)
-        self[s] = entry = self[key] if key != s else self.entry(s)
-        return entry
-
-    def entry(self, s):
-        return self.window.line(s)
-
-
 def _repeats(pts):
     return len(set(pts)) != len(pts)
 
@@ -586,12 +592,12 @@ def check_relations(window, require_instances=1):
 
     L1 = {r+a, r+b, r+c} and L2 = {r+b, r+c, r+d} lie on L_r, so every
     collinearity and distinctness test of base r holds when L_r has a chart
-    in the call's ``LineTable``; a line without one tests each instance on
+    in the window's line store; a line without one tests each instance on
     its points.  P3 = {r+ac, r+ad, r+bc, r+bd} spans at most a plane when
     L_{r+c} and L_{r+d} have charts and P_{r+cd}, on both, is in the
     window; any other P3 instance runs ``coplanar``."""
     pin = window.pin
-    lines = LineTable(window)
+    lines = window.lines
     (c1, c2), (d1, d2), (e1, e2) = pin.c, pin.d, pin.offset("cd")
     counts = {"L1": 0, "L2": 0, "P3": 0, "line": 0}
     for kind, words in Pin.CIRCUIT_WORDS.items():
@@ -685,25 +691,25 @@ def check_menelaus(window):
     failed relation or a triple off a line raises ``IdentityFailure``.
 
     Each triple lies on a line L_s; when all three lines have a chart in the
-    call's ``LineTable``, the factors are 2x2 determinants on those charts,
+    window's line store, the factors are 2x2 determinants on those charts,
     else the instance goes through ``multi_ratio_pair`` on its points."""
     pin = window.pin
     offs = [pin.offset(word) for word in MENELAUS_WORDS]
     triples = [(pin.offset(label), idx) for label, idx in MENELAUS_LINES]
-    lines = LineTable(window)
+    lines = window.lines
     count = 0
     for r in bases(window, offs):
         r1, r2 = r
         on = [(lines[(r1 + o1, r2 + o2)], idx) for (o1, o2), idx in triples]
         try:
-            if all(chart for (_, _, chart), _ in on):
+            if all(line[2] for line, _ in on):
                 num, den = factor_pair((det2(zs[x], zs[y], i, j), det2(zs[y], zs[z], i, j))
-                                       for (_, zs, (i, j)), (x, y, z) in on)
+                                       for (_, zs, (i, j), _), (x, y, z) in on)
             else:
                 num, den = multi_ratio_pair(window.at(r, offs))
         except DegenerateError:
             pts = window.at(r, offs)
-            if not all(chart or collinear(t) for ((_, _, chart), _), t
+            if not all(line[2] or collinear(t) for (line, _), t
                        in zip(on, (pts[0:3], pts[2:5], pts[4:6] + pts[:1]))):
                 raise IdentityFailure("Menelaus triple not collinear at base (%d, %d)" % r)
             continue

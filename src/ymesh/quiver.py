@@ -15,6 +15,7 @@ from collections.abc import Mapping
 
 from .rational import ExtQ, degenerate_pair, exchange_relation, in_factor, mul_pow, out_factor
 from .pins import PinError
+from .mesh import IdentityFailure
 
 
 class QuiverConfigError(PinError):
@@ -258,12 +259,12 @@ def verify_period_one(pin, n):
     q = build_qs(pin, n)
     for u, w, _ in q.arrows():
         if u[1] == 0 and w[1] == 0:
-            raise AssertionError("row 0 is not arrow-free: %s -> %s" % (u, w))
+            raise IdentityFailure("row 0 is not arrow-free: %s -> %s" % (u, w))
     rho_q = q.relabel(rho_relabel(pin, n))
     for i in range(n):
         q._mutate_in_place((i, 0))
     if q != rho_q:
-        raise AssertionError("mu_row0(Q) != rho(Q) for %r, n=%d" % (pin, n))
+        raise IdentityFailure("mu_row0(Q) != rho(Q) for %r, n=%d" % (pin, n))
     return True
 
 
@@ -299,7 +300,7 @@ def check_exchange_trace(pin, n, exported, min_instances=1):
     Both sides are products of the integer pairs of the exported values
     (``rational.exchange_relation``), compared and reported from those pairs.
     Instances with a degenerate factor (0, -1 or inf) are skipped.  A
-    failed instance raises ``AssertionError``; a trace with fewer than
+    failed instance raises ``IdentityFailure``; a trace with fewer than
     min_instances checked instances raises ``QuiverConfigError``."""
     i0, l = qs_period(pin)
     outs, ins = arrows_at_origin(pin)
@@ -317,7 +318,7 @@ def check_exchange_trace(pin, n, exported, min_instances=1):
             continue
         holds, lhs, rhs = exchange_relation(pairs[top], pairs[u], factors)
         if not holds:
-            raise AssertionError("exchange trace fails at %s: %s vs %s"
+            raise IdentityFailure("exchange trace fails at %s: %s vs %s"
                                  % (u, ExtQ(*lhs), ExtQ(*rhs)))
         checked += 1
     if checked < min_instances:
@@ -369,6 +370,6 @@ def check_1d_y_relation(q, m, trace):
         if any(degenerate_pair(*pair) for pair, _, _ in factors):
             continue
         if not exchange_relation(pairs[j - 1], pairs[j + m - 1], factors)[0]:
-            raise AssertionError("1D y-relation fails at j=%d" % j)
+            raise IdentityFailure("1D y-relation fails at j=%d" % j)
         checked += 1
     return checked

@@ -10,9 +10,9 @@ import io
 import json
 from fractions import Fraction
 
-from .pins import Pin
+from .pins import Pin, PinError
 from .projective import Point
-from .mesh import MeshWindow
+from .mesh import MeshError, MeshWindow
 from .quiver import Quiver
 
 
@@ -29,7 +29,15 @@ def pin_to_json(pin):
 
 
 def pin_from_json(obj):
-    return Pin([tuple(obj[k]) for k in ("a", "b", "c", "d")])
+    """The pin of ``pin_to_json``; input of any other form raises
+    ``PinError``."""
+    try:
+        points = [tuple(obj[k]) for k in "abcd"]
+        if all(len(p) == 2 and all(type(x) is int for x in p) for p in points):
+            return Pin(points)
+    except (KeyError, TypeError):
+        pass
+    raise PinError("a pin is a, b, c and d, each a pair of integers; got %r" % (obj,))
 
 
 def mesh_to_json(window, seed=None):
@@ -50,14 +58,18 @@ def mesh_to_json(window, seed=None):
 
 
 def mesh_from_json(obj):
-    pin = pin_from_json(obj["pin"])
-    w = MeshWindow(pin, obj["dim"], periodic_n=obj.get("periodic_n"))
-    for row in obj["rows"]:
-        j, i_lo = row["j"], row["i_lo"]
-        for k, arr in enumerate(row["points"]):
-            if arr is not None:
-                w.set((i_lo + k, j), point_from_json(arr))
-    return w
+    """The window of ``mesh_to_json``; input of any other form raises
+    ``MeshError`` (``PinError`` for the pin)."""
+    try:
+        pin, dim, n = obj["pin"], obj["dim"], obj.get("periodic_n")
+        points = {(row["i_lo"] + k, row["j"]): point_from_json(arr)
+                  for row in obj["rows"] for k, arr in enumerate(row["points"]) if arr is not None}
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise MeshError("malformed mesh: %s: %s" % (type(e).__name__, e)) from None
+    if not (type(dim) is int and dim > 0 and (n is None or type(n) is int and n > 0) and all(
+            type(i) is type(j) is int and len(p.z) == dim + 1 for (i, j), p in points.items())):
+        raise MeshError("a mesh needs integer indices, dim, periodic_n > 0 and points dim + 1 long")
+    return MeshWindow(pin_from_json(pin), dim, points, periodic_n=n)
 
 
 def _vkey(v):

@@ -7,26 +7,22 @@ The propagation dynamics satisfies, for every base r,
                         / ((1+1/y_{r+a+d})(1+1/y_{r+b+c})) .
 
 A y-value is read off the line L_r of the window's line store
-(``MeshWindow.line``): on a line with a chart its cross ratio is four 2x2
-determinants on that chart, and a line without one (points off one line, or
-repeated) goes through ``cross_ratio_pair``, which raises as before.  The
-determinants of points on one line share a large factor of that line, so
-``y_pair`` reduces the pair once, where it is made: a y-value is its
-canonical pair (gcd 1, den >= 0, inf = (1, 0)), the same on every chart, and
-the exchange checks multiply pairs about 40% the size of the unreduced ones.
-``check_eqmain`` and ``verify eqmain`` keep one y-value per line in a
-``YTable``, the per-call line table of ``ymesh.mesh``: whether L_s is inside
-the window is a set lookup.  The charts come from the store, so the checks
-and ``y_of`` on one window chart each line once.
+(``MeshWindow.lines``): the store keeps the y-value of each line with a
+chart, four 2x2 determinants on that chart, and a line without one (points
+off one line, or repeated) goes through ``cross_ratio_pair``, which raises
+as before.  The determinants of points on one line share a large factor of
+that line, so a y-value is reduced once, where it is made: it is its
+canonical pair (gcd 1, den >= 0, inf = (1, 0)), the same on every chart,
+and the exchange checks multiply pairs about 40% the size of the unreduced
+ones.  ``check_eqmain`` tells whether L_s is inside the window by a set
+lookup before it reads the store, so the checks and ``y_of`` on one window
+chart each line once.
 """
-
-from math import gcd
 
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
                        out_factor)
-from .projective import (cross_ratio_pair, cross_ratio_on, multi_ratio, join, meet_point,
-                         rank_of)
-from .mesh import IdentityFailure, LineTable, MeshError, bases
+from .projective import cross_ratio_pair, multi_ratio, join, meet_point, rank_of
+from .mesh import IdentityFailure, MeshError, bases
 
 EQMAIN_LABELS = ("ab", "cd", "ac", "bd", "ad", "bc")
 
@@ -39,22 +35,15 @@ def y_of(window, r):
 def y_pair(window, r):
     """y_of(window, r) as its reduced integer pair (num, den): gcd 1,
     den >= 0, and inf = (1, 0).  The value is -[z_a, z_c, z_b, z_d] on the
-    chart of L_r in the window's line store; reduced, it does not depend on
-    the chart.  When L_r has no chart or a point outside the window, the
-    pair comes from ``cross_ratio_pair`` on the points, raising as it does."""
-    _, zs, chart = window.line(window._key(r))
-    if chart is None or None in zs:
-        pin = window.pin
-        num, den = cross_ratio_pair(*[window.get(pin.shift(r, lab)) for lab in "acbd"])
-    else:
-        za, zb, zc, zd = zs
-        num, den = cross_ratio_on(za, zc, zb, zd, *chart)
-    if not den:
-        return 1, 0
-    g = gcd(num, den)  # not 0: cross_ratio_on raises on 0/0
-    if den < 0:
-        g = -g
-    return -num // g, den // g
+    chart of L_r, kept in the window's line store; reduced, it does not
+    depend on the chart.  When L_r has no chart or a point outside the
+    window, the pair comes from ``cross_ratio_pair`` on the points, raising
+    as it does."""
+    y = window.lines[r][3]
+    if y is None:
+        num, den = cross_ratio_pair(*[window.get(window.pin.shift(r, lab)) for lab in "acbd"])
+        y = ExtQ(-num, den).as_pair()
+    return y
 
 
 def y_available(window, r):
@@ -70,59 +59,43 @@ def eqmain_relation(ys):
                                       (ad, 1, out_factor), (bc, 1, out_factor)))
 
 
-def eqmain_instance(window, r, cache=None):
+def eqmain_instance(window, r):
     """``eqmain_relation`` at base r; None when one of its y-values is not
-    inside the window, "degenerate" when one is 0, -1 or inf.
-
-    ``cache`` (a ``YTable`` of the window) lets calls on one window share
-    their y-values."""
+    inside the window, "degenerate" when one is 0, -1 or inf."""
     offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
-    return _eqmain_instance(window, r, YTable(window) if cache is None else cache, offsets)
+    line_bases = [(r[0] + o1, r[1] + o2) for o1, o2 in offsets]
+    return _eqmain_instance(window, r, offsets, {s for s in line_bases if y_available(window, s)})
 
 
-class YTable(LineTable):
-    """A ``LineTable`` of one check call whose entry for L_s is its y-value
-    as its reduced integer pair (``y_pair``, on the line of the window's
-    line store), or False when a point of L_s is outside the window: a
-    lookup in the set of lines inside (``bases`` over the offsets a, b, c,
-    d).  A line inside whose points span more than a line fails the mesh's
-    line relation and raises ``IdentityFailure``; any other degenerate line
-    raises as ``y_pair`` does."""
-
-    __slots__ = ("inside",)
-
-    def __init__(self, window):
-        super().__init__(window)
-        self.inside = set(bases(window, window.pin.points))
-
-    def entry(self, s):
-        if s not in self.inside:
-            return False
-        try:
-            return y_pair(self.window, s)
-        except DegenerateError:
-            rank = rank_of(self.window.line(s)[0])
-            if rank <= 2:
-                raise
-            raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
-                                  % (s + (rank,)))
-
-
-def _eqmain_instance(window, r, ys, offsets):
+def _eqmain_instance(window, r, offsets, inside):
+    """``eqmain_instance`` given the set of lines inside the window.  A line
+    inside whose points span more than a line fails the mesh's line relation
+    and raises ``IdentityFailure``; any other raises as ``y_pair`` does."""
     r1, r2 = r
+    lines = window.lines
     pairs = []
     for o1, o2 in offsets:
-        y = ys[(r1 + o1, r2 + o2)]
-        if not y:
+        s = (r1 + o1, r2 + o2)
+        if s not in inside:
             return None
+        y = lines[s][3]
+        if y is None:  # L_s has no chart
+            try:
+                y = y_pair(window, s)
+            except DegenerateError:
+                rank = rank_of(lines[s][0])
+                if rank <= 2:
+                    raise
+                raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
+                                      % (window._key(s) + (rank,)))
         pairs.append(y)
     return "degenerate" if any(degenerate_pair(*y) for y in pairs) else eqmain_relation(pairs)
 
 
-def eqmain_residual(window, r, cache=None):
+def eqmain_residual(window, r):
     """LHS/RHS of the exchange identity at base r; 1 on a mesh.  None (not
     inside the window) or "degenerate" (skip) as from ``eqmain_instance``."""
-    rel = eqmain_instance(window, r, cache)
+    rel = eqmain_instance(window, r)
     if not isinstance(rel, tuple):
         return rel
     _, (lhs_n, lhs_d), (rhs_n, rhs_d) = rel
@@ -131,13 +104,14 @@ def eqmain_residual(window, r, cache=None):
 
 def check_eqmain(window, min_instances=1):
     """Verify the exchange identity at every base fully inside the window on
-    integer pairs (``eqmain_instance``); each y-value is computed once per
-    call, in the call's ``YTable``, on the line charted in the window's
-    line store.  The scan covers every base whose 24 points (four per
-    y-value) can reach the window's bounding box.  A failed instance, or a
-    line L_s inside the window whose points are not on one line, raises
-    ``IdentityFailure``; fewer than ``min_instances`` instances raise
-    ``MeshError`` ("window too small"), as in ``check_relations``.
+    integer pairs (``eqmain_instance``), reading each y-value from the
+    window's line store.  The scan covers every base whose 24 points (four
+    per y-value) can reach the window's bounding box; a line outside the
+    window is skipped by a lookup in the set of lines inside, before the
+    store is read.  A failed instance, or a line L_s inside the window whose
+    points are not on one line, raises ``IdentityFailure``; fewer than
+    ``min_instances`` instances raise ``MeshError`` ("window too small"), as
+    in ``check_relations``.
 
     On a periodic window the scan counts a base once for each unreduced r1
     that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
@@ -154,18 +128,23 @@ def check_eqmain(window, min_instances=1):
         return range(min(vals) - max(offs), max(vals) - min(offs) + 1)
 
     checked = skipped = 0
-    cache = YTable(window)
     cols = scan(0)
+    inside = set(bases(window, pin.points))
+    n = window.periodic_n
+    if n:  # the scan meets the lines of a periodic window at unreduced bases
+        o1s = [o1 for o1, _ in offsets]
+        ks = range((cols[0] + min(o1s)) // n, (cols[-1] + max(o1s)) // n + 1)
+        inside = {(s1 + k * n, s2) for s1, s2 in inside for k in ks}
     for r2 in scan(1):
         for r1 in cols:
-            rel = _eqmain_instance(window, (r1, r2), cache, offsets)
+            rel = _eqmain_instance(window, (r1, r2), offsets, inside)
             if rel is None:
                 continue
             if rel == "degenerate":
                 skipped += 1
                 continue
             if not rel[0]:
-                res = eqmain_residual(window, (r1, r2), cache)
+                res = eqmain_residual(window, (r1, r2))
                 raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
     if checked < min_instances:

@@ -106,6 +106,34 @@ def test_mesh_step_on_1d_mesh(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def _mesh_json(edit):
+    obj = mesh_to_json(generate_1d(zoo_pin("pentagram"), 0, 6, seed=0))
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _mesh_json(lambda obj: obj.pop("pin")),
+    _mesh_json(lambda obj: obj["rows"][0]["points"].__setitem__(1, ["1/0", "1"])),
+    _mesh_json(lambda obj: obj["rows"][0]["points"].__setitem__(1, ["1", "1", "1"])),
+], ids=["no-pin", "zero-denominator", "mixed-length"])
+def test_malformed_mesh_json_is_config_error(tmp_path, obj):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(obj))
+    res = run("mesh", "check", "--mesh", str(path))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and res.output.startswith("config error: ")
+
+
+@pytest.mark.parametrize("pin", [
+    '{"a": [0, 0]}', '{"a": [0, 0], "b": [2, 0], "c": [0, 1], "d": "x"}',
+], ids=["missing-points", "string-point"])
+def test_malformed_pin_json_is_config_error(pin):
+    res = run("pin", "info", "--pin", pin)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and res.output.startswith("config error: a pin is")
+
+
 def test_mesh_dim_too_large_is_config_error():
     res = run("mesh", "gen", "--name", "pentagram", "--dim", "9", "--cols", "10")
     assert res.exit_code == 2

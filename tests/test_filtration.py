@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ymesh.filtration import (classify_case, audit_filtration, FiltrationSpec,
@@ -39,6 +43,32 @@ def test_audit_all_seven_conditions_non_boundary(zoo_name):
 def test_boundary_pin_has_no_filtration():
     with pytest.raises(FiltrationUnavailable):
         FiltrationSpec(zoo_pin("penguin"))
+
+
+def test_birth_and_death_reject_rows_outside_the_strip():
+    spec = FiltrationSpec(zoo_pin("pentagram"))
+    for bound in (spec.birth, spec.death):
+        with pytest.raises(ValueError, match="row 99 outside strip"):
+            bound((0, 99))
+
+
+def test_audit_raises_under_python_O():
+    """The seven conditions raise AssertionError themselves, so ``python -O``,
+    which strips assert statements, still fails an audit of a broken
+    filtration."""
+    code = ("from ymesh.filtration import FiltrationSpec, audit_filtration\n"
+            "from ymesh.zoo import zoo_pin\n"
+            "assert False, 'not run under -O'\n"
+            "FiltrationSpec.g_point = lambda self, kind, base: (0, 0)\n"
+            "try:\n"
+            "    print(audit_filtration(zoo_pin('pentagram')))\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (0, "raised\n"), res.stderr
 
 
 def test_circuits_enumeration(zoo_name):

@@ -7,8 +7,8 @@ from ymesh.fractal import (make_fractal, sub_fractals,
                            check_sub_fractal_intersections, fractal_dim,
                            fractal_bases_in_window, genericity_audit, bound_check,
                            genericity_evidence, _span_dim)
-from ymesh.mesh import (LineTable, MeshWindow, generate_1d, generate_polygon_window,
-                        generate_window, step_1d, step_forward)
+from ymesh.mesh import (MeshWindow, generate_1d, generate_polygon_window, generate_window,
+                        step_1d, step_forward)
 from ymesh.projective import Point
 from ymesh.zoo import zoo_pin, zoo_dim
 
@@ -157,11 +157,10 @@ def test_line_store_spans_match_fractal_dim():
     fractal_dim; then the audit and the evidence table, messages included."""
     seen = set()
     for label, w in _audited_windows():
-        lines = LineTable(w)
         for k in (1, 2):
             for r in fractal_bases_in_window(w, k):
                 want = fractal_dim(w, make_fractal(w.pin, r, k))
-                assert _span_dim(w, lines, r, k) == want, (label, r, k)
+                assert _span_dim(w, r, k) == want, (label, r, k)
                 seen.add((k, want))
         d = min(2, w.dim)
         assert _outcome(genericity_audit, w, d, None) == _outcome(_reference_audit, w, d, None), label

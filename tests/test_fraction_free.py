@@ -166,7 +166,7 @@ def _extq_check_exchange_trace(pin, n, exported):
                 rhs = rhs * (1 + yv) if side == "in" else rhs / (1 + yv.inv())
         lhs = exported[top] * exported[u]
         if lhs != rhs:
-            raise AssertionError("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
+            raise IdentityFailure("exchange trace fails at %s: %s vs %s" % (u, lhs, rhs))
         checked += 1
     if checked < 1:
         raise QuiverConfigError("only %d exchange-trace instances" % checked)
@@ -189,7 +189,7 @@ def _extq_check_1d_y_relation(q, m, trace):
         if not ok:
             continue
         if trace[j - 1] * trace[j + m - 1] != rhs:
-            raise AssertionError("1D y-relation fails at j=%d" % j)
+            raise IdentityFailure("1D y-relation fails at j=%d" % j)
         checked += 1
     return checked
 
@@ -485,7 +485,7 @@ def test_exchange_trace_corruptions_raise_alike():
         assert want[0] == "raises", name
         assert _outcome(check_exchange_trace, pin, 7, bad) == want, name
         seen.add(want[1])
-    assert seen == {AssertionError, DegenerateError}
+    assert seen == {IdentityFailure, DegenerateError}
 
 
 def test_1d_y_relation_matches_extq_route():
@@ -647,7 +647,7 @@ def _skew_lines(w):
         z = w.points[k].z
         skew.points[k] = Point((z[0] + z[1],) + z[1:])
     assert not skew.has(cd)
-    assert skew.line(pin.shift(r, "c"))[2] and skew.line(pin.shift(r, "d"))[2]
+    assert skew.lines[pin.shift(r, "c")][2] and skew.lines[pin.shift(r, "d")][2]
     return skew
 
 

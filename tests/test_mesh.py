@@ -425,10 +425,43 @@ STORE_WINDOWS = [("pentagram", 2), ("dented", 3), "polygon"]
 STORE_IDS = ["pentagram-2", "dented-3", "polygon"]
 
 
-@pytest.mark.parametrize("kind", STORE_WINDOWS, ids=STORE_IDS)
-def test_line_store_follows_in_place_edits(kind):
-    """The checks and y_of on one window object, re-run after each in-place
-    edit of its points, give what they give on a fresh copy."""
+# each write path of ``points``, with the values it puts at the point P_k in
+# turn (None removes P_k; "clear" removes every point)
+WRITES = {"set": ("moved", "near", None, "original"), "pop": (None,), "popitem": (None,),
+          "setdefault": ("moved",), "update": ("moved",), "ior": ("moved",), "clear": (None,),
+          "assign": ("moved",)}
+
+
+def _write(w, write, k, p):
+    """Put p at key k of w.points, or remove k when p is None, by the write
+    path; "set" removes by del, and "popitem" needs k inserted last."""
+    if write == "assign":
+        w.points = {**w.points, k: p}
+    elif write == "ior":
+        w.points |= {k: p}
+    elif write == "update":
+        w.points.update({k: p})
+    elif write == "setdefault":
+        assert w.points.setdefault(k, p) is p
+    elif write == "clear":
+        w.points.clear()
+    elif write == "popitem":
+        assert w.points.popitem()[0] == k
+    elif write == "pop":
+        w.points.pop(k)
+    elif p is None:
+        del w.points[k]
+    else:
+        w.points[k] = p
+
+
+@pytest.mark.parametrize("kind, write", [
+    pytest.param(kind, write, id=label if write == "set" else "%s-%s" % (label, write))
+    for kind, label in zip(STORE_WINDOWS, STORE_IDS) for write in WRITES])
+def test_line_store_follows_in_place_edits(kind, write):
+    """The checks and y_of on one window object, re-run after each write to
+    its points, give what they give on a fresh copy, and differ from what
+    they gave before the write: no write leaves a stale line store."""
     w = _store_window(kind)
     pin = w.pin
     n = w.periodic_n or 0
@@ -441,21 +474,20 @@ def test_line_store_follows_in_place_edits(kind):
     z = list(w.points[k].z)
     z[0] += 1
     near = (k[0] + 1, k[1]) if (k[0] + 1, k[1]) in w.points else (k[0] - 1, k[1])
-    original = w.points[k]
-    assert _store_outcomes(w, ys) == _store_outcomes(w.copy(), ys)
+    values = {"moved": Point(z), "near": w.points[near], "original": w.points[k], None: None}
+    if write == "popitem":
+        w.points[k] = w.points.pop(k)
+    elif write == "setdefault":
+        del w.points[k]
+    before = _store_outcomes(w, ys)
+    assert before == _store_outcomes(w.copy(), ys)
     seen = set()
-    for edit in ("move", "replace", "delete", "restore"):
-        if edit == "move":
-            w.points[k] = Point(z)
-        elif edit == "replace":
-            w.points[k] = w.points[near]
-        elif edit == "delete":
-            del w.points[k]
-        else:
-            w.points[k] = original
+    for value in WRITES[write]:
+        _write(w, write, k, values[value])
         got = _store_outcomes(w, ys)
-        assert got == _store_outcomes(w.copy(), ys), edit
-        seen.add(got[0][0])
+        assert got == _store_outcomes(w.copy(), ys) and got != before, value
+        seen |= {outcome[0] for outcome in got}
+        before = got
     assert seen == {"value", "raises"}
 
 
@@ -471,7 +503,7 @@ def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
     assert charted == []  # generation and propagation read no line store
     first = [check(w) for check in (check_relations, check_menelaus, check_eqmain)]
     ys = [y_of(w, r) for r in sorted(w.points) if y_available(w, r)]
-    assert 0 < len(charted) == len(w.lines)
+    assert 0 < len(charted) == len({w._key(s) for s in w.lines})  # s, s mod n share one entry
     charted.clear()
     assert [check(w) for check in (check_relations, check_menelaus, check_eqmain)] == first
     assert [y_of(w, r) for r in sorted(w.points) if y_available(w, r)] == ys

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ymesh.mesh import IdentityFailure
 from ymesh.rational import ExtQ
 from ymesh.quiver import (Quiver, QuiverConfigError, mutate_x, mutate_y,
                           build_qs, qs_period, arrows_at_origin,
@@ -198,5 +199,5 @@ def test_period_one_check_catches_an_extra_arrow(monkeypatch, zoo_name, where):
     assert verify_period_one(pin, 8)
     monkeypatch.setattr(quiver_module, "build_qs", broken)
     message = "mu_row0" if where == "outside row 0" else "row 0 is not arrow-free"
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(IdentityFailure, match=message):
         verify_period_one(pin, 8)

@@ -16,8 +16,10 @@ message).  The entries cover
 - 48 closed polygons (pentagram and higher_pentagram, n = 7 and 9) with
   eight forward steps and the y-values of row 3;
 - ``generate_1d`` at every zoo pin with l + 1 steps forward and one back;
-- ``check_relations``, ``check_menelaus``, ``check_eqmain`` and
-  ``genericity_audit`` on the generated, polygon and 1D windows and on
+- ``check_relations``, ``check_menelaus``, ``check_eqmain``,
+  ``genericity_audit`` and the eqmain loop of ``ymesh verify eqmain``
+  (``cli._mesh_report`` on the window written to a mesh file: its instance
+  count and failing bases) on the generated, polygon and 1D windows and on
   corrupted copies of them (a point moved by one unit, or replaced by a
   neighbour);
 - the decision of the redraw guard, ``_propagates(w, l + 2, rule)``, on
@@ -51,11 +53,13 @@ import hashlib
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from ymesh.cli import _mesh_report  # noqa: E402
 from ymesh.fractal import genericity_audit  # noqa: E402
 from ymesh.ijmap import row_polygon, t_ij  # noqa: E402
 from ymesh.mesh import (REDUCED, TOP, generate_1d, generate_polygon_window,  # noqa: E402
@@ -67,6 +71,7 @@ from ymesh.projective import Point, meet, span  # noqa: E402
 from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
                           run_periodic_y, verify_period_one)
 from ymesh.rational import ExtQ  # noqa: E402
+from ymesh.serialize import dumps, mesh_to_json  # noqa: E402
 from ymesh.yvars import check_eqmain, y_available, y_of  # noqa: E402
 from ymesh.zoo import ZOO, zoo_pin  # noqa: E402
 
@@ -125,10 +130,22 @@ def guard(label, w, rule=TOP):
         emit(label + " guard", outcome(_propagates, w, w.pin.l + 2, rule)[1])
 
 
+def verify_eqmain(w):
+    """The instance count and failing bases of ``ymesh verify eqmain`` on
+    w, from ``cli._mesh_report`` on w written to a mesh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.json")
+        with open(path, "w") as fh:
+            fh.write(dumps(mesh_to_json(w)))
+        rep = _mesh_report(path, "eqmain")
+    return "%d instances, failures %s" % (rep["instances"], rep["failures"])
+
+
 def checks(label, w):
     emit(label + " relations", outcome(check_relations, w)[1])
     emit(label + " menelaus", outcome(check_menelaus, w)[1])
     emit(label + " eqmain", outcome(check_eqmain, w)[1])
+    emit(label + " verify eqmain", outcome(verify_eqmain, w)[1])
     emit(label + " genericity", outcome(genericity_audit, w, min(2, w.dim))[1])
     guard(label, w)
 
