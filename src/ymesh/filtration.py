@@ -282,7 +282,7 @@ def audit_filtration(pin, t_lo=None, t_hi=None):
     """
     reversed_pin = False
     if classify_case(pin) == CASE_TRIANGLE_C:
-        pin = Pin([(i, -j) for (i, j) in pin.points])
+        pin = pin.time_reverse()
         reversed_pin = True
     spec = FiltrationSpec(pin)
     m = pin.m

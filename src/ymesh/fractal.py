@@ -9,11 +9,12 @@ The audits decide the 1- and 2-fractals from the window's line store,
 line when L_r has a chart.  The 2-fractal at r is the union of the lines
 L_{r+a}, L_{r+b}, L_{r+c} and L_{r+d}.  When all four have charts and
 P_{r+aa}, P_{r+ab}, P_{r+bb} are not collinear, L_{r+a} and L_{r+b} are two
-lines through P_{r+ab} and span a plane; L_{r+c} passes through P_{r+ac} and
-P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd}, all on those two lines,
-so the fractal spans exactly that plane.  Any other fractal is decided by
-``fractal_dim`` on its points, so the reported dimensions are the exact
-ones.
+lines through P_{r+ab} (``MeshWindow.lines_meet``, the test that also
+certifies P3 in ``check_relations``) and span a plane; L_{r+c} passes
+through P_{r+ac} and P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd},
+all on those two lines, so the fractal spans exactly that plane.  Any other
+fractal is decided by ``fractal_dim`` on its points, so the reported
+dimensions are the exact ones.
 """
 
 from itertools import combinations, islice
@@ -86,9 +87,8 @@ def _span_dim(window, r, k):
     if k == 1 and lines[r][2]:
         return 1
     if k == 2:
-        ra, rb, rc, rd = [pin.shift(r, label) for label in "abcd"]
-        la, lb = lines[ra], lines[rb]
-        if (la[2] and lb[2] and lines[rc][2] and lines[rd][2]
+        la, lb, lc, ld = [lines[pin.shift(r, label)] for label in "abcd"]
+        if (window.lines_meet(r, "a", "b") and lc[2] and ld[2]
                 and not collinear((la[0][0], la[0][1], lb[0][1]))):
             return 2
     return fractal_dim(window, make_fractal(pin, r, k))

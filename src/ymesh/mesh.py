@@ -40,9 +40,10 @@ four points, its y-value.  Every write to ``points`` empties the store, so
 an entry is never stale, and the checks and ``yvars.y_pair`` on one window
 chart each line once.  A line whose present points are distinct and on one
 line answers its sub-tests by lookup, its 2x2 determinants give the
-Menelaus factors, and two such lines L_{r+c}, L_{r+d} through a point
-P_{r+cd} in the window decide the P3 instance at r; any other line falls
-back to the per-instance kernels (``collinear``, ``coplanar``,
+Menelaus factors, and two such lines through a point of the window
+(``MeshWindow.lines_meet``: L_{r+c}, L_{r+d} through P_{r+cd}, or L_{r+a},
+L_{r+b} through P_{r+ab}) decide the P3 instance at r; any other line
+falls back to the per-instance kernels (``collinear``, ``rank_of``,
 ``multi_ratio_pair``) on the instance's own points, so decisions, counts
 and messages are those of the kernels.
 """
@@ -55,7 +56,7 @@ from math import gcd
 
 from .rational import ExtQ, DegenerateError
 from .projective import (Point, join, meet_point, multi_ratio_pair, factor_pair, rank_of,
-                         collinear, coplanar, chart_of, cross_ratio_on, det2)
+                         collinear, chart_of, cross_ratio_on, det2)
 from .pins import Pin, d_of_s, m2_of_s
 from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
                          CASE_TRIANGLE_C)
@@ -141,6 +142,15 @@ class MeshWindow:
         if n:
             return [self.points[((r1 + d1) % n, r2 + d2)] for d1, d2 in offsets]
         return [self.points[(r1 + d1, r2 + d2)] for d1, d2 in offsets]
+
+    def lines_meet(self, r, x, y):
+        """Whether the lines L_{r+x} and L_{r+y} (x, y labels of the pin)
+        have charts in the line store and meet at a point of the window,
+        P_{r+xy}; their points then span at most a plane."""
+        (x1, x2), (y1, y2) = getattr(self.pin, x), getattr(self.pin, y)
+        r1, r2 = r
+        return (self.has((r1 + x1 + y1, r2 + x2 + y2)) and self.lines[(r1 + x1, r2 + x2)][2]
+                and self.lines[(r1 + y1, r2 + y2)][2])
 
     def copy(self):
         w = MeshWindow(self.pin, self.dim, periodic_n=self.periodic_n)
@@ -491,12 +501,9 @@ def step_forward(window, drop_bottom=False):
     return w
 
 
-def step_backward(window, drop_top=False):
+def step_backward(window):
     """Add the previous row at the bottom via the inverse intersection rule."""
-    w = _propagate(window, BOTTOM)
-    if drop_top:
-        _drop_row(w, window.rows()[-1])
-    return w
+    return _propagate(window, BOTTOM)
 
 
 def step_reduced_forward(window):
@@ -584,48 +591,41 @@ def _coincident_instance(window):
     return False
 
 
-def check_relations(window, require_instances=1):
+def check_relations(window):
     """Verify every relation instance fully inside the window: L1/L2
     collinearity, P3 coplanarity, full-line collinearity of {r+a,...,r+d},
     distinctness, and that the window spans RP^D.  Returns instance counts;
     a failed instance raises ``IdentityFailure``.
 
-    L1 = {r+a, r+b, r+c} and L2 = {r+b, r+c, r+d} lie on L_r, so every
-    collinearity and distinctness test of base r holds when L_r has a chart
-    in the window's line store; a line without one tests each instance on
-    its points.  P3 = {r+ac, r+ad, r+bc, r+bd} spans at most a plane when
-    L_{r+c} and L_{r+d} have charts and P_{r+cd}, on both, is in the
-    window; any other P3 instance runs ``coplanar``."""
+    L1 = {r+a, r+b, r+c}, L2 = {r+b, r+c, r+d} and the full line lie on
+    L_r, so every collinearity and distinctness test of base r holds when
+    L_r has a chart in the window's line store; a line without one tests
+    each instance on its points.  P3 = {r+ac, r+ad, r+bc, r+bd} lies on the
+    lines L_{r+c} and L_{r+d}, which pass through P_{r+cd}, and on L_{r+a}
+    and L_{r+b}, which pass through P_{r+ab}; it spans at most a plane when
+    either pair meets in the window (``MeshWindow.lines_meet``), and any
+    other P3 instance is decided by ``rank_of`` on its points."""
     pin = window.pin
     lines = window.lines
-    (c1, c2), (d1, d2), (e1, e2) = pin.c, pin.d, pin.offset("cd")
-    counts = {"L1": 0, "L2": 0, "P3": 0, "line": 0}
-    for kind, words in Pin.CIRCUIT_WORDS.items():
+    counts = {}
+    for kind, words in [*Pin.CIRCUIT_WORDS.items(), ("line", "abcd")]:
         offs = [pin.offset(word) for word in words]
+        counts[kind] = 0
         for r in bases(window, offs):
             if kind == "P3":
-                r1, r2 = r
-                if not (window.has((r1 + e1, r2 + e2)) and lines[(r1 + c1, r2 + c2)][2]
-                        and lines[(r1 + d1, r2 + d2)][2]) and not coplanar(window.at(r, offs)):
+                if not (window.lines_meet(r, "c", "d") or window.lines_meet(r, "a", "b")
+                        or rank_of(window.at(r, offs)) <= 3):
                     raise IdentityFailure("coplanarity fails at base (%d, %d)" % r)
             elif not lines[r][2]:
                 pts = window.at(r, offs)
-                if not collinear(pts):
-                    raise IdentityFailure("%s collinearity fails at base (%d, %d)" % ((kind,) + r))
-                if _repeats(pts):
-                    raise IdentityFailure("%s has coincident points at base (%d, %d)"
-                                          % ((kind,) + r))
+                flaw = ("collinearity fails" if not collinear(pts)
+                        else "has coincident points" if _repeats(pts) else None)
+                if flaw:
+                    raise IdentityFailure("line L_(%d,%d) degenerate" % r if kind == "line"
+                                          else "%s %s at base (%d, %d)" % ((kind, flaw) + r))
             counts[kind] += 1
-    # full lines L_r: all four of r+a .. r+d collinear and distinct
-    offs = pin.points
-    for r in bases(window, offs):
-        if not lines[r][2]:
-            pts = window.at(r, offs)
-            if not collinear(pts) or _repeats(pts):
-                raise IdentityFailure("line L_(%d,%d) degenerate" % r)
-        counts["line"] += 1
     _spanning_check(window)
-    if sum(counts.values()) < require_instances:
+    if not any(counts.values()):
         raise MeshError("window too small: only %s relation instances" % counts)
     return counts
 

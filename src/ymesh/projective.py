@@ -10,10 +10,7 @@ integer line chart decides every collinearity (``_line_of``): x is on the line
 of p, q iff d·x = det(x, q)·p + det(p, x)·q, and on a chart i, j where
 d = det(p, q) != 0 that holds for every x, so only the other D - 1
 coordinates are compared; it also gives the rank of up to three vectors
-(``rank_of``).  A plane chart extends it to coplanarity
-(``coplanar``): the first vector x off that line gives a chart i, j, k where
-e = det(p, q, x) != 0, and y is on the plane iff
-e·y = det(y, q, x)·p + det(p, y, x)·q + det(p, q, y)·x off that chart.
+(``rank_of``), and Bareiss elimination that of longer lists.
 The identity checks chart each mesh line once (``chart_of``) and read cross
 ratios (``cross_ratio_on``) and multi-ratio factors (``factor_pair``) off
 that chart.  Everything is exact; no floats.
@@ -232,42 +229,6 @@ def collinear(points):
     return _line_of([p.z for p in points]) is not None
 
 
-def coplanar(points):
-    """Whether the points span at most a plane (rank <= 3): the line chart
-    of the first two distinct vectors p, q, extended by the first later
-    vector x off their line to a plane chart (i, j, k), then every vector
-    after x compared off that chart."""
-    zs = [p.z for p in points]
-    if len(zs) <= 3 or len(zs[0]) <= 3:  # rank <= 3 however they lie
-        return True
-    start = _first_two(zs)
-    if start is None:
-        return True
-    n, p, q = start
-    i, j, d = _chart2(p, q)
-    for n in range(n + 1, len(zs)):
-        x = zs[n]
-        off = _off_line(x, p, q, i, j, d)
-        if off:
-            k, e = off
-            break
-    else:
-        return True
-    # det(y, q, x), det(p, y, x), det(p, q, y) on the chart are dot products
-    # of (y_i, y_j, y_k) with these cofactors
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
-        _cross3(q, x, i, j, k), _cross3(x, p, i, j, k), _cross3(p, q, i, j, k))
-    for y in zs[n + 1:]:
-        yi, yj, yk = y[i], y[j], y[k]
-        a = a1 * yi + a2 * yj + a3 * yk
-        b = b1 * yi + b2 * yj + b3 * yk
-        c = c1 * yi + c2 * yj + c3 * yk
-        for m in range(len(y)):
-            if m != i and m != j and m != k and e * y[m] != a * p[m] + b * q[m] + c * x[m]:
-                return False
-    return True
-
-
 def meet(f1, f2):
     """Intersection of two flats: the common kernel of the covectors that
     cut out each of them."""
@@ -333,42 +294,24 @@ def _chart2(p, q):
     return None
 
 
-def _first_two(zs):
-    """(n, p, q): the first vector p of zs and the first vector q != p, at
-    index n (independent of p, as primitive vectors are); None when zs holds
-    one vector or none."""
+def _line_of(zs):
+    """The chart (i, j, d) of the first vector p of zs and the first vector
+    q != p (independent of p, as primitive vectors are) when every vector x
+    after q is on their line, that is d·x = det(x, q)·p + det(p, x)·q off
+    the chart.  () when zs holds one vector or none, None when zs spans more
+    than a line."""
     p = zs[0] if zs else None
     for n, q in enumerate(zs):
         if q != p:
-            return n, p, q
-    return None
-
-
-def _off_line(x, p, q, i, j, d):
-    """(k, e) for the first coordinate k off the chart (i, j, d) of p, q
-    where e = d·x_k - det(x, q)·p_k - det(p, x)·q_k, that is det(p, q, x) on
-    coordinates i, j, k, is nonzero; None when x is on the line of p, q."""
-    s, t = det2(x, q, i, j), det2(p, x, i, j)
-    for k in range(len(x)):
-        if k != i and k != j:
-            e = d * x[k] - s * p[k] - t * q[k]
-            if e:
-                return k, e
-    return None
-
-
-def _line_of(zs):
-    """The chart of the first two distinct vectors p, q of zs when every
-    vector after q is on their line.  () when zs holds one vector or none,
-    None when zs spans more than a line."""
-    start = _first_two(zs)
-    if start is None:
+            break
+    else:
         return ()
-    n, p, q = start
     i, j, d = chart = _chart2(p, q)
     for x in zs[n + 1:]:
-        if _off_line(x, p, q, i, j, d):
-            return None
+        s, t = det2(x, q, i, j), det2(p, x, i, j)
+        for k in range(len(x)):
+            if k != i and k != j and d * x[k] != s * p[k] + t * q[k]:
+                return None
     return chart
 
 

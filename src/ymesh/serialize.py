@@ -13,7 +13,7 @@ from fractions import Fraction
 from .pins import Pin, PinError
 from .projective import Point
 from .mesh import MeshError, MeshWindow
-from .quiver import Quiver
+from .quiver import Quiver, QuiverConfigError
 
 
 def point_to_json(p):
@@ -84,12 +84,20 @@ def quiver_to_json(quiver):
 
 
 def quiver_from_json(obj):
+    """The quiver of ``quiver_to_json``; input of any other form (also
+    vertices that do not sort, as ``quiver_to_json`` sorts them) raises
+    ``QuiverConfigError``."""
     def key(v):
         return tuple(v) if isinstance(v, list) else v
-    q = Quiver({key(v) for v in obj["vertices"]})
-    for u, w, m in obj["arrows"]:
-        q._bump(key(u), key(w), m)
-    return q
+    try:
+        arrows = [(key(u), key(w), m) for u, w, m in obj["arrows"]]
+        if not all(type(m) is int and m > 0 for _, _, m in arrows):
+            raise QuiverConfigError("an arrow is [u, w, m] with m a positive integer")
+        return Quiver(sorted({key(v) for v in obj["vertices"]}), arrows)
+    except QuiverConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise QuiverConfigError("malformed quiver: %s: %s" % (type(e).__name__, e)) from None
 
 
 def quiver_to_dot(quiver, name="quiver"):

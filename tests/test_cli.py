@@ -125,6 +125,19 @@ def test_malformed_mesh_json_is_config_error(tmp_path, obj):
     assert isinstance(res.exception, SystemExit) and res.output.startswith("config error: ")
 
 
+@pytest.mark.parametrize("obj", [
+    {"vertices": [1, 2]},
+    {"vertices": [1, 2], "arrows": [[1, 2]]},
+    {"vertices": [1, 2], "arrows": [[1, 2, "x"]]},
+], ids=["no-arrows", "arrow-without-multiplicity", "string-multiplicity"])
+def test_malformed_quiver_json_is_config_error(tmp_path, obj):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(obj))
+    res = run("export", "quiver-dot", "--in", str(path), "--out", str(tmp_path / "q.dot"))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and res.output.startswith("config error: ")
+
+
 @pytest.mark.parametrize("pin", [
     '{"a": [0, 0]}', '{"a": [0, 0], "b": [2, 0], "c": [0, 1], "d": "x"}',
 ], ids=["missing-points", "string-point"])

@@ -8,13 +8,14 @@ errors.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from ymesh.rational import ExtQ, DegenerateError
-from ymesh.pins import Pin
+from ymesh.pins import Pin, d_of_s
 from ymesh.projective import Point, join, multi_ratio, rank_of
 from ymesh.mesh import (DegenerateConfig, IdentityFailure, MeshError, MeshWindow, generate_1d,
                         generate_window, step_1d, step_forward, check_menelaus, check_relations,
@@ -24,7 +25,7 @@ from ymesh.yvars import (EQMAIN_LABELS, y_of, y_pair, y_available, check_eqmain,
 from ymesh.quiver import (Quiver, QuiverConfigError, mutate_y, qs_period, arrows_at_origin,
                           build_qs, run_periodic_y, check_exchange_trace, run_1d_y,
                           check_1d_y_relation)
-from ymesh.zoo import ZOO, zoo_pin
+from ymesh.zoo import BOUNDARY_PINS, ZOO, zoo_pin
 
 DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
 
@@ -633,22 +634,67 @@ def test_corrupted_planar_and_spatial_checks_match_references(name, dim):
         assert "coplanarity fails" in outcomes[-3][2]
 
 
-def _skew_lines(w):
-    """The points of L_{r+c} and L_{r+d} at the first P3 base r of w, without
-    P_{r+cd}, those of L_{r+d} sheared: both lines keep a chart, but they
-    are skew, so the P3 instance at r fails."""
+def _skew_lines(w, x="c", y="d", shear=True):
+    """The points of L_{r+x} and L_{r+y} at the first P3 base r of w (x, y
+    the pair c, d or a, b), without P_{r+xy}, those of L_{r+y} sheared: both
+    lines keep a chart, but in D >= 3 they are skew, so the P3 instance at r
+    fails.  Unsheared, the lines still meet, outside the window."""
     pin = w.pin
     r = bases(w, [pin.offset(word) for word in Pin.CIRCUIT_WORDS["P3"]])[0]
-    on_c = {pin.shift(r, "c" + lab) for lab in "abcd"} & w.points.keys()
-    on_d = {pin.shift(r, "d" + lab) for lab in "abcd"} & w.points.keys()
-    cd = pin.shift(r, "cd")
-    skew = MeshWindow(pin, w.dim, {k: w.points[k] for k in on_c - {cd}})
-    for k in on_d - {cd}:
+    on_x = {pin.shift(r, x + lab) for lab in "abcd"} & w.points.keys()
+    on_y = {pin.shift(r, y + lab) for lab in "abcd"} & w.points.keys()
+    xy = pin.shift(r, x + y)
+    skew = MeshWindow(pin, w.dim, {k: w.points[k] for k in on_x - {xy}})
+    for k in on_y - {xy}:
         z = w.points[k].z
-        skew.points[k] = Point((z[0] + z[1],) + z[1:])
-    assert not skew.has(cd)
-    assert skew.lines[pin.shift(r, "c")][2] and skew.lines[pin.shift(r, "d")][2]
+        skew.points[k] = Point((z[0] + z[1],) + z[1:]) if shear else w.points[k]
+    assert not skew.has(xy)
+    assert skew.lines[pin.shift(r, x)][2] and skew.lines[pin.shift(r, y)][2]
     return skew
+
+
+def _without_row(w, j):
+    return MeshWindow(w.pin, w.dim, {k: p for k, p in w.points.items() if k[1] != j})
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_p3_routes_match_rank_reference(dim, monkeypatch):
+    """P3 at r holds when L_{r+c}, L_{r+d} meet at P_{r+cd} in the window,
+    or else L_{r+a}, L_{r+b} at P_{r+ab}; any other instance is decided by
+    rank_of.  check_relations agrees with the rank reference on generated
+    windows, on copies without the top row (no P_{r+cd} on it) or the
+    bottom row (no P_{r+ab}), on corrupted copies, and on two lines whose
+    meet is left out, sheared off each other or not; each route is taken."""
+    routes = Counter()
+    lines_meet = MeshWindow.lines_meet
+
+    def spy(window, r, x, y):
+        met = lines_meet(window, r, x, y)
+        # a, b is asked only when c, d fails, and rank_of runs when both fail
+        routes[x + y if met else "rank" if x + y == "ab" else "not cd"] += 1
+        return met
+
+    monkeypatch.setattr(MeshWindow, "lines_meet", spy)
+    rng = random.Random(30 + dim)
+    outcomes = []
+    for name in sorted(ZOO):
+        pin = zoo_pin(name)
+        if d_of_s(pin) < dim or dim > 2 and name in BOUNDARY_PINS:
+            continue
+        w = generate_window(pin, dim, 0, 12, seed=3)
+        for _ in range(pin.l + 1):
+            w = step_forward(w)
+        rows, keys = w.rows(), sorted(w.points)
+        cases = [w, _without_row(w, rows[-1]), _without_row(w, rows[0]),
+                 _moved(w, rng.choice(keys)), _replaced(w, {rng.choice(keys[1:]): keys[0]})]
+        cases += [_skew_lines(w, x, y, shear) for x, y in ("cd", "ab") for shear in (True, False)]
+        for case in cases:
+            want = _outcome(_rank_check_relations, case)
+            assert _outcome(check_relations, case) == want, (name, want)
+            outcomes.append(want)
+    assert routes["cd"] and routes["ab"] and routes["rank"], routes
+    # the skew lines fail P3 in D >= 3 only
+    assert any("coplanarity fails" in str(want) for want in outcomes) == (dim > 2)
 
 
 def test_bracket_product_matches_extq_route():

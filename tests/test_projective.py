@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from ymesh import projective
 from ymesh.rational import ExtQ, INF, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point, rank_of, collinear,
-                              coplanar, cross_ratio, cross_ratio_pair, multi_ratio,
-                              multi_ratio_pair, nullspace, rref)
+                              cross_ratio, cross_ratio_pair, multi_ratio, multi_ratio_pair,
+                              nullspace, rref)
 from ymesh.mesh import solve_menelaus
 
 from fraction_gauss import fraction_meet, fraction_nullspace, fraction_rref
@@ -361,36 +361,6 @@ def test_collinear_matches_bareiss_reference(dim):
             seen.add(want)
     assert seen == {True, False} or dim == 1
     assert collinear([]) and collinear([Point(1, 2)])
-
-
-def _plane_sets(rng, n):
-    """Coplanar, non-coplanar, mixed, repeated and all-equal point lists in
-    RP^(n-1), each shuffled, and lists whose first three distinct points
-    are collinear, left in order so the plane chart is found later."""
-    p, q, r, s = (_rand_vec(rng, n) for _ in range(4))
-    on = [_combo(rng, p, q, r) for _ in range(rng.randint(1, 6))]
-    off = [_combo(rng, p, q, r, s) for _ in range(rng.randint(1, 5))]
-    one = Point(p)
-    sets = [on, off, on + off, on + on, [one] * rng.randint(1, 5),
-            [one] * 2 + [Point(q)] + [one] + [Point(r)], [Point(v) for v in (p, q, r, s)]]
-    for pts in sets:
-        rng.shuffle(pts)
-    line = [Point(p), Point(p), Point(q)] + [_combo(rng, p, q) for _ in range(rng.randint(1, 3))]
-    sets += [line, line + [Point(r)] + on, line + [Point(r), Point(s)], line + off]
-    return sets
-
-
-@pytest.mark.parametrize("dim", range(1, 7))
-def test_coplanar_matches_bareiss_reference(dim):
-    rng = random.Random(300 + dim)
-    seen = set()
-    for _ in range(60):
-        for pts in _plane_sets(rng, dim + 1):
-            want = _bareiss_rank([x.z for x in pts]) <= 3
-            assert coplanar(pts) == want, pts
-            seen.add(want)
-    assert seen == {True, False} or dim <= 2
-    assert coplanar([]) and coplanar([Point(1, 2, 3, 4)])
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
