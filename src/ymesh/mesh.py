@@ -16,7 +16,12 @@ mod P with no vanishing meet and no two points equal proves that the exact
 run has neither, as a nonzero meet mod P is the reduction of the exact
 meet and points that differ mod P differ.  Any other draw runs the exact
 guard, so every decision is the exact one; in D >= 3 the guard also rests
-on an equality (two lines meet), which no run mod P can prove.
+on an equality (two lines meet), which no run mod P can prove.  The exact
+guard keeps the rows it makes: each window of its run holds its successor
+in its line store, and the first ``_propagate`` call with the same rule
+hands that successor over.  So the first pin.l + 2 steps of a window that
+the exact guard accepted make no meet; a planar draw accepted mod P keeps
+no rows, and a write to ``points`` drops a kept successor with the store.
 
 Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
 driven by a table of rules.  A rule names its source words, its target word
@@ -104,8 +109,7 @@ class MeshWindow:
         self.pin = pin
         self.dim = dim
         self.periodic_n = periodic_n
-        self.lines = _Lines()
-        self.lines.window = weakref.ref(self)
+        self.lines = _Lines(self)
         self.points = {self._key(r): p for r, p in (points or {}).items()}
 
     def __setattr__(self, name, value):
@@ -183,9 +187,22 @@ class _Lines(dict):
     outside the window), their primitive vectors, their ``chart_of``, and
     the reduced y-pair ``yvars.y_pair`` of a line with a chart and all four
     points (else None).  On a periodic window s and s mod n share one entry.
-    It refers to its window weakly, so the two make no reference cycle."""
 
-    __slots__ = ("window",)
+    ``kept`` is None or (rule, successor): the window ``_propagate`` makes
+    from this window by the rule, kept by the exact redraw guard for the
+    first ``_propagate`` call with that rule.  ``clear`` drops it with the
+    entries.  The store refers to its window weakly, and a successor does
+    not refer back, so none of them makes a reference cycle."""
+
+    __slots__ = ("window", "kept")
+
+    def __init__(self, window):
+        self.window = weakref.ref(window)
+        self.kept = None
+
+    def clear(self):
+        self.kept = None
+        dict.clear(self)
 
     def __missing__(self, s):
         w = self.window()
@@ -311,7 +328,10 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     D = 2 only; their draws are redrawn the same way.  A planar draw is
     accepted by the same propagation on its points mod P = 2^61 - 1 when
     that run meets no vanishing meet and no two equal points, which proves
-    the exact run clean; otherwise the exact run decides.
+    the exact run clean; otherwise the exact run decides.  A window that the
+    exact run accepted carries the rows it made: its first pin.l + 2
+    ``step_forward`` calls (each on the window the last one returned) hand
+    them over instead of propagating again.
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
@@ -340,7 +360,9 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
 
 def _certified_draw(draw, rng, steps, rule):
     """The first window that draw(rng) returns which propagates `steps` rows
-    by the rule cleanly (``_propagates``); at most REDRAW_LIMIT draws."""
+    by the rule cleanly (``_propagates``); at most REDRAW_LIMIT draws.  When
+    the exact guard decided, the window keeps the rows it made for the
+    first `steps` propagations by the rule (``_steps_cleanly``)."""
     for _ in range(REDRAW_LIMIT):
         window = draw(rng)
         if _propagates(window, steps, rule):
@@ -363,15 +385,21 @@ def _propagates(window, steps, rule):
 
 
 def _steps_cleanly(window, steps, rule):
-    """``_propagates`` on the window's own points."""
+    """``_propagates`` on the window's own points.  Each window of the run
+    keeps its successor in its line store (``_Lines.kept``), so the first
+    ``_propagate`` call with the rule on an accepted window hands over the
+    row made here, and the window it returns carries the next one."""
     for _ in range(steps):
         try:
-            # the engine, so a profile of step_forward counts only kept steps
-            window = _propagate(window, rule)
+            # the engine, so a profile of step_forward counts only the steps
+            # that a caller takes and that no guard made first
+            successor = _propagate(window, rule)
         except DegenerateError:
             return False
         except MeshError:
             break
+        window.lines.kept = rule, successor
+        window = successor
     return not _has_coincident_points(window)
 
 
@@ -472,7 +500,14 @@ MENELAUS_BOTTOM = _menelaus_rule(2)
 def _propagate(window, rule):
     """A copy of the window with the rule's row added, solved at each base
     in ascending r1 (mod n on a periodic window).  The bases are read off
-    the keys of the first source's row."""
+    the keys of the first source's row.  A successor that the exact redraw
+    guard kept for the rule (``_Lines.kept``) is handed over instead, once:
+    the next call computes the row again, so no two calls return one
+    window object."""
+    kept = window.lines.kept
+    if kept and kept[0] is rule:
+        window.lines.kept = None
+        return kept[1]
     pin = window.pin
     offs = [pin.offset(word) for word in rule.sources]
     t1, t2 = pin.offset(rule.target)
