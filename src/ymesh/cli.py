@@ -211,8 +211,16 @@ def verify_group():
 
 
 def _mesh_report(path, kind):
+    return _mesh_report_and_lines(path, kind)[0]
+
+
+def _mesh_report_and_lines(path, kind):
+    """The report of ``verify`` on the mesh file, and the messages of the
+    lines L_s inside the window whose points span more than a line: every
+    exchange instance that needs such a line is a failing base."""
     w = sz.mesh_from_json(sz.loads(open(path).read()))
     failures = []
+    not_lines = {}
     instances = 0
     if kind == "menelaus":
         instances = check_menelaus(w)
@@ -220,21 +228,27 @@ def _mesh_report(path, kind):
         # a base fits when the four points of each of its six y-values do
         offsets = [w.pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
         for r in bases(w, offsets):
-            rel = eqmain_instance(w, r)
+            try:
+                rel = eqmain_instance(w, r)
+            except IdentityFailure as e:  # a line of the base is not a line
+                not_lines[str(e)] = None
+                rel = (False,)
             if rel == "degenerate":
                 continue
             instances += 1
             if not rel[0]:
                 failures.append(list(r))
-    return {"kind": kind, "instances": instances, "failures": failures}
+    return {"kind": kind, "instances": instances, "failures": failures}, list(not_lines)
 
 
 @verify_group.command("eqmain")
 @click.option("--mesh", "mesh_path", type=click.Path(exists=True), required=True)
 @guarded
 def verify_eqmain(mesh_path):
-    rep = _mesh_report(mesh_path, "eqmain")
+    rep, not_lines = _mesh_report_and_lines(mesh_path, "eqmain")
     click.echo(sz.dumps(rep), nl=False)
+    for message in not_lines:
+        click.echo("identity failed: %s" % message, err=True)
     if rep["failures"]:
         sys.exit(1)
 

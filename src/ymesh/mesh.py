@@ -335,6 +335,7 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
+    _check_columns(i_lo, i_hi)
     if dim > d_of_s(pin):
         raise MeshError("D = %d exceeds D(S) = %d" % (dim, d_of_s(pin)))
     case = classify_case(pin)
@@ -358,11 +359,15 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     return _certified_draw(draw, random.Random(seed), pin.l + 2, TOP)
 
 
+def _check_columns(i_lo, i_hi):
+    if i_hi < i_lo:
+        raise MeshError("empty window: columns %d..%d" % (i_lo, i_hi))
+
+
 def _certified_draw(draw, rng, steps, rule):
     """The first window that draw(rng) returns which propagates `steps` rows
     by the rule cleanly (``_propagates``); at most REDRAW_LIMIT draws.  When
-    the exact guard decided, the window keeps the rows it made for the
-    first `steps` propagations by the rule (``_steps_cleanly``)."""
+    the exact guard decided, the window keeps the rows it made."""
     for _ in range(REDRAW_LIMIT):
         window = draw(rng)
         if _propagates(window, steps, rule):
@@ -386,13 +391,12 @@ def _propagates(window, steps, rule):
 
 def _steps_cleanly(window, steps, rule):
     """``_propagates`` on the window's own points.  Each window of the run
-    keeps its successor in its line store (``_Lines.kept``), so the first
-    ``_propagate`` call with the rule on an accepted window hands over the
-    row made here, and the window it returns carries the next one."""
+    keeps its successor (``_Lines.kept``) for the next ``_propagate`` call
+    with the rule, and the successor carries the next one."""
     for _ in range(steps):
         try:
-            # the engine, so a profile of step_forward counts only the steps
-            # that a caller takes and that no guard made first
+            # the engine, so a profile of step_forward counts only the
+            # caller's steps; one whose row was kept here makes no meet
             successor = _propagate(window, rule)
         except DegenerateError:
             return False
@@ -500,10 +504,9 @@ MENELAUS_BOTTOM = _menelaus_rule(2)
 def _propagate(window, rule):
     """A copy of the window with the rule's row added, solved at each base
     in ascending r1 (mod n on a periodic window).  The bases are read off
-    the keys of the first source's row.  A successor that the exact redraw
-    guard kept for the rule (``_Lines.kept``) is handed over instead, once:
-    the next call computes the row again, so no two calls return one
-    window object."""
+    the keys of the first source's row.  A successor kept for the rule
+    (``_Lines.kept``) is handed over instead, once, so no two calls return
+    one window object."""
     kept = window.lines.kept
     if kept and kept[0] is rule:
         window.lines.kept = None
@@ -513,6 +516,8 @@ def _propagate(window, rule):
     t1, t2 = pin.offset(rule.target)
     f1, f2 = offs[0]
     rows = window.rows()
+    if not rows:
+        raise MeshError("the window has no points to propagate")
     r2 = (rows[-1] + 1 if t2 > f2 else rows[0] - 1) - t2
     w = window.copy()
     for r1, _ in sorted({window._key((i - f1, r2)) for (i, j) in window.points if j == r2 + f2}):
@@ -570,6 +575,7 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
         raise MeshError("reduced system needs d2-b2 >= c2-a2; time-reverse first")
     if d_of_s(pin) < 2:
         raise MeshError("the reduced system is planar; D(S) = %d" % d_of_s(pin))
+    _check_columns(i_lo, i_hi)
     mp = m2_of_s(pin)
     rule = TOP if c[1] == d[1] else REDUCED  # as step_reduced_forward
     return _certified_draw(lambda rng: _greedy(pin, mp, ("L1",), i_lo, i_hi, rng),
@@ -694,6 +700,7 @@ def solve_menelaus(points):
 
 def generate_1d(pin, i_lo, i_hi, seed=0):
     """Random 1D window: m = c2+d2-a2-b2 free rows of distinct RP^1 points."""
+    _check_columns(i_lo, i_hi)
     rng = random.Random(seed)
     m = pin.l
     w = MeshWindow(pin, 1)

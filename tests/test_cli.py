@@ -7,13 +7,13 @@ import pytest
 
 from ymesh import cli
 from ymesh.cli import main
-from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, check_relations,
-                        generate_1d, generate_window, step_1d)
+from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
+                        generate_1d, generate_reduced, generate_window, step_1d)
 from ymesh.ijmap import row_polygon, t_ij
 from ymesh.pins import ij_correspondence
 from ymesh.projective import Point
 from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json, point_to_json
-from ymesh.yvars import check_eqmain
+from ymesh.yvars import EQMAIN_LABELS, check_eqmain
 from ymesh.zoo import ZOO, zoo_dim, zoo_pin
 
 
@@ -209,6 +209,55 @@ def test_a_point_off_its_lines_fails_an_identity_everywhere(tmp_path):
         res = CliRunner().invoke(main, [*command, "--mesh", path])
         assert res.exit_code == 1, (command, res.output)
         assert res.stderr.startswith("identity failed: ") and message in res.stderr, command
+
+
+def test_verify_eqmain_reports_every_base_on_a_line_off_its_line(tmp_path):
+    # the point (11, 3) moved off its lines: each base that needs one of
+    # the four lines through it fails, and each such line is named
+    path = str(tmp_path / "mesh.json")
+    run("mesh", "gen", "--name", "pentagram", "--dim", "2", "--cols", "24",
+        "--steps", "4", "--seed", "0", "--out", path)
+    w = mesh_from_json(loads(open(path).read()))
+    pin = w.pin
+    offsets = [pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
+    touching = [list(r) for r in bases(w, offsets)
+                if (11, 3) in {(r[0] + o1, r[1] + o2) for o1, o2 in offsets}]
+    z = list(w.points[(11, 3)].z)
+    z[0] += 1
+    w.points[(11, 3)] = Point(z)
+    open(path, "w").write(dumps(mesh_to_json(w)))
+    res = run("verify", "eqmain", "--mesh", path)
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stdout) == {"kind": "eqmain", "instances": len(bases(w, offsets)),
+                                      "failures": touching}
+    named = {line.split(" span")[0] for line in res.stderr.splitlines()}
+    assert named == {"identity failed: the points of L_(%d,%d)" % (11 - o1, 3 - o2)
+                     for o1, o2 in pin.points}
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_empty_window_is_config_error(dim, steps):
+    res = run("mesh", "gen", "--name", "pentagram", "--dim", str(dim), "--cols", "-3",
+              "--steps", str(steps))
+    assert res.exit_code == 2 and "config error: empty window" in res.stderr, res.output
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stepping_a_mesh_with_no_points_is_config_error(tmp_path, dim):
+    path = str(tmp_path / "mesh.json")
+    open(path, "w").write(dumps(mesh_to_json(MeshWindow(zoo_pin("pentagram"), dim))))
+    for count in ("1", "-1"):
+        res = run("mesh", "step", "--mesh", path, "-n", count)
+        assert res.exit_code == 2 and res.stderr.startswith("config error: "), res.output
+
+
+@pytest.mark.parametrize("generate", [
+    lambda pin: generate_window(pin, 2, 5, 4), lambda pin: generate_1d(pin, 5, 4),
+    lambda pin: generate_reduced(pin, 5, 4)], ids=["window", "1d", "reduced"])
+def test_generators_reject_an_empty_column_range(generate):
+    with pytest.raises(MeshError, match="empty window") as raised:
+        generate(zoo_pin("pentagram"))
+    assert not isinstance(raised.value, DegenerateConfig)
 
 
 def test_quiver_build_and_verify():

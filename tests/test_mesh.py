@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -514,8 +516,10 @@ def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
 
 
 def _exact_guard(window, steps, rule):
-    """The redraw guard on exact points only: propagate, then scan every
-    relation instance for a repeated point."""
+    """The redraw guard on exact points only: propagate a copy (which keeps
+    no rows of an earlier guard run), then scan every relation instance for
+    a repeated point."""
+    window = window.copy()
     for _ in range(steps):
         try:
             window = mesh._propagate(window, rule)
@@ -618,3 +622,119 @@ def test_meet_mod_p_is_the_reduced_exact_meet():
                 want = mesh._mod_p(meet_point(join(*pts[:2]), join(*pts[2:])).z)
                 assert mesh._meet_mod_p(reduced) == want, pts
     assert vanished >= 600
+
+
+# ---- the exact guard's rows, handed to the caller -------------------------
+
+
+def _kept_cases():
+    """(name, dim, cols): every zoo pin at every admissible D >= 3 at the
+    acceptance width, where the exact guard decides, and a planar window
+    that every run mod P rejects (third coordinates scaled by P), so that
+    the exact guard decides it too."""
+    cases = []
+    for name in sorted(ZOO):
+        pin = zoo_pin(name)
+        xs = [o1 for o1, _ in pin.points]
+        cols = 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
+        cases += [(name, dim, cols) for dim in range(3, d_of_s(pin) + 1)]
+    return cases + [("pentagram", 2, 16)]
+
+
+def _kept_window(name, dim, cols):
+    pin = zoo_pin(name)
+    w = generate_window(pin, dim, 0, cols, seed=1)
+    if dim == 2:
+        w = MeshWindow(pin, 2, {k: Point((z[0], z[1], mesh.P * z[2]))
+                                for k, z in ((k, p.z) for k, p in w.points.items())})
+        assert not mesh._propagates_mod_p(w, pin.l + 2, mesh.TOP)
+        assert mesh._propagates(w, pin.l + 2, mesh.TOP)
+    return w
+
+
+@pytest.fixture
+def meets(monkeypatch):
+    """The calls of ``mesh.meet_point``, counted."""
+    calls = []
+    meet = mesh.meet_point
+    monkeypatch.setattr(mesh, "meet_point", lambda *a: calls.append(a) or meet(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", _kept_cases(), ids=lambda case: "%s-%d" % case[:2])
+def test_guard_rows_are_handed_over(case, meets):
+    """The first l + 2 steps of a window that the exact guard accepted make
+    no meet, and equal the steps of a copy, which keeps nothing."""
+    steps = zoo_pin(case[0]).l + 2
+    w = _kept_window(*case)
+    fresh = w.copy()
+    assert fresh.lines.kept is None
+    meets.clear()
+    stepped = []
+    for _ in range(steps):
+        w = step_forward(w)
+        stepped.append(w.points)
+    assert meets == [] and w.lines.kept is None
+    for points in stepped:
+        fresh = step_forward(fresh)
+        assert meets and fresh.points == points
+
+
+@pytest.mark.parametrize("write", ["set", "del", "assign"])
+def test_a_write_drops_the_kept_row(write, meets):
+    w = _kept_window("dented", 3, 36)
+    successor = w.lines.kept[1]
+    meets.clear()
+    k = sorted(w.points)[len(w.points) // 2]
+    if write == "set":
+        w.points[k] = w.points[k]
+    elif write == "del":
+        p = w.points[k]
+        del w.points[k]
+        assert w.lines.kept is None
+        w.points[k] = p
+    else:
+        w.points = dict(w.points)
+    assert w.lines.kept is None
+    stepped = step_forward(w)
+    assert meets and stepped is not successor
+    assert stepped.points == successor.points == step_forward(w.copy()).points
+
+
+def test_stepping_twice_gives_distinct_windows():
+    w = _kept_window("giraffe", 4, 40)
+    first, second = step_forward(w), step_forward(w)
+    assert first is not second and first.points == second.points
+    k = max(first.points.keys() - w.points.keys())  # a point of the new row
+    first.points[k] = w.points[min(w.points)]
+    assert second.points[k] != first.points[k] and second.points == step_forward(w.copy()).points
+    assert w.lines.kept is None
+
+
+def test_another_rule_leaves_the_kept_row_alone(meets):
+    w = _kept_window("rabbit", 3, 40)
+    successor = w.lines.kept[1]
+    meets.clear()
+    back = step_backward(w)
+    assert meets and min(j for _, j in back.points) < min(j for _, j in w.points)
+    assert w.lines.kept[1] is successor and step_forward(w) is successor
+
+
+def test_kept_rows_make_no_reference_cycle():
+    """A draw and the windows its kept rows become are freed by reference
+    counting, with the collector off."""
+    pin = zoo_pin("kangaroo")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        w = generate_window(pin, 3, 0, 44, seed=1)
+        refs = [weakref.ref(w)]
+        for _ in range(pin.l + 2):
+            w = step_forward(w)
+            refs.append(weakref.ref(w))
+        assert [ref() is None for ref in refs] == [True] * (pin.l + 2) + [False]
+        del w
+        assert refs[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
