@@ -21,7 +21,7 @@ from .mesh import (MeshError, DegenerateConfig, IdentityFailure, generate_window
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
 from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_of
-from .quiver import (QuiverConfigError, build_qs, verify_period_one,
+from .quiver import (QuiverConfigError, build_qs, check_qs_size, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, tilde_ideal_generator, LiftedUnavailable
 from .fractal import (make_fractal, genericity_audit, bound_check,
@@ -274,11 +274,13 @@ def _verify_one(job):
     ck = job["checks"]
     if dim == 1:
         w = generate_1d(pin, 0, 20 + 2 * pin.l, seed=seed)
+        job["draws"] = w.draws
         w = step_1d(w)
         _note_height(job, w)
         ck["menelaus"] = check_menelaus(w)
         return
     w = generate_window(pin, dim, 0, 8 * (pin.l + 2), seed=seed)
+    job["draws"] = w.draws
     _note_height(job, w)
     for _ in range(pin.l + 2):
         w = step_forward(w)
@@ -301,9 +303,11 @@ def _verify_one(job):
 
 
 def _run_job(name, dim, seed):
-    """One job's report, with its status, seconds and height, and the
+    """One job's report, with its status, seconds, height and the number of
+    draws its generation took (None when generation failed), and the
     library error it stopped on (None when it passed)."""
-    job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "height_max_bits": 0}
+    job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "height_max_bits": 0,
+           "draws": None}
     start = time.perf_counter()
     error = None
     try:
@@ -380,12 +384,14 @@ def quiver_verify(name, pin_json, n):
 @click.option("--out", type=click.Path())
 @guarded
 def quiver_run(name, pin_json, n, steps, init, seed, out):
-    """Drive the periodic Y-dynamics and emit the exported y-trace as CSV."""
+    """Drive the periodic Y-dynamics and emit the exported y-trace as CSV.
+    Both inits check n against Q_{n,S} before they draw."""
     import random as _random
     from fractions import Fraction
     pin = resolve_pin(name, pin_json)
     seed = default_seed() if seed is None else seed
     i0, l = qs_period(pin)
+    check_qs_size(pin, n)
     if init == "geometric":
         if pin.m != 1 or l != 2:
             raise PinError("geometric init needs a closed-polygon pin (m=1, l=2)")

@@ -15,6 +15,12 @@ through P_{r+ac} and P_{r+bc}, and L_{r+d} through P_{r+ad} and P_{r+bd},
 all on those two lines, so the fractal spans exactly that plane.  Any other
 fractal is decided by ``fractal_dim`` on its points, so the reported
 dimensions are the exact ones.
+
+Generation certifies the lower bound: a window that ``mesh.generate_window``
+returns (and a reduced or polygon window) has every 2-fractal of the
+pin.l + 2 rows its redraw guard propagated spanning at least a plane
+(``mesh._spans_planes``).  The audits still check both bounds on whatever
+window they are given.
 """
 
 from itertools import combinations, islice

@@ -10,18 +10,26 @@ visits cells in birth order, each bound by its g-circuit, so free points sit
 on the low-phi edge.  Boundary pins and the reduced system sweep column by
 column (``_greedy``), and each L1 (for boundary pins also L2) circuit binds
 its lexicographically last member.  A draw is kept only if it propagates
-without a degenerate meet or coincident points (``_propagates``).  A planar
-draw is first propagated on its points mod the prime P = 2^61 - 1: a run
-mod P with no vanishing meet and no two points equal proves that the exact
-run has neither, as a nonzero meet mod P is the reduction of the exact
-meet and points that differ mod P differ.  Any other draw runs the exact
-guard, so every decision is the exact one; in D >= 3 the guard also rests
-on an equality (two lines meet), which no run mod P can prove.  The exact
-guard keeps the rows it makes: each window of its run holds its successor
-in its line store, and the first ``_propagate`` call with the same rule
-hands that successor over.  So the first pin.l + 2 steps of a window that
-the exact guard accepted make no meet; a planar draw accepted mod P keeps
-no rows, and a write to ``points`` drops a kept successor with the store.
+pin.l + 2 rows without a degenerate meet or coincident points, and every
+2-fractal of the last window of that run spans at least a plane
+(``_propagates``).  The 2-fractal certificate is a nonzero 3x3 minor of
+P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of all the fractal's points; a
+1-fractal L_r spans a line once no full line repeats a point, which the
+coincidence test already checks, and the upper bounds (at most a line, at
+most a plane) are the mesh incidences that ``check_relations`` verifies.
+A planar draw is first propagated on its points mod the prime
+P = 2^61 - 1: a run mod P with no vanishing meet, no two points equal and
+no minor vanishing proves that the exact run has none of these, as a
+nonzero meet or minor mod P is the reduction of a nonzero integer one and
+points that differ mod P differ.  Any other draw runs the exact guard, so
+every decision is the exact one; in D >= 3 the guard also rests on an
+equality (two lines meet), which no run mod P can prove.  The exact guard
+keeps the rows it makes: each window of its run holds its successor in its
+line store, and the first ``_propagate`` call with the same rule hands that
+successor over.  So the first pin.l + 2 steps of a window that the exact
+guard accepted make no meet; a planar draw accepted mod P keeps no rows,
+and a write to ``points`` drops a kept successor with the store.  The
+window a generator returns records in ``draws`` how many draws it took.
 
 Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
 driven by a table of rules.  A rule names its source words, its target word
@@ -103,7 +111,12 @@ class MeshWindow:
 
     ``lines`` is the window's line store (``_Lines``), emptied by every
     write to ``points`` (a ``_Points``) and by assigning a dict to
-    ``points``, which keeps a copy of it.  A ``copy`` has its own store."""
+    ``points``, which keeps a copy of it.  A ``copy`` has its own store.
+
+    ``draws`` is the number of draws a generator took for the window it
+    returns (None on every other window, copies included)."""
+
+    draws = None
 
     def __init__(self, pin, dim, points=None, periodic_n=None):
         self.pin = pin
@@ -319,19 +332,22 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     Free points go on the low-sweep edge (circuits sticking out of the
     window); every other point is placed generically on the span of the rest
     of its g-circuit.  A drawn window must propagate pin.l + 2 rows forward
-    (or until it is too narrow to propagate) without a degenerate meet, and
-    no L1, L2 or line instance of the result may repeat a point; otherwise
+    (or until it is too narrow to propagate) without a degenerate meet, no
+    L1, L2 or line instance of the result may repeat a point, and every
+    2-fractal of the result must span at least a plane (a nonzero minor of
+    P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of the fractal); otherwise
     it is redrawn from the same random stream, at most REDRAW_LIMIT times,
-    before DegenerateConfig is raised.  Boundary pins (a zero
-    convex-relation coefficient, so FiltrationSpec raises) use the column
-    sweep of ``_greedy`` on their L1 and L2 circuits instead and support
-    D = 2 only; their draws are redrawn the same way.  A planar draw is
-    accepted by the same propagation on its points mod P = 2^61 - 1 when
-    that run meets no vanishing meet and no two equal points, which proves
-    the exact run clean; otherwise the exact run decides.  A window that the
-    exact run accepted carries the rows it made: its first pin.l + 2
-    ``step_forward`` calls (each on the window the last one returned) hand
-    them over instead of propagating again.
+    before DegenerateConfig is raised.  The number of draws taken is kept
+    in the window's ``draws``.  Boundary pins (a zero convex-relation
+    coefficient, so FiltrationSpec raises) use the column sweep of
+    ``_greedy`` on their L1 and L2 circuits instead and support D = 2 only;
+    their draws are redrawn the same way.  A planar draw is accepted by the
+    same propagation on its points mod P = 2^61 - 1 when that run meets no
+    vanishing meet, no two equal points and no vanishing minor, which
+    proves the exact guard accepts; otherwise the exact guard decides.  A
+    window that the exact guard accepted carries the rows it made: its
+    first pin.l + 2 ``step_forward`` calls (each on the window the last one
+    returned) hand them over instead of propagating again.
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
@@ -365,46 +381,85 @@ def _check_columns(i_lo, i_hi):
 
 
 def _certified_draw(draw, rng, steps, rule):
-    """The first window that draw(rng) returns which propagates `steps` rows
-    by the rule cleanly (``_propagates``); at most REDRAW_LIMIT draws.  When
-    the exact guard decided, the window keeps the rows it made."""
-    for _ in range(REDRAW_LIMIT):
+    """The first window that draw(rng) returns which the redraw guard
+    certifies (``_propagates``: `steps` clean rows by the rule, and every
+    2-fractal of the last one spanning a plane); at most REDRAW_LIMIT
+    draws.  The window records in ``draws`` how many draws it took, and,
+    when the exact guard decided, keeps the rows it made."""
+    for k in range(1, REDRAW_LIMIT + 1):
         window = draw(rng)
         if _propagates(window, steps, rule):
+            window.draws = k
             return window
     raise DegenerateConfig("%d draws of the window all propagated degenerately" % REDRAW_LIMIT)
 
 
 def _propagates(window, steps, rule):
     """Whether the window takes the given number of steps by the rule (or as
-    many as its width allows) without a degenerate meet, and then has no
-    relation instance with coincident points.
+    many as its width allows) without a degenerate meet, the last window of
+    that run has no relation instance with coincident points, and each of
+    its 2-fractals spans at least a plane.  Its 1-fractals need no test of
+    their own: L_r spans a line once its four points are distinct, which
+    the coincidence test checks on every full line.
 
     A planar window under a meet rule is first propagated mod P
     (``_propagates_mod_p``); when that run accepts, so does the exact one.
     Every other window, and every planar one the run mod P does not accept,
-    is decided by the exact run (``_steps_cleanly``)."""
+    is decided by the exact run (``_clean_run``) and ``_spans_planes``."""
     if window.dim == 2 and rule.solve is _meet and _propagates_mod_p(window, steps, rule):
         return True
-    return _steps_cleanly(window, steps, rule)
+    last = _clean_run(window, steps, rule)
+    return last is not None and _spans_planes(last)
 
 
-def _steps_cleanly(window, steps, rule):
-    """``_propagates`` on the window's own points.  Each window of the run
-    keeps its successor (``_Lines.kept``) for the next ``_propagate`` call
-    with the rule, and the successor carries the next one."""
+def _clean_run(window, steps, rule):
+    """The last window of the run of the given number of steps by the rule
+    (or as many as the width allows), or None when a meet degenerates or
+    that window has a relation instance with coincident points.  Each
+    window of the run keeps its successor (``_Lines.kept``) for the next
+    ``_propagate`` call with the rule, and the successor carries the next
+    one."""
     for _ in range(steps):
         try:
             # the engine, so a profile of step_forward counts only the
             # caller's steps; one whose row was kept here makes no meet
             successor = _propagate(window, rule)
         except DegenerateError:
-            return False
+            return None
         except MeshError:
             break
         window.lines.kept = rule, successor
         window = successor
-    return not _has_coincident_points(window)
+    return None if _has_coincident_points(window) else window
+
+
+# the words of the points of a 2-fractal: dd, then the points of the minor,
+# P_{r+aa}, P_{r+ab}, P_{r+bb}.  ``bases`` filters the keys by each offset
+# in turn, and dd next to aa shrinks them to about the bases at once.
+FRACTAL_2_WORDS = ("dd", "aa", "ab", "bb", "ac", "ad", "bc", "bd", "cc", "cd")
+
+
+def _fractal_2_offsets(pin):
+    """The offsets of the points of a 2-fractal, one per word of
+    FRACTAL_2_WORDS."""
+    return [pin.offset(word) for word in FRACTAL_2_WORDS]
+
+
+def _minor3(u, v, w):
+    """The 3x3 minor of the vectors u, v, w on their first three
+    coordinates."""
+    return ((u[1] * v[2] - u[2] * v[1]) * w[0] + (u[2] * v[0] - u[0] * v[2]) * w[1]
+            + (u[0] * v[1] - u[1] * v[0]) * w[2])
+
+
+def _spans_planes(window):
+    """Whether every 2-fractal inside the window spans at least a plane:
+    P_{r+aa}, P_{r+ab}, P_{r+bb} have a nonzero minor on the first three
+    coordinates, or else the rank of all the fractal's points is at least
+    3."""
+    offs = _fractal_2_offsets(window.pin)
+    return all(_minor3(*[p.z for p in window.at(r, offs[1:4])]) or rank_of(window.at(r, offs)) >= 3
+               for r in bases(window, offs))
 
 
 # a prime of 61 bits: the planar redraw guard propagates mod P first
@@ -433,17 +488,24 @@ def _meet_mod_p(pts):
 
 
 def _propagates_mod_p(window, steps, rule):
-    """``_steps_cleanly`` on the window's primitive vectors mod P, with the
-    rule's meet taken mod P.  True proves that the exact run accepts.  A
-    meet that is nonzero mod P is the reduction of a nonzero integer meet,
-    so ``_meet_lines`` finds the exact meet, whose primitive vector reduces
-    to a multiple of the meet mod P: the exact run meets no degenerate pair
-    of lines and its points reduce to the points mod P.  Points that differ
-    mod P differ, so no relation instance repeats a point either.  A meet
-    that vanishes mod P, or points that coincide mod P, prove nothing."""
+    """``_clean_run`` on the window's primitive vectors mod P, with the
+    rule's meet taken mod P, and the 2-fractal minors of ``_spans_planes``
+    taken mod P.  True proves that the exact guard accepts.  A meet that is
+    nonzero mod P is the reduction of a nonzero integer meet, so
+    ``_meet_lines`` finds the exact meet, whose primitive vector reduces to
+    a multiple of the meet mod P: the exact run meets no degenerate pair of
+    lines and its points reduce to the points mod P.  Points that differ
+    mod P differ, so no relation instance repeats a point either, and a
+    minor that is nonzero mod P is the reduction of a nonzero integer
+    minor.  A meet or minor that vanishes mod P, or points that coincide
+    mod P, prove nothing."""
     reduced = MeshWindow(window.pin, 2, periodic_n=window.periodic_n)
     reduced.points = {k: _mod_p(p.z) for k, p in window.points.items()}
-    return _steps_cleanly(reduced, steps, rule._replace(solve=_meet_mod_p))
+    last = _clean_run(reduced, steps, rule._replace(solve=_meet_mod_p))
+    if last is None:
+        return False
+    offs = _fractal_2_offsets(last.pin)
+    return all(_minor3(*last.at(r, offs[1:4])) % P for r in bases(last, offs))
 
 
 def _spanning_check(window):
@@ -453,11 +515,15 @@ def _spanning_check(window):
 
 def generate_polygon_window(pin, n, seed=0, dim=2):
     """Closed twisted-free polygon data for pins with m = 1 (single free row):
-    a random n-gon in RP^dim with distinct vertices, periodic in i.  Like
-    generate_window, a polygon that does not propagate pin.l + 2 rows
-    cleanly is redrawn from the same random stream."""
+    a random n-gon in RP^dim with distinct vertices, periodic in i.  Fewer
+    than dim + 1 vertices cannot span RP^dim, a ``MeshError``.  Like
+    generate_window, a polygon that the redraw guard does not certify is
+    redrawn from the same random stream."""
     if pin.m != 1:
         raise MeshError("closed polygon windows need m = 1 (got m = %d)" % pin.m)
+    if n < dim + 1:
+        raise MeshError("a closed polygon in RP^%d needs n >= %d vertices (got n = %d)"
+                        % (dim, dim + 1, n))
 
     def draw(rng):
         w = MeshWindow(pin, dim, periodic_n=n)
@@ -699,7 +765,8 @@ def solve_menelaus(points):
 
 
 def generate_1d(pin, i_lo, i_hi, seed=0):
-    """Random 1D window: m = c2+d2-a2-b2 free rows of distinct RP^1 points."""
+    """Random 1D window: m = c2+d2-a2-b2 free rows of distinct RP^1 points,
+    in one draw (``draws`` is 1)."""
     _check_columns(i_lo, i_hi)
     rng = random.Random(seed)
     m = pin.l
@@ -716,6 +783,7 @@ def generate_1d(pin, i_lo, i_hi, seed=0):
             else:
                 raise DegenerateConfig("could not draw distinct 1D values")
             w.set((i, j), Point((t, 1)))
+    w.draws = 1
     return w
 
 

@@ -189,13 +189,19 @@ def infinite_arrow_classes(pin):
     return out
 
 
+def check_qs_size(pin, n):
+    """QuiverConfigError unless Q_{n,S} has n >= 3 columns and n > 2 max|i|
+    over the row offsets i of the pin, so that no arrow wraps onto itself."""
+    max_i = max(abs(v[0]) for v in _pin_offsets(pin))
+    if n < 3 or n <= 2 * max_i:
+        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
+
+
 def build_qs(pin, n):
     """Finite quotient Q_{n,S} on (Z/n) x {0..l-1}: each arrow class of
     ``infinite_arrow_classes`` at every column k mod n."""
     l = pin.l
-    max_i = max(abs(v[0]) for v in _pin_offsets(pin))
-    if n < 3 or n <= 2 * max_i:
-        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
+    check_qs_size(pin, n)
     q = Quiver({(i, j) for i in range(n) for j in range(l)})
     for (row, (di, dj)), mult in infinite_arrow_classes(pin).items():
         for k in range(n):

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 import pytest
 
-from ymesh import cli
+from ymesh import cli, mesh
 from ymesh.cli import main
 from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
                         generate_1d, generate_reduced, generate_window, step_1d)
@@ -290,6 +290,15 @@ def test_quiver_run_geometric_init():
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("init", ["random", "geometric"])
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_quiver_run_small_n_is_config_error_for_both_inits(init, n):
+    # the geometric init drew a polygon first, which exited 3 (degenerate data)
+    res = run("quiver", "run", "--name", "pentagram", "--n", n, "--init", init, "--seed", "1")
+    assert res.exit_code == 2, res.output
+    assert res.output == "config error: need n >= 3 and n > 2*max|offset i| = 4\n"
+
+
 def test_lift_reports_generator():
     pin = '{"a": [-1, 1], "b": [1, 1], "c": [0, 2], "d": [0, 3]}'
     res = run("lift", "--pin", pin, "--width", "5", "--height", "5")
@@ -433,3 +442,28 @@ def test_verify_all_reports_a_degenerate_draw_as_failed(monkeypatch):
                                   "message": "32 draws of the window all propagated degenerately"}
     assert all("skips" not in job for job in report["jobs"])
     assert "degenerate data: 32 draws" in res.stderr
+
+
+def test_verify_all_reports_the_draws_of_each_job(monkeypatch):
+    want = {}
+    for name in sorted(ZOO):
+        pin = zoo_pin(name)
+        for dim in sorted({2, min(3, zoo_dim(name)), zoo_dim(name)}):
+            if 2 <= dim <= zoo_dim(name):
+                want[(name, dim)] = generate_window(pin, dim, 0, 8 * (pin.l + 2), seed=0).draws
+    rejected = []
+    guard = mesh._propagates
+
+    def reject_first_sideways(window, steps, rule):
+        if window.pin == zoo_pin("sideways") and not rejected:
+            rejected.append(window)
+            return False
+        return guard(window, steps, rule)
+
+    monkeypatch.setattr(mesh, "_propagates", reject_first_sideways)
+    res = run("verify", "all", "--seed", "0")
+    assert res.exit_code == 0, res.output
+    draws = {(job["pin"], job["dim"]): job["draws"] for job in json.loads(res.output)["jobs"]}
+    assert rejected and draws.pop(("sideways", 2)) > want.pop(("sideways", 2))
+    assert {k: n for k, n in draws.items() if k[1] >= 2} == want
+    assert all(n == 1 for (_, dim), n in draws.items() if dim == 1)

@@ -13,7 +13,7 @@ from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         step_forward, step_backward, step_reduced_forward,
                         step_1d, check_relations, check_menelaus, random_point,
                         bases, MENELAUS_WORDS)
-from ymesh.fractal import make_fractal, fractal_bases_in_window
+from ymesh.fractal import make_fractal, fractal_bases_in_window, fractal_dim
 from ymesh.quiver import qs_period, run_periodic_y
 from ymesh.yvars import check_eqmain, y_of, y_available
 from ymesh.pins import Pin, d_of_s, m2_of_s
@@ -114,6 +114,16 @@ def test_1d_engine_forward_backward(zoo_name):
 def test_polygon_window_requires_m1():
     with pytest.raises(MeshError):
         generate_polygon_window(zoo_pin("sideways"), 8)
+
+
+@pytest.mark.parametrize("name,n,dim", [("pentagram", 0, 2), ("pentagram", -2, 2),
+                                        ("pentagram", 2, 2), ("higher_pentagram", 3, 3)])
+def test_polygon_too_small_to_span_is_config_error(name, n, dim):
+    with pytest.raises(MeshError) as err:
+        generate_polygon_window(zoo_pin(name), n, dim=dim)
+    assert not isinstance(err.value, mesh.DegenerateConfig)
+    assert str(err.value) == ("a closed polygon in RP^%d needs n >= %d vertices (got n = %d)"
+                              % (dim, dim + 1, n))
 
 
 def test_polygon_window_periodic_propagation():
@@ -517,8 +527,9 @@ def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
 
 def _exact_guard(window, steps, rule):
     """The redraw guard on exact points only: propagate a copy (which keeps
-    no rows of an earlier guard run), then scan every relation instance for
-    a repeated point."""
+    no rows of an earlier guard run), scan every relation instance for a
+    repeated point, then require every 2-fractal to span at least a plane,
+    by rank on all its points."""
     window = window.copy()
     for _ in range(steps):
         try:
@@ -527,7 +538,9 @@ def _exact_guard(window, steps, rule):
             return False
         except MeshError:
             break
-    return not mesh._coincident_instance(window)
+    return not mesh._coincident_instance(window) and all(
+        fractal_dim(window, make_fractal(window.pin, r, 2)) >= 2
+        for r in fractal_bases_in_window(window, 2))
 
 
 def _neighbour_replaced(w, rng):
@@ -568,6 +581,8 @@ def _planar_draws():
             out.append(("%s n=%d polygon %d" % (name, n, k), w, mesh.TOP))
     out += [(label + " corrupted", _neighbour_replaced(w, rng), rule)
             for label, w, rule in out[::3]]
+    out += [("%s collinear 2-fractal" % name, _collinear_fractal(name, 2)[1], mesh.TOP)
+            for name in ("pentagram", "sideways")]
     return out
 
 
@@ -738,3 +753,89 @@ def test_kept_rows_make_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---- the 2-fractal certificate -------------------------------------------
+
+
+def _certificate_cases():
+    """(name, dim): every zoo pin at every D >= 2 that it generates."""
+    cases = []
+    for name in sorted(ZOO):
+        top = 2 if name in BOUNDARY_PINS else d_of_s(zoo_pin(name))
+        cases += [(name, dim) for dim in range(2, top + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("name,dim", _certificate_cases())
+def test_accepted_draws_have_2_fractals_spanning_planes(name, dim):
+    """Every 2-fractal in the l + 2 rows the guard propagates spans a plane,
+    by rank on its points, on accepted draws at the acceptance width."""
+    pin = zoo_pin(name)
+    xs = [o1 for o1, _ in pin.points]
+    cols = 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
+    for seed in range(4):
+        w = _guarded_rows(generate_window(pin, dim, 0, cols, seed=seed))
+        found = fractal_bases_in_window(w, 2)
+        assert found
+        for r in found:
+            assert fractal_dim(w, make_fractal(pin, r, 2)) == 2, (seed, r)
+
+
+def _collinear_fractal(name, dim):
+    """(good, bad): a generated window grown by l + 2 rows, and a copy whose
+    lowest 2-fractal is moved onto one line by new, pairwise distinct
+    points.  The guard propagates only the top rows, so the bad window
+    still propagates cleanly."""
+    pin = zoo_pin(name)
+    good = _guarded_rows(generate_window(pin, dim, 0, 4 * (pin.l + 2), seed=0)).copy()
+    bad = good.copy()
+    r = fractal_bases_in_window(bad, 2, limit=1)[0]
+    for k, q in enumerate(sorted(make_fractal(pin, r, 2))):
+        bad.set(q, Point((1, 7919 + k) + (0,) * (dim - 1)))
+    return good, bad
+
+
+@pytest.mark.parametrize("name,dim", [("pentagram", 2), ("sideways", 2), ("dented", 3),
+                                      ("rabbit", 4)])
+def test_a_collinear_2_fractal_is_redrawn(name, dim):
+    good, bad = _collinear_fractal(name, dim)
+    steps = good.pin.l + 2
+    assert mesh._clean_run(bad.copy(), steps, mesh.TOP) is not None
+    assert not _exact_guard(bad, steps, mesh.TOP)
+    assert not mesh._propagates(bad, steps, mesh.TOP)
+    if dim == 2:
+        assert not mesh._propagates_mod_p(bad, steps, mesh.TOP)
+    stub = iter([bad, good])
+    w = mesh._certified_draw(lambda rng: next(stub), random.Random(0), steps, mesh.TOP)
+    assert w is good and w.draws == 2
+
+
+def test_generators_record_their_draws():
+    pin = zoo_pin("pentagram")
+    assert generate_window(pin, 2, 0, 16, seed=0).draws >= 1
+    assert generate_polygon_window(pin, 7, seed=5).draws == 1
+    assert generate_reduced(zoo_pin("rabbit"), 0, 24, seed=3).draws >= 1
+    assert generate_1d(pin, 0, 8).draws == 1
+    assert step_forward(generate_window(pin, 2, 0, 16)).draws is None
+
+
+def test_a_vanishing_minor_falls_back_to_the_rank():
+    """A projective map that sends coordinate 2 of P_{r+aa}, P_{r+ab},
+    P_{r+bb} to 0, at the first 2-fractal of the guard's rows, makes their
+    minor on the first three coordinates vanish; the mapped window is still
+    a generic mesh, so the exact guard accepts it by the rank."""
+    pin = zoo_pin("dented")
+    w = generate_window(pin, 3, 0, 24, seed=0)
+    grown = _guarded_rows(w)
+    r = fractal_bases_in_window(grown, 2, limit=1)[0]
+    three = [grown.get(pin.shift(r, word)).z for word in ("aa", "ab", "bb")]
+    f, = projective.nullspace(three, 4)
+    assert f[2]
+
+    def mapped(z):
+        return Point((z[0], z[1], sum(c * x for c, x in zip(f, z)), z[3]))
+
+    assert mesh._minor3(*[mapped(z).z for z in three]) == 0
+    image = MeshWindow(pin, 3, {k: mapped(p.z) for k, p in w.points.items()})
+    assert mesh._propagates(image, pin.l + 2, mesh.TOP)
