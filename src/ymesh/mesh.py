@@ -75,11 +75,13 @@ from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BO
                          CASE_TRIANGLE_C)
 
 REDRAW_LIMIT = 32
-# bound on the member coefficients of a generated point.  Over seeds 0-39 of
-# the acceptance sweep at every D >= 2, a bound of 8 took 1617 redraws and
-# still left 53 more windows failing check_relations; 256 takes 11 redraws.
-# A bound of 2^20 raises the median coordinate height from ~100 to ~170 bits.
-COMBINE_BOUND = 256
+# bound on the member coefficients of a generated point: each column of a
+# sweep adds about log2(bound) + 1 bits of height.  Over seeds 0-39 of every
+# zoo pin at every D >= 2 at the acceptance width, the certified guard
+# rejects 119 of 1159 draws at 32 and 22 of 1062 at 256, none of them for a
+# 2-fractal alone; at 16 it rejects 360 of 1400, as D >= 3 draws collide in
+# their coefficient ratios (two propagated points of one line coincide).
+COMBINE_BOUND = 32
 
 
 class MeshError(ValueError):
