@@ -190,8 +190,8 @@ def infinite_arrow_classes(pin):
 
 
 def check_qs_size(pin, n):
-    """QuiverConfigError unless Q_{n,S} has n >= 3 columns and n > 2 max|i|
-    over the row offsets i of the pin, so that no arrow wraps onto itself."""
+    """QuiverConfigError unless Q_{n,S} can be built: n >= 3 and n > 2 max|i|
+    over the row offsets i of the pin."""
     max_i = max(abs(v[0]) for v in _pin_offsets(pin))
     if n < 3 or n <= 2 * max_i:
         raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
