@@ -657,12 +657,13 @@ def bases(window, offsets):
     """Every base r whose points r + offset all lie inside the window, once
     each (mod n on a periodic window), ordered by (r2, r1): the window's
     keys shifted back by the first offset, intersected with the keys
-    shifted back by each other offset."""
+    shifted back by each other offset, the one farthest from the first
+    offset first (it discards the most bases)."""
     keys = window.points.keys()
     n = window.periodic_n
     o1, o2 = offsets[0]
     found = {((i - o1) % n if n else i - o1, j - o2) for i, j in keys}
-    for d1, d2 in offsets[1:]:
+    for d1, d2 in sorted(offsets[1:], key=lambda o: abs(o[0] - o1) + abs(o[1] - o2), reverse=True):
         found = {(r1, r2) for r1, r2 in found
                  if ((r1 + d1) % n if n else r1 + d1, r2 + d2) in keys}
     return sorted(found, key=lambda r: (r[1], r[0]))

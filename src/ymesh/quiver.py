@@ -7,8 +7,9 @@ its neighbours: each path u->v->w adds b_uv*b_vw arrows u->w (2-cycles cancel
 as entries reach zero and are dropped), then the arrows at v reverse.  Its
 arithmetic costs O(deg(v)^2).  ``Quiver.mutate`` never modifies its source:
 the new quiver shares every row it does not change with the old one.  The
-Y-run and the period-one check mutate a quiver of their own, built by
-``build_qs``, in place by the same rule (``Quiver._mutate_in_place``).
+period-one check mutates row 0 of its own Q_{n,S} in place and compares the
+result with rho(Q); the Y-run makes that check once and mutates no quiver,
+since its sweep s acts on rho^s(Q), whose rows are those of Q relabelled.
 """
 
 from .rational import ExtQ, degenerate_pair, exchange_relation, in_factor, mul_pow, out_factor
@@ -60,6 +61,12 @@ class Quiver:
         """Canonical arrow list [(u, v, mult)] with mult > 0."""
         return [(u, w, m) for u, row in self.adj.items() for w, m in row.items() if m > 0]
 
+    @staticmethod
+    def _of(adj):
+        q = Quiver.__new__(Quiver)
+        q.vertices, q.adj = frozenset(adj), adj
+        return q
+
     def mutate(self, v):
         """The quiver mutated at v; this one is left unchanged."""
         q = Quiver.__new__(Quiver)
@@ -85,8 +92,12 @@ class Quiver:
             adj[u][v] = b
 
     def relabel(self, fn):
-        return Quiver({fn(v) for v in self.vertices},
-                      ((fn(u), fn(w), m) for u, w, m in self.arrows()))
+        """The quiver with each vertex v renamed fn(v); fn must be one-to-one."""
+        names = {v: fn(v) for v in self.vertices}
+        if len(set(names.values())) != len(names):
+            raise QuiverConfigError("relabelling is not one-to-one")
+        return Quiver._of({names[u]: {names[w]: m for w, m in row.items()}
+                           for u, row in self.adj.items()})
 
     def canon(self):
         return frozenset(self.arrows())
@@ -108,8 +119,8 @@ def mutate_y(quiver, ys, v):
 
 
 def _mutate_pairs(row, ys, v):
-    """mutate_y in place on reduced integer pairs, row = quiver.adj[v]; the
-    pairs stay reduced (``ExtQ.from_reduced`` relies on it)."""
+    """mutate_y in place on reduced integer pairs, row = adj[v] in the quiver
+    mutated at v; the pairs stay reduced (``ExtQ.from_reduced`` relies on it)."""
     p, q = ys[v]
     up, down = in_factor(p, q), out_factor(p, q)
     ys[v] = (q, p) if p >= 0 else (-q, -p)
@@ -198,15 +209,16 @@ def check_qs_size(pin, n):
 
 
 def build_qs(pin, n):
-    """Finite quotient Q_{n,S} on (Z/n) x {0..l-1}: each arrow class of
-    ``infinite_arrow_classes`` at every column k mod n."""
-    l = pin.l
+    """Finite quotient Q_{n,S} on (Z/n) x {0..l-1}: the arrow classes of
+    ``infinite_arrow_classes`` summed into a template of each row j, a map
+    (column offset mod n, target row) -> b, stamped at every column k."""
     check_qs_size(pin, n)
-    q = Quiver({(i, j) for i in range(n) for j in range(l)})
+    template = [{} for _ in range(pin.l)]
     for (row, (di, dj)), mult in infinite_arrow_classes(pin).items():
-        for k in range(n):
-            q._bump((k, row), ((k + di) % n, row + dj), mult)
-    return q
+        for j, key, b in ((row, (di % n, row + dj), mult), (row + dj, (-di % n, row), -mult)):
+            template[j][key] = template[j].get(key, 0) + b
+    return Quiver._of({(k, j): {((k + d) % n, t): b for (d, t), b in template[j].items() if b}
+                       for k in range(n) for j in range(pin.l)})
 
 
 def arrows_at_origin(pin):
@@ -218,32 +230,30 @@ def arrows_at_origin(pin):
     return outs, ins
 
 
-def rho_relabel(pin, n):
-    """Period-one relabeling: rho(i,j) = (i,j+1) for j < l-1, (i-i0, 0) on top."""
-    i0, l = qs_period(pin)
-
-    def rho(v):
-        i, j = v
-        if j < l - 1:
-            return (i, j + 1)
-        return ((i - i0) % n, 0)
-
-    return rho
-
-
-def verify_period_one(pin, n):
-    """Check Q_{n,S} is period one: row 0 is arrow-free internally and
-    mutating all of row 0 equals the rho-relabeled quiver.  rho(Q) is built
-    first; Q, which this check owns, is then mutated in place."""
+def _period_one_rows(pin, n):
+    """The period-one check of Q = Q_{n,S}; returns the rows adj[(i, 0)] of Q,
+    i = 0..n-1.  Row 0 must be arrow-free; then mutating all of row 0 of Q,
+    which this check owns, in place must give rho(Q)."""
     q = build_qs(pin, n)
-    for u, w, _ in q.arrows():
-        if u[1] == 0 and w[1] == 0:
-            raise IdentityFailure("row 0 is not arrow-free: %s -> %s" % (u, w))
-    rho_q = q.relabel(rho_relabel(pin, n))
+    rows = [q.adj[(i, 0)] for i in range(n)]  # the mutations replace these dicts
+    bad = [((i, 0), w) for i, row in enumerate(rows) for w, m in row.items()
+           if w[1] == 0 and m > 0]
+    if bad:
+        raise IdentityFailure("row 0 is not arrow-free: %s -> %s" % bad[0])
+    i0, l = qs_period(pin)  # rho(i, j) = (i, j + 1) below the top row, (i - i0, 0) on it
+    rho_q = q.relabel(lambda v: (v[0], v[1] + 1) if v[1] < l - 1 else ((v[0] - i0) % n, 0))
     for i in range(n):
         q._mutate_in_place((i, 0))
     if q != rho_q:
         raise IdentityFailure("mu_row0(Q) != rho(Q) for %r, n=%d" % (pin, n))
+    return rows
+
+
+def verify_period_one(pin, n):
+    """Check Q_{n,S} is period one: row 0 is arrow-free internally and
+    mutating all of row 0 equals the rho-relabeled quiver.  Then the quiver
+    after s row sweeps is rho^s(Q), which ``run_periodic_y`` relies on."""
+    _period_one_rows(pin, n)
     return True
 
 
@@ -255,20 +265,25 @@ def run_periodic_y(pin, n, y0, sweeps):
     ``ExtQ()`` accepts; y0 is not modified.  Returns (exported, final_ys)
     where exported maps grid labels (i, j), j >= 0, to ExtQ: a vertex (i, jr)
     mutated for the (t+1)-th time carries grid label ((i + t*i0) mod n,
-    jr + t*l).  The quiver is this run's own and is mutated in place.
+    jr + t*l).  The run makes the period-one check (``IdentityFailure`` if
+    Q_{n,S} fails it) and mutates no quiver: sweep s = t*l + jr mutates the
+    arrow-free row jr of rho^s(Q), where (i, jr) has the row of
+    ((i + t*i0) mod n, 0) in Q relabelled by rho^s, which moves (k, j) to
+    ((k - w*i0) mod n, (j + jr) mod l) after w = t + (j + jr) // l wraps.
     """
     i0, l = qs_period(pin)
-    q = build_qs(pin, n)
+    rows = _period_one_rows(pin, n)
     ys = {v: ExtQ(val).as_pair() for v, val in y0.items()}
     exported = {}
     for s in range(sweeps):
         jr, t = s % l, s // l
+        shift = [((t + (j + jr) // l) * i0, (j + jr) % l) for j in range(l)]
         for i in range(n):
             exported[((i + t * i0) % n, jr + t * l)] = ExtQ.from_reduced(*ys[(i, jr)])
         for i in range(n):
-            v = (i, jr)
-            _mutate_pairs(q.adj[v], ys, v)
-            q._mutate_in_place(v)
+            row = rows[(i + t * i0) % n]
+            _mutate_pairs({((k - shift[j][0]) % n, shift[j][1]): b for (k, j), b in row.items()},
+                          ys, (i, jr))
     return exported, {v: ExtQ.from_reduced(*pair) for v, pair in ys.items()}
 
 
@@ -287,19 +302,21 @@ def check_exchange_trace(pin, n, exported):
     pairs = {lab: y.as_pair() for lab, y in exported.items()}
     checked = 0
     for (i, j) in sorted(exported):
-        u = (i, j)
-        top = ((i + i0) % n, j + l)
-        need = [(((top[0] - v[0]) % n, top[1] - v[1]), m, fn) for v, m, fn in offsets]
-        if top not in pairs or not all(lab in pairs for lab, _, _ in need):
+        top = pairs.get(((i + i0) % n, j + l))
+        if top is None:
             continue
-        factors = [(pairs[lab], m, fn) for lab, m, fn in need]
-        if any(degenerate_pair(*pair) for pair, _, _ in factors):
-            continue
-        holds, lhs, rhs = exchange_relation(pairs[top], pairs[u], factors)
-        if not holds:
-            raise IdentityFailure("exchange trace fails at %s: %s vs %s"
-                                 % (u, ExtQ(*lhs), ExtQ(*rhs)))
-        checked += 1
+        factors = []
+        for (di, dj), m, fn in offsets:
+            pair = pairs.get(((i + i0 - di) % n, j + l - dj))
+            if pair is None or degenerate_pair(*pair):
+                break
+            factors.append((pair, m, fn))
+        else:
+            holds, lhs, rhs = exchange_relation(top, pairs[(i, j)], factors)
+            if not holds:
+                raise IdentityFailure("exchange trace fails at %s: %s vs %s"
+                                     % ((i, j), ExtQ(*lhs), ExtQ(*rhs)))
+            checked += 1
     if not checked:
         raise QuiverConfigError("only %d exchange-trace instances" % checked)
     return checked

@@ -290,6 +290,22 @@ def test_quiver_run_geometric_init():
     assert res.exit_code == 0
 
 
+def test_quiver_run_on_a_quiver_that_is_not_period_one_exits_1(monkeypatch):
+    # the run makes the period-one check before it drives any sweep
+    from ymesh import quiver
+    build = quiver.build_qs
+
+    def broken(pin, n):
+        q = build(pin, n)
+        q._bump((0, pin.l - 1), (n // 2, pin.l - 1), 1)
+        return q
+
+    monkeypatch.setattr(quiver, "build_qs", broken)
+    res = run("quiver", "run", "--name", "pentagram", "--n", "7", "--steps", "8", "--seed", "3")
+    assert res.exit_code == 1, res.output
+    assert "mu_row0(Q) != rho(Q)" in res.output
+
+
 @pytest.mark.parametrize("init", ["random", "geometric"])
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_quiver_run_small_n_is_config_error_for_both_inits(init, n):

@@ -361,6 +361,38 @@ def test_periodic_instances_are_distinct_bases():
             if 0 <= r[0] < 7} == set(found)
 
 
+def _bases_in_given_order(window, offsets):
+    """``bases`` filtering by the offsets in the order given."""
+    keys, n = window.points.keys(), window.periodic_n
+    o1, o2 = offsets[0]
+    found = {((i - o1) % n if n else i - o1, j - o2) for i, j in keys}
+    for d1, d2 in offsets[1:]:
+        found = {(r1, r2) for r1, r2 in found
+                 if ((r1 + d1) % n if n else r1 + d1, r2 + d2) in keys}
+    return sorted(found, key=lambda r: (r[1], r[0]))
+
+
+def test_bases_filter_order_keeps_the_list():
+    windows = []
+    for name in ("pentagram", "short_diagonal", "penguin", "elephant"):
+        w = generate_window(zoo_pin(name), 2, 0, 14, seed=3)
+        windows += [w, step_forward(step_forward(w))]
+    for name, n in (("pentagram", 7), ("higher_pentagram", 9)):
+        w = generate_polygon_window(zoo_pin(name), n, seed=3)
+        windows += [w, step_forward(step_forward(step_forward(w)))]
+    for name in ("pentagram", "sideways"):
+        w = generate_1d(zoo_pin(name), 0, 24, seed=3)
+        windows += [w, step_1d(w), step_1d(w, backward=True)]
+    listed = 0
+    for w in windows:
+        for offsets in _offset_families(w.pin):
+            for order in (offsets, offsets[::-1]):
+                found = bases(w, order)
+                assert found == _bases_in_given_order(w, order)
+                listed += len(found)
+    assert listed > 1000
+
+
 @pytest.mark.parametrize("n,count", [(7, 49), (9, 63)])
 def test_periodic_menelaus_counts_each_base_once(n, count):
     # the six-point words of the pentagram span rows 0..2, so the 9 rows

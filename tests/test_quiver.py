@@ -6,7 +6,7 @@ import pytest
 from ymesh.mesh import IdentityFailure
 from ymesh.rational import ExtQ
 from ymesh.quiver import (Quiver, QuiverConfigError, mutate_x, mutate_y,
-                          build_qs, qs_period, arrows_at_origin,
+                          build_qs, qs_period, arrows_at_origin, infinite_arrow_classes,
                           verify_period_one, run_periodic_y,
                           check_exchange_trace, verify_period_one_1d,
                           run_1d_y, run_1d_x, check_1d_y_relation)
@@ -44,6 +44,45 @@ def test_mutation_fixture_x_row():
     # x2' = (x1 x3 + x5) / x2
     assert xs2[2] == (ExtQ(1) * ExtQ(3) + ExtQ(5)) / ExtQ(2)
     assert all(xs2[v] == ExtQ(v) for v in (1, 3, 4, 5, 6))
+
+
+def test_relabel_builds_the_renamed_quiver():
+    q = fig_quiver()
+    assert q.relabel(lambda v: 10 * v) == Quiver(
+        {10 * v for v in q.vertices}, [(10 * u, 10 * w, m) for u, w, m in q.arrows()])
+    rho = {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1}
+    assert q.relabel(rho.get).relabel({v: u for u, v in rho.items()}.get) == q
+
+
+@pytest.mark.parametrize("merge", [{1: 2}, {1: 3}, {2: 1, 6: 4}])
+def test_relabel_that_merges_vertices_is_config_error(merge):
+    # 1 -> 2 is an arrow (a loop once merged); 1 and 3 share no arrow, so
+    # merging them would add up the arrows 1 -> 2 and 3 -> 2
+    with pytest.raises(QuiverConfigError, match="not one-to-one"):
+        fig_quiver().relabel(lambda v: merge.get(v, v))
+
+
+def _bumped_qs(pin, n):
+    """Q_{n,S} with one ``_bump`` per arrow class and column."""
+    check = build_qs(pin, n)  # the same size check
+    q = Quiver({(i, j) for i in range(n) for j in range(pin.l)})
+    for (row, (di, dj)), mult in infinite_arrow_classes(pin).items():
+        for k in range(n):
+            q._bump((k, row), ((k + di) % n, row + dj), mult)
+    return check, q
+
+
+def test_build_qs_template_matches_arrow_by_arrow(zoo_name):
+    pin = zoo_pin(zoo_name)
+    built = 0
+    for n in range(3, 41):
+        try:
+            q, ref = _bumped_qs(pin, n)
+        except QuiverConfigError:
+            continue
+        assert q == ref and q.vertices == ref.vertices
+        built += 1
+    assert built >= 30
 
 
 def test_build_qs_figquiver_pattern_at_origin():
@@ -87,6 +126,52 @@ def test_exchange_trace_random_runs(zoo_name):
     # second run starts from the same state
     assert y0 == before
     assert run_periodic_y(pin, n, y0, 12) == (exported, final)
+
+
+def _mutating_run(pin, n, y0, sweeps):
+    """``run_periodic_y`` by mutating Q_{n,S} at every vertex of every sweep."""
+    i0, l = qs_period(pin)
+    q = build_qs(pin, n)
+    ys = {v: ExtQ(val) for v, val in y0.items()}
+    exported = {}
+    for s in range(sweeps):
+        jr, t = s % l, s // l
+        for i in range(n):
+            exported[((i + t * i0) % n, jr + t * l)] = ys[(i, jr)]
+        for i in range(n):
+            q, ys = mutate_y(q, ys, (i, jr))
+    return exported, ys
+
+
+def test_run_equals_a_run_that_mutates_the_quiver(zoo_name):
+    pin = zoo_pin(zoo_name)
+    _, l = qs_period(pin)
+    rng = random.Random(5)
+    for n in (7, 9, 12):
+        y0 = {(i, j): Fraction(rng.randint(1, 30), rng.randint(1, 30))
+              for i in range(n) for j in range(l)}
+        for sweeps in (1, l + 1, 3 * l):
+            assert run_periodic_y(pin, n, y0, sweeps) == _mutating_run(pin, n, y0, sweeps)
+
+
+@pytest.mark.parametrize("rounds", [3, 6])
+def test_run_mutates_only_the_check_quiver(monkeypatch, zoo_name, rounds):
+    """The period-one check mutates row 0 once; the sweeps mutate no quiver."""
+    pin = zoo_pin(zoo_name)
+    _, l = qs_period(pin)
+    n = 9
+    calls = []
+    mutate_in_place = Quiver._mutate_in_place
+
+    def spy(self, v):
+        calls.append(v)
+        return mutate_in_place(self, v)
+
+    monkeypatch.setattr(Quiver, "_mutate_in_place", spy)
+    y0 = {(i, j): Fraction(i + 2, j + 1) for i in range(n) for j in range(l)}
+    exported, _ = run_periodic_y(pin, n, y0, rounds * l)
+    assert len(exported) == rounds * l * n
+    assert calls == [(i, 0) for i in range(n)]
 
 
 def test_exchange_trace_without_instances_is_config_error():
@@ -179,10 +264,19 @@ def test_period_one_at_large_n(zoo_name):
     assert verify_period_one(zoo_pin(zoo_name), 200)
 
 
-@pytest.mark.parametrize("where", ["outside row 0", "inside row 0"])
-def test_period_one_check_catches_an_extra_arrow(monkeypatch, zoo_name, where):
+def _y_run(pin, n):
+    _, l = qs_period(pin)
+    return run_periodic_y(pin, n, {(i, j): 2 for i in range(n) for j in range(l)}, 2 * l)
+
+
+@pytest.mark.parametrize("where,run", [
+    pytest.param(where, run, id=where + label)
+    for run, label in ((verify_period_one, ""), (_y_run, "-y_run"))
+    for where in ("outside row 0", "inside row 0")])
+def test_period_one_check_catches_an_extra_arrow(monkeypatch, zoo_name, where, run):
     """One arrow added to Q_{n,S}: off row 0 it breaks mu_row0(Q) == rho(Q),
-    inside row 0 it breaks the arrow-free precondition."""
+    inside row 0 it breaks the arrow-free precondition.  The Y-run makes the
+    same check, so it raises the same failure."""
     import ymesh.quiver as quiver_module
     pin = zoo_pin(zoo_name)
     _, l = qs_period(pin)
@@ -196,8 +290,8 @@ def test_period_one_check_catches_an_extra_arrow(monkeypatch, zoo_name, where):
             q._bump((0, 0), (n // 2, 0), 1)
         return q
 
-    assert verify_period_one(pin, 8)
+    assert run(pin, 8)
     monkeypatch.setattr(quiver_module, "build_qs", broken)
     message = "mu_row0" if where == "outside row 0" else "row 0 is not arrow-free"
     with pytest.raises(IdentityFailure, match=message):
-        verify_period_one(pin, 8)
+        run(pin, 8)
