@@ -64,12 +64,11 @@ def test_relabel_that_merges_vertices_is_config_error(merge):
 
 def _bumped_qs(pin, n):
     """Q_{n,S} with one ``_bump`` per arrow class and column."""
-    check = build_qs(pin, n)  # the same size check
     q = Quiver({(i, j) for i in range(n) for j in range(pin.l)})
     for (row, (di, dj)), mult in infinite_arrow_classes(pin).items():
         for k in range(n):
             q._bump((k, row), ((k + di) % n, row + dj), mult)
-    return check, q
+    return q
 
 
 def test_build_qs_template_matches_arrow_by_arrow(zoo_name):
@@ -77,9 +76,10 @@ def test_build_qs_template_matches_arrow_by_arrow(zoo_name):
     built = 0
     for n in range(3, 41):
         try:
-            q, ref = _bumped_qs(pin, n)
+            q = build_qs(pin, n)
         except QuiverConfigError:
             continue
+        ref = _bumped_qs(pin, n)
         assert q == ref and q.vertices == ref.vertices
         built += 1
     assert built >= 30
