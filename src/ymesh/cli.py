@@ -7,7 +7,6 @@ YMESH_SEED).
 
 import functools
 import json
-import os
 import sys
 import time
 
@@ -30,8 +29,10 @@ from .ijmap import IJMapError, t_ij, row_polygon
 from .zoo import ZOO, zoo_pin
 
 
-def default_seed():
-    return int(os.environ.get("YMESH_SEED", "0"))
+def _load(path):
+    """The JSON document in the file at path."""
+    with open(path) as fh:
+        return sz.loads(fh.read())
 
 
 def resolve_pin(name, pin_json):
@@ -85,6 +86,7 @@ def emit(text, out):
 
 pin_opts = [click.option("--name", help="zoo pin name"),
             click.option("--pin", "pin_json", help='pin JSON {"a":[i,j],...}')]
+seed_opt = click.option("--seed", type=int, envvar="YMESH_SEED", default=0, show_envvar=True)
 
 
 def add_opts(opts):
@@ -148,13 +150,13 @@ def mesh_group():
 @add_opts(pin_opts)
 @click.option("--dim", type=int, required=True)
 @click.option("--cols", type=int, default=24, help="window width")
-@click.option("--steps", type=int, default=0, help="forward steps after generation")
-@click.option("--seed", type=int, default=None)
+@click.option("--steps", type=click.IntRange(min=0), default=0,
+              help="forward steps after generation")
+@seed_opt
 @click.option("--out", type=click.Path())
 @guarded
 def mesh_gen(name, pin_json, dim, cols, steps, seed, out):
     pin = resolve_pin(name, pin_json)
-    seed = default_seed() if seed is None else seed
     if dim == 1:
         w = generate_1d(pin, 0, cols, seed=seed)
         for _ in range(steps):
@@ -172,7 +174,7 @@ def mesh_gen(name, pin_json, dim, cols, steps, seed, out):
 @click.option("--out", type=click.Path())
 @guarded
 def mesh_step(mesh_path, count, out):
-    w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
+    w = sz.mesh_from_json(_load(mesh_path))
     for _ in range(abs(count)):
         if w.dim == 1:
             w = step_1d(w, backward=count < 0)
@@ -185,7 +187,7 @@ def mesh_step(mesh_path, count, out):
 @click.option("--mesh", "mesh_path", type=click.Path(exists=True), required=True)
 @guarded
 def mesh_check(mesh_path):
-    w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
+    w = sz.mesh_from_json(_load(mesh_path))
     if w.dim == 1:
         counts = {"menelaus": check_menelaus(w)}
     else:
@@ -198,7 +200,7 @@ def mesh_check(mesh_path):
 @click.option("--out", type=click.Path())
 @guarded
 def mesh_csv(mesh_path, out):
-    w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
+    w = sz.mesh_from_json(_load(mesh_path))
     emit(sz.mesh_rows_csv(w), out)
 
 
@@ -218,7 +220,7 @@ def _mesh_report_and_lines(path, kind):
     """The report of ``verify`` on the mesh file, and the messages of the
     lines L_s inside the window whose points span more than a line: every
     exchange instance that needs such a line is a failing base."""
-    w = sz.mesh_from_json(sz.loads(open(path).read()))
+    w = sz.mesh_from_json(_load(path))
     failures = []
     not_lines = {}
     instances = 0
@@ -321,13 +323,12 @@ def _run_job(name, dim, seed):
 
 
 @verify_group.command("all")
-@click.option("--seed", type=int, default=None)
+@seed_opt
 @click.option("--out", type=click.Path())
 @guarded
 def verify_all(seed, out):
     """Run the full check battery over the zoo.  Every job runs and is
     reported; then the first failed job's error sets the exit code."""
-    seed = default_seed() if seed is None else seed
     jobs, errors = [], []
     for name in sorted(ZOO):
         pin = zoo_pin(name)
@@ -380,7 +381,7 @@ def quiver_verify(name, pin_json, n):
 @click.option("--n", type=int, required=True)
 @click.option("--steps", type=int, default=12)
 @click.option("--init", type=click.Choice(["random", "geometric"]), default="random")
-@click.option("--seed", type=int, default=None)
+@seed_opt
 @click.option("--out", type=click.Path())
 @guarded
 def quiver_run(name, pin_json, n, steps, init, seed, out):
@@ -389,7 +390,6 @@ def quiver_run(name, pin_json, n, steps, init, seed, out):
     import random as _random
     from fractions import Fraction
     pin = resolve_pin(name, pin_json)
-    seed = default_seed() if seed is None else seed
     i0, l = qs_period(pin)
     check_qs_size(pin, n)
     if init == "geometric":
@@ -455,7 +455,7 @@ def fractal_cmd(name, pin_json, k, base, mesh_path, out):
     click.echo(sz.dumps({"k": k, "base": list(base), "points": [list(p) for p in pts]}),
                nl=False)
     if mesh_path:
-        w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
+        w = sz.mesh_from_json(_load(mesh_path))
         rows = genericity_evidence(w, w.dim, k_max=k)
         emit(sz.fractal_table_csv(rows), out)
 
@@ -470,7 +470,7 @@ def fractal_cmd(name, pin_json, k, base, mesh_path, out):
 @click.option("--j-tuple", "j_str", required=True, help="comma-separated J")
 @guarded
 def ijmap_cmd(mesh_path, row, i_str, j_str):
-    w = sz.mesh_from_json(sz.loads(open(mesh_path).read()))
+    w = sz.mesh_from_json(_load(mesh_path))
     try:
         I, J = (tuple(int(x) for x in text.split(",")) for text in (i_str, j_str))
     except ValueError:
@@ -493,7 +493,7 @@ def ijmap_cmd(mesh_path, row, i_str, j_str):
 @click.option("--out", type=click.Path(), required=True)
 @guarded
 def export_cmd(kind, in_path, out):
-    obj = sz.loads(open(in_path).read())
+    obj = _load(in_path)
     if kind == "mesh-csv":
         emit(sz.mesh_rows_csv(sz.mesh_from_json(obj)), out)
     else:

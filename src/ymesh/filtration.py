@@ -7,6 +7,12 @@ sweep (f, g, H_t) satisfying seven conditions (see audit).  FiltrationSpec
 builds one for the three strict hull cases.  For a boundary pin one
 coefficient of the convex relation is zero (that point sits on a hull edge),
 and FiltrationSpec raises FiltrationUnavailable instead.
+
+Window generation (``mesh._generate_filtration``) uses both sides of the
+sweep: from a middle band H_{t_mid} it places the cells born later by their
+g-circuits (``g_inverse``, by ``birth``, then ``order6_key``) and the
+cells that die earlier by their f-circuits (``f_inverse``, by descending
+``death``, then ``order7_key``), so each circuit binds exactly one cell.
 """
 
 from math import gcd
@@ -270,9 +276,6 @@ class FiltrationSpec:
                 return (1, -r[1], r[0])
             return (2, 0, r[0])
         return (-r[1], r[0], 0)
-
-    def birth_order_key(self, r):
-        return (self.birth(r),) + self.order6_key(r)
 
 
 def audit_filtration(pin, t_lo=None, t_hi=None):

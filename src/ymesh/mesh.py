@@ -6,17 +6,21 @@ Generation is one sweep, ``_sweep``, over the cells of a window, with one
 placement rule, ``_place``: a point that no circuit binds is free, a point
 bound by one circuit is a small integer combination of the circuit's other
 members, and a point bound by two lines is their meet.  The filtration sweep
-visits cells in birth order, each bound by its g-circuit, so free points sit
-on the low-phi edge.  Boundary pins and the reduced system sweep column by
-column (``_greedy``), and each L1 (for boundary pins also L2) circuit binds
-its lexicographically last member.  A draw is kept only if it propagates
-pin.l + 2 rows without a degenerate meet or coincident points, and every
-2-fractal of the last window of that run spans at least a plane
-(``_propagates``).  The 2-fractal certificate is a nonzero 3x3 minor of
-P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of all the fractal's points; a
-1-fractal L_r spans a line once no full line repeats a point, which the
-coincidence test already checks, and the upper bounds (at most a line, at
-most a plane) are the mesh incidences that ``check_relations`` verifies.
+runs middle-out: the band H_{t_mid} in the middle of the window's sweep
+times is free, the cells born after it follow in birth order, each bound by
+its g-circuit, and the cells that die before it follow by descending death,
+each bound by its f-circuit, so heights grow with the distance from the
+middle band rather than from an edge of the window.  Boundary pins and the
+reduced system sweep column by column (``_greedy``), and each L1 (for
+boundary pins also L2) circuit binds its lexicographically last member.  A
+draw is kept only if it propagates pin.l + 2 rows without a degenerate meet
+or coincident points, and every 2-fractal of the last window of that run
+spans at least a plane (``_propagates``).  The 2-fractal certificate is a
+nonzero 3x3 minor of P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of all the
+fractal's points; a 1-fractal L_r spans a line once no full line repeats a
+point, which the coincidence test already checks, and the upper bounds (at
+most a line, at most a plane) are the mesh incidences that
+``check_relations`` verifies.
 A planar draw is first propagated on its points mod the prime
 P = 2^61 - 1: a run mod P with no vanishing meet, no two points equal and
 no minor vanishing proves that the exact run has none of these, as a
@@ -78,8 +82,8 @@ REDRAW_LIMIT = 32
 # bound on the member coefficients of a generated point: each column of a
 # sweep adds about log2(bound) + 1 bits of height.  Over seeds 0-39 of every
 # zoo pin at every D >= 2 at the acceptance width, the certified guard
-# rejects 119 of 1159 draws at 32 and 22 of 1062 at 256, none of them for a
-# 2-fractal alone; at 16 it rejects 360 of 1400, as D >= 3 draws collide in
+# rejects 125 of 1165 draws at 32 and 26 of 1066 at 256, none of them for a
+# 2-fractal alone; at 16 it rejects 311 of 1351, as D >= 3 draws collide in
 # their coefficient ratios (two propagated points of one line coincide).
 COMBINE_BOUND = 32
 
@@ -310,12 +314,33 @@ def _sweep(pin, dim, cells, circuits, rng):
 
 
 def _generate_filtration(pin, dim, i_lo, i_hi, rng):
-    """The filtration sweep: cells in birth order, each bound by its
-    g-circuit."""
+    """The middle-out filtration sweep, from the band H_{t_mid}, t_mid the
+    middle of the sweep times of the window's cells, both ways.
+
+    The cells of H_{t_mid} go first, free.  The cells born after t_mid
+    follow in birth order, each bound by its g-circuit; then the cells that
+    die before t_mid, by descending death, each bound by its f-circuit.  A
+    circuit I has f(I) dying at its time t_I and g(I) born at t_I + 1, and
+    its members lie in H_{t_I} u H_{t_I + 1} (conditions 4 and 5), so it
+    binds exactly one cell: g(I) if t_I >= t_mid, else f(I).  Its other
+    members are placed before it: they lie in the band, or are born no
+    later than g(I) (at the same time first by condition 6), or die no
+    earlier than f(I) (at the same time first by condition 7).  No circuit
+    has all its members in the band, so its free points obey no relation."""
     spec = FiltrationSpec(pin)
-    cells = sorted(((i, j) for j in range(1, pin.m + 1) for i in range(i_lo, i_hi + 1)),
-                   key=spec.birth_order_key)
-    return _sweep(pin, dim, cells, lambda r: [spec.g_inverse(r)], rng)
+    cells = [(i, j) for j in range(1, pin.m + 1) for i in range(i_lo, i_hi + 1)]
+    birth = {r: spec.birth(r) for r in cells}
+    death = {r: spec.death(r) for r in cells}
+    t_mid = (min(birth.values()) + max(death.values())) // 2
+    band = [r for r in cells if birth[r] <= t_mid <= death[r]]
+    later = sorted((r for r in cells if birth[r] > t_mid),
+                   key=lambda r: (birth[r],) + spec.order6_key(r))
+    earlier = sorted((r for r in cells if death[r] < t_mid),
+                     key=lambda r: (-death[r],) + spec.order7_key(r))
+    binding = {r: [] for r in band}
+    binding.update((r, [spec.g_inverse(r)]) for r in later)
+    binding.update((r, [spec.f_inverse(r)]) for r in earlier)
+    return _sweep(pin, dim, band + later + earlier, binding.get, rng)
 
 
 def _greedy(pin, rows, kinds, i_lo, i_hi, rng):
@@ -331,14 +356,16 @@ def _greedy(pin, rows, kinds, i_lo, i_hi, rng):
 def generate_window(pin, dim, i_lo, i_hi, seed=0):
     """Generic window of an X_{D,S} mesh on rows 1..m, columns [i_lo, i_hi].
 
-    Free points go on the low-sweep edge (circuits sticking out of the
-    window); every other point is placed generically on the span of the rest
-    of its g-circuit.  A drawn window must propagate pin.l + 2 rows forward
-    (or until it is too narrow to propagate) without a degenerate meet, no
-    L1, L2 or line instance of the result may repeat a point, and every
-    2-fractal of the result must span at least a plane (a nonzero minor of
-    P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of the fractal); otherwise
-    it is redrawn from the same random stream, at most REDRAW_LIMIT times,
+    Free points go on the middle band H_{t_mid} of the filtration and where
+    a circuit sticks out of the window; a cell born after t_mid is placed
+    generically on the span of the rest of its g-circuit, and one that dies
+    before t_mid on that of its f-circuit (``_generate_filtration``).  A
+    drawn window must propagate pin.l + 2 rows forward (or until it is too
+    narrow to propagate) without a degenerate meet, no L1, L2 or line
+    instance of the result may repeat a point, and every 2-fractal of the
+    result must span at least a plane (a nonzero minor of P_{r+aa},
+    P_{r+ab}, P_{r+bb}, else the rank of the fractal); otherwise it is
+    redrawn from the same random stream, at most REDRAW_LIMIT times,
     before DegenerateConfig is raised.  The number of draws taken is kept
     in the window's ``draws``.  Boundary pins (a zero convex-relation
     coefficient, so FiltrationSpec raises) use the column sweep of

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from click.testing import CliRunner
 
 import pytest
 
+import ymesh
 from ymesh import cli, mesh
 from ymesh.cli import main
 from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
@@ -150,6 +154,30 @@ def test_malformed_pin_json_is_config_error(pin):
 def test_mesh_dim_too_large_is_config_error():
     res = run("mesh", "gen", "--name", "pentagram", "--dim", "9", "--cols", "10")
     assert res.exit_code == 2
+
+
+def test_malformed_seed_variable_is_config_error():
+    res = run("mesh", "gen", "--name", "pentagram", "--dim", "2", env={"YMESH_SEED": "abc"})
+    assert res.exit_code == 2, res.output
+    assert "(env var: 'YMESH_SEED'): 'abc' is not a valid integer" in res.stderr
+
+
+def test_negative_step_count_is_config_error():
+    res = run("mesh", "gen", "--name", "pentagram", "--dim", "2", "--steps", "-3")
+    assert res.exit_code == 2 and "'--steps': -3" in res.stderr, res.output
+
+
+def test_commands_close_the_files_they_read(tmp_path):
+    # -X dev shows a ResourceWarning for every file left to the collector
+    path = tmp_path / "mesh.json"
+    w = generate_window(zoo_pin("pentagram"), 2, 0, 24, seed=2)
+    path.write_text(dumps(mesh_to_json(w)))
+    src = os.path.dirname(os.path.dirname(ymesh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in (("mesh", "check"), ("mesh", "step"), ("verify", "eqmain")):
+        res = subprocess.run([sys.executable, "-X", "dev", "-m", "ymesh.cli", *command,
+                              "--mesh", str(path)], capture_output=True, text=True, env=env)
+        assert res.returncode == 0 and "ResourceWarning" not in res.stderr, (command, res.stderr)
 
 
 def test_verify_eqmain(tmp_path):

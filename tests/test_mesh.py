@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
                         step_forward, step_backward, step_reduced_forward,
                         step_1d, check_relations, check_menelaus, random_point,
                         bases, MENELAUS_WORDS)
+from ymesh.filtration import FiltrationSpec, all_circuits, circuit_members
 from ymesh.fractal import make_fractal, fractal_bases_in_window, fractal_dim
 from ymesh.quiver import qs_period, run_periodic_y
 from ymesh.yvars import check_eqmain, y_of, y_available
@@ -163,6 +165,52 @@ def test_generated_window_of_wide_pin_propagates():
     # the unguarded draw at seed 0 had two coincident lines in its first step
     pin = Pin([(0, 0), (1, 0), (0, 1), (-12, 1)])
     _propagate_all_rows(generate_window(pin, 2, 0, 40, seed=0))
+
+
+def _filtration_cases():
+    return [(name, dim) for name in sorted(ZOO) if name not in BOUNDARY_PINS
+            for dim in sorted({2, zoo_dim(name)}) if zoo_dim(name) >= 2]
+
+
+@pytest.mark.parametrize("name,dim", _filtration_cases())
+def test_filtration_sweep_runs_middle_out(name, dim, monkeypatch):
+    # the cells and circuits generate_window hands to the sweep (for a
+    # triangle_c pin, those of its reversed pin)
+    seen = []
+    sweep = mesh._sweep
+
+    def recording(pin, dim, cells, circuits, rng):
+        seen.append((pin, list(cells), circuits))
+        return sweep(pin, dim, cells, circuits, rng)
+
+    monkeypatch.setattr(mesh, "_sweep", recording)
+    pin = zoo_pin(name)
+    span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
+    i_lo = -5
+    i_hi = i_lo + 4 * (pin.l + 2) + 8 * span
+    generate_window(pin, dim, i_lo, i_hi, seed=0)
+    pin, cells, circuits = seen[0]
+    spec = FiltrationSpec(pin)
+    t_mid = (min(map(spec.birth, cells)) + max(map(spec.death, cells))) // 2
+    band = {r for r in cells if spec.birth(r) <= t_mid <= spec.death(r)}
+    position = {r: k for k, r in enumerate(cells)}
+    bound = {}
+    for r in cells:
+        bound[r] = []
+        for kind, base in circuits(r):
+            others = [q for q in circuit_members(pin, kind, base) if q != r]
+            if all(q in position for q in others):
+                assert all(position[q] < position[r] for q in others), (r, kind, base)
+                bound[r].append((kind, base))
+    assert [r for r in band if bound[r]] == []  # the band is free
+    assert set(cells[:len(band)]) == band  # and goes first
+    for r in cells:
+        if spec.birth(r) > t_mid:
+            assert circuits(r) == [spec.g_inverse(r)], r
+        elif spec.death(r) < t_mid:
+            assert circuits(r) == [spec.f_inverse(r)], r
+    bindings = Counter(circuit for r in cells for circuit in bound[r])
+    assert bindings == Counter(all_circuits(pin, i_lo, i_hi))
 
 
 # polygon draws that failed before they were certified: coincident vertices
