@@ -12,19 +12,18 @@ import time
 
 import click
 
-from . import serialize as sz
+from . import battery, serialize as sz
 from .rational import DegenerateError
 from .pins import PinError, convex_relation, d_of_s, horizontal_info, ij_correspondence
 from .filtration import classify_case, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, IdentityFailure, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
-from .yvars import EQMAIN_LABELS, check_eqmain, eqmain_instance, y_of
+from .yvars import EQMAIN_LABELS, eqmain_instance, y_of
 from .quiver import (QuiverConfigError, build_qs, check_qs_size, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, tilde_ideal_generator, LiftedUnavailable
-from .fractal import (make_fractal, genericity_audit, bound_check,
-                      genericity_evidence, check_sub_fractal_intersections)
+from .fractal import make_fractal, genericity_evidence, check_sub_fractal_intersections
 from .ijmap import IJMapError, t_ij, row_polygon
 from .zoo import ZOO, zoo_pin
 
@@ -263,83 +262,29 @@ def verify_menelaus(mesh_path):
     click.echo(sz.dumps(rep), nl=False)
 
 
-def _note_height(job, w):
-    """Raise the job's height to the largest bit length of a coordinate of
-    a point of the window."""
-    bits = max(max(abs(x) for x in p.z).bit_length() for p in w.points.values())
-    job["height_max_bits"] = max(job["height_max_bits"], bits)
-
-
-def _verify_one(job):
-    """Run the checks of one (pin, dim, seed) job into its report."""
-    pin, dim, seed = zoo_pin(job["pin"]), job["dim"], job["seed"]
-    ck = job["checks"]
-    if dim == 1:
-        w = generate_1d(pin, 0, 20 + 2 * pin.l, seed=seed)
-        job["draws"] = w.draws
-        w = step_1d(w)
-        _note_height(job, w)
-        ck["menelaus"] = check_menelaus(w)
-        return
-    w = generate_window(pin, dim, 0, 8 * (pin.l + 2), seed=seed)
-    job["draws"] = w.draws
-    _note_height(job, w)
-    for _ in range(pin.l + 2):
-        w = step_forward(w)
-    _note_height(job, w)
-    ck["relations"] = check_relations(w)
-    back = step_backward(step_forward(w))
-    common = [k for k in w.points if k in back.points]
-    if not (common and all(back.points[k] == w.points[k] for k in common)):
-        raise AssertionError("forward/backward inverse check")
-    ck["inverse_common_points"] = len(common)
-    ck["eqmain"] = check_eqmain(w)
-    counts = genericity_audit(w, 2)
-    bound_check(w, 2)
-    ck["genericity_2"] = counts
-    n = max(7, 2 * max(abs(v) for v in
-                       (pin.c[0] - pin.a[0], pin.d[0] - pin.b[0],
-                        pin.c[0] - pin.b[0], pin.d[0] - pin.a[0])) + 1)
-    verify_period_one(pin, n)
-    ck["period_one_n"] = n
-
-
-def _run_job(name, dim, seed):
-    """One job's report, with its status, seconds, height and the number of
-    draws its generation took (None when generation failed), and the
-    library error it stopped on (None when it passed)."""
-    job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "height_max_bits": 0,
-           "draws": None}
-    start = time.perf_counter()
-    error = None
-    try:
-        _verify_one(job)
-    except _LIBRARY_ERRORS as e:
-        error = e
-        job["error"] = {"type": type(e).__name__, "message": str(e)}
-    job["status"] = "failed" if error else "ok"
-    job["seconds"] = round(time.perf_counter() - start, 3)
-    return job, error
-
-
 @verify_group.command("all")
 @seed_opt
 @click.option("--out", type=click.Path())
 @guarded
 def verify_all(seed, out):
-    """Run the full check battery over the zoo.  Every job runs and is
-    reported; then the first failed job's error sets the exit code."""
+    """Run the check battery (``ymesh.battery``) over the zoo.  Every job runs
+    and is reported, with its status, seconds, height and draws (None when
+    growing failed); then the first failed job's error sets the exit code."""
     jobs, errors = [], []
-    for name in sorted(ZOO):
-        pin = zoo_pin(name)
-        dims = sorted({1, 2, min(3, d_of_s(pin)), d_of_s(pin)})
-        for dim in dims:
-            if dim < 1 or dim > d_of_s(pin):
-                continue
-            job, error = _run_job(name, dim, seed)
-            jobs.append(job)
-            if error:
-                errors.append(error)
+    for name, dim in battery.jobs():
+        job = {"pin": name, "dim": dim, "seed": seed, "checks": {}, "height_max_bits": 0,
+               "draws": None}
+        start = time.perf_counter()
+        try:
+            w, job["draws"] = battery.grow(zoo_pin(name), dim, seed)
+            job["height_max_bits"] = max(max(map(abs, p.z)).bit_length() for p in w.points.values())
+            battery.check(w, job["checks"])
+        except _LIBRARY_ERRORS as e:
+            errors.append(e)
+            job["error"] = {"type": type(e).__name__, "message": str(e)}
+        job["status"] = "failed" if "error" in job else "ok"
+        job["seconds"] = round(time.perf_counter() - start, 3)
+        jobs.append(job)
     report = {"seed": seed, "jobs": jobs, "hard_failures": len(errors)}
     emit(sz.dumps(report), out)
     if errors:
@@ -418,8 +363,8 @@ def quiver_run(name, pin_json, n, steps, init, seed, out):
 
 @main.command("lift")
 @add_opts(pin_opts)
-@click.option("--width", type=int, default=5)
-@click.option("--height", type=int, default=5)
+@click.option("--width", type=click.IntRange(min=1), default=5)
+@click.option("--height", type=click.IntRange(min=1), default=5)
 @click.option("--dot", is_flag=True)
 @click.option("--out", type=click.Path())
 @guarded
@@ -442,7 +387,7 @@ def lift_cmd(name, pin_json, width, height, dot, out):
 
 @main.command("fractal")
 @add_opts(pin_opts)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--base", nargs=2, type=int, default=(0, 0))
 @click.option("--mesh", "mesh_path", type=click.Path(exists=True))
 @click.option("--out", type=click.Path())

@@ -124,21 +124,20 @@ def lift_route_labels(pin, i_lo, i_hi, j_lo, j_hi):
     return q
 
 
-def build_lifted(pin, i_lo, i_hi, j_lo, j_hi, check=True):
-    """Lifted-quiver window (pullback route); when check is set, assert the
-    label route agrees on arrows whose endpoints are interior (one-cell
-    margin, where window truncation cannot differ)."""
+def build_lifted(pin, i_lo, i_hi, j_lo, j_hi):
+    """Lifted-quiver window (pullback route), after asserting that the label
+    route agrees on arrows whose endpoints are interior (one-cell margin,
+    where window truncation cannot differ)."""
     q = lift_route_pullback(pin, i_lo, i_hi, j_lo, j_hi)
-    if check:
-        q2 = lift_route_labels(pin, i_lo, i_hi, j_lo, j_hi)
-        interior = {(i, j) for i in range(i_lo + 1, i_hi) for j in range(j_lo + 1, j_hi)}
-        for u in interior:
-            for w in interior:
-                if abs(u[0] - w[0]) <= 1 and abs(u[1] - w[1]) <= 1 and u != w:
-                    if q.bval(u, w) != q2.bval(u, w):
-                        raise LiftedUnavailable(
-                            "lift routes disagree on %s -> %s: %d vs %d"
-                            % (u, w, q.bval(u, w), q2.bval(u, w)))
+    q2 = lift_route_labels(pin, i_lo, i_hi, j_lo, j_hi)
+    interior = {(i, j) for i in range(i_lo + 1, i_hi) for j in range(j_lo + 1, j_hi)}
+    for u in interior:
+        for w in interior:
+            if abs(u[0] - w[0]) <= 1 and abs(u[1] - w[1]) <= 1 and u != w:
+                if q.bval(u, w) != q2.bval(u, w):
+                    raise LiftedUnavailable(
+                        "lift routes disagree on %s -> %s: %d vs %d"
+                        % (u, w, q.bval(u, w), q2.bval(u, w)))
     return q
 
 

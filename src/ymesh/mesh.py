@@ -641,17 +641,20 @@ def step_backward(window):
     return _propagate(window, BOTTOM)
 
 
-def step_reduced_forward(window):
-    """Order-reduced planar propagation (needs d2-b2 >= c2-a2):
-    P_{r+c+d} = <P_{r+2c}, P_{r+b+c}> ^ <P_{r+a+d}, P_{r+b+d}>."""
-    a, b, c, d = window.pin.points
+def _reduced_rule(pin):
+    """The rule of the order-reduced system, which needs d2-b2 >= c2-a2:
+    REDUCED, or TOP when c2 == d2, where the source point r+2c sits in the
+    row being created, so the reduced rule gains nothing (m' = m)."""
+    a, b, c, d = pin.points
     if d[1] - b[1] < c[1] - a[1]:
-        raise MeshError("reduced rule needs d2-b2 >= c2-a2; time-reverse first")
-    if c[1] == d[1]:
-        # the source point r+2c sits in the row being created, so the reduced
-        # rule gains nothing (m' = m); fall back to the full-order rule
-        return step_forward(window)
-    return _propagate(window, REDUCED)
+        raise MeshError("reduced system needs d2-b2 >= c2-a2; time-reverse first")
+    return TOP if c[1] == d[1] else REDUCED
+
+
+def step_reduced_forward(window):
+    """Order-reduced planar propagation (``_reduced_rule``):
+    P_{r+c+d} = <P_{r+2c}, P_{r+b+c}> ^ <P_{r+a+d}, P_{r+b+d}>."""
+    return _propagate(window, _reduced_rule(window.pin))
 
 
 def step_1d(window, backward=False):
@@ -665,14 +668,11 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
     d2-b2) rows constrained only by the L1 collinearity (the column sweep of
     ``_greedy``), redrawn like generate_window by the rule of
     ``step_reduced_forward``."""
-    a, b, c, d = pin.points
-    if d[1] - b[1] < c[1] - a[1]:
-        raise MeshError("reduced system needs d2-b2 >= c2-a2; time-reverse first")
+    rule = _reduced_rule(pin)
     if d_of_s(pin) < 2:
         raise MeshError("the reduced system is planar; D(S) = %d" % d_of_s(pin))
     _check_columns(i_lo, i_hi)
     mp = m2_of_s(pin)
-    rule = TOP if c[1] == d[1] else REDUCED  # as step_reduced_forward
     return _certified_draw(lambda rng: _greedy(pin, mp, ("L1",), i_lo, i_hi, rng),
                            random.Random(seed), pin.l + 2, rule)
 

@@ -200,12 +200,18 @@ def infinite_arrow_classes(pin):
     return out
 
 
+def min_qs_size(pin):
+    """The smallest n for which Q_{n,S} can be built: n > 2 max|i| over the
+    row offsets i of the pin.  It is at least 3, as max|i| >= 1 when the
+    pin's differences generate Z^2."""
+    return 2 * max(abs(v[0]) for v in _pin_offsets(pin)) + 1
+
+
 def check_qs_size(pin, n):
-    """QuiverConfigError unless Q_{n,S} can be built: n >= 3 and n > 2 max|i|
-    over the row offsets i of the pin."""
-    max_i = max(abs(v[0]) for v in _pin_offsets(pin))
-    if n < 3 or n <= 2 * max_i:
-        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (2 * max_i))
+    """QuiverConfigError unless n >= ``min_qs_size(pin)``."""
+    size = min_qs_size(pin)
+    if n < size:
+        raise QuiverConfigError("need n >= 3 and n > 2*max|offset i| = %d" % (size - 1))
 
 
 def build_qs(pin, n):

@@ -102,16 +102,16 @@ def eqmain_residual(window, r):
     return ExtQ(lhs_n * rhs_d, lhs_d * rhs_n)
 
 
-def check_eqmain(window, min_instances=1):
+def check_eqmain(window):
     """Verify the exchange identity at every base fully inside the window on
     integer pairs (``eqmain_instance``), reading each y-value from the
     window's line store.  The scan covers every base whose 24 points (four
     per y-value) can reach the window's bounding box; a line outside the
     window is skipped by a lookup in the set of lines inside, before the
     store is read.  A failed instance, or a line L_s inside the window whose
-    points are not on one line, raises ``IdentityFailure``; fewer than
-    ``min_instances`` instances raise ``MeshError`` ("window too small"), as
-    in ``check_relations``.
+    points are not on one line, raises ``IdentityFailure``; a window with no
+    instance raises ``MeshError`` ("window too small"), as in
+    ``check_relations``.
 
     On a periodic window the scan counts a base once for each unreduced r1
     that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
@@ -147,7 +147,7 @@ def check_eqmain(window, min_instances=1):
                 res = eqmain_residual(window, (r1, r2))
                 raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
             checked += 1
-    if checked < min_instances:
+    if not checked:
         raise MeshError("window too small: only %d exchange instances found (%d skipped)"
                         % (checked, skipped))
     return {"checked": checked, "skipped": skipped}

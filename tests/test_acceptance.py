@@ -1,28 +1,30 @@
 """End-to-end acceptance battery.
 
 One numbered test (or small group) per advertised guarantee.  The mesh sweep
-(criteria 2-4) is built once per session: every zoo pin, every admissible
-dimension in {1, 2, min(3, D(S)), D(S)}, three seeds.
+(criteria 2-4) is built once per session from ``ymesh.battery``: every zoo
+pin, every admissible dimension (``battery.dims``), three seeds, each window
+grown as ``ymesh verify all`` grows it.
 
 Known red: the boundary pin ("penguin") has no column filtration of the kind
-audited here -- see the project design notes.  test_10 keeps it in scope on
-purpose rather than special-casing it green.
+audited here -- see "Known limitation" in README.md.  test_10 keeps it in
+scope on purpose rather than special-casing it green.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from test_lifted import FIG_PIN as LIFT_PIN, FIG_LABELS, FIG_ARROWS
 
 from ymesh.rational import ExtQ, DegenerateError
 from ymesh.projective import join
 from ymesh.pins import Pin, PinError, d_of_s, ij_correspondence, horizontal_info
-from ymesh.mesh import (MeshError, MeshWindow, generate_window, generate_1d,
-                        generate_polygon_window, step_forward, step_backward,
-                        step_1d, check_relations, check_menelaus, _random_free)
+from ymesh.mesh import (MeshError, MeshWindow, generate_window, generate_polygon_window,
+                        step_forward, step_backward, step_1d, check_menelaus, _random_free)
 from ymesh.yvars import (y_of, y_available, check_eqmain, GENERAL_Y_TABLE,
                          general_y_factor_route, general_y_multiratio_route,
                          bracket_product)
@@ -31,11 +33,13 @@ from ymesh.quiver import (Quiver, QuiverConfigError, mutate_y, mutate_x,
                           verify_period_one, run_periodic_y,
                           check_exchange_trace)
 from ymesh.lifted import build_lifted, phi_map, tilde_ideal_generator
-from ymesh.fractal import (make_fractal, check_sub_fractal_intersections,
-                           genericity_audit, bound_check, genericity_evidence)
+from ymesh.fractal import (check_sub_fractal_intersections, genericity_audit, bound_check,
+                           genericity_evidence)
 from ymesh.filtration import audit_filtration
 from ymesh.ijmap import t_ij, t_ij_inverse, polygons_equal_up_to_shift, row_polygon
-from ymesh.zoo import ZOO, zoo_pin, zoo_dim, BOUNDARY_PINS
+from ymesh import battery
+from ymesh.cli import main
+from ymesh.zoo import ZOO, zoo_pin
 
 SEEDS = (0, 1, 2)
 
@@ -45,31 +49,12 @@ ZOO_DIMS = {"lower_pentagram": 1, "pentagram": 2, "higher_pentagram": 3,
             "elephant": 6}
 
 
-def admissible_dims(pin):
-    D = d_of_s(pin)
-    return sorted({1, 2, min(3, D), D} & set(range(1, D + 1)))
-
-
 @pytest.fixture(scope="session")
 def sweep():
     """meshes[(name, dim, seed)] -> grown window; plus the build wall time."""
     t0 = time.time()
-    meshes = {}
-    for name in sorted(ZOO):
-        pin = zoo_pin(name)
-        span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
-        cols = 4 * (pin.l + 2) + 8 * span
-        for dim in admissible_dims(pin):
-            for seed in SEEDS:
-                if dim == 1:
-                    w = generate_1d(pin, 0, cols, seed=seed)
-                    for _ in range(pin.l + 1):
-                        w = step_1d(w)
-                else:
-                    w = generate_window(pin, dim, 0, cols, seed=seed)
-                    for _ in range(pin.l + 1):
-                        w = step_forward(w)
-                meshes[(name, dim, seed)] = w
+    meshes = {(name, dim, seed): battery.grow(zoo_pin(name), dim, seed)[0]
+              for name, dim in battery.jobs() for seed in SEEDS}
     return meshes, time.time() - t0
 
 
@@ -103,7 +88,7 @@ def test_02_master_recurrence(sweep):
     meshes, gen_time = sweep
     t0 = time.time()
     for key, w in meshes.items():
-        counts = check_eqmain(w, min_instances=20)
+        counts = check_eqmain(w)
         assert counts["checked"] >= 20, key
     check_time = time.time() - t0
     assert gen_time + check_time < 30.0, \
@@ -366,3 +351,19 @@ def test_10b_dimension_demand_is_rank_capped():
         pin = zoo_pin(name)
         with pytest.raises(MeshError):
             generate_window(pin, d_of_s(pin) + 1, 0, 10)
+
+
+# 11. `ymesh verify all` grows the windows of this sweep --------------------
+
+
+def test_11_verify_all_grows_the_sweep_windows(sweep):
+    meshes, _ = sweep
+    res = CliRunner().invoke(main, ["verify", "all", "--seed", "0"])
+    assert res.exit_code == 0, res.output
+    jobs = json.loads(res.stdout)["jobs"]
+    assert [(job["pin"], job["dim"], job["seed"]) for job in jobs] == \
+        [key for key in meshes if key[2] == 0]
+    for job in jobs:
+        w = meshes[(job["pin"], job["dim"], 0)]
+        height = max(max(abs(x) for x in p.z).bit_length() for p in w.points.values())
+        assert job["height_max_bits"] == height, job

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import pytest
 
 import ymesh
-from ymesh import cli, mesh
+from ymesh import battery, mesh
 from ymesh.cli import main
 from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
                         generate_1d, generate_reduced, generate_window, step_1d)
@@ -18,7 +18,7 @@ from ymesh.pins import ij_correspondence
 from ymesh.projective import Point
 from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json, point_to_json
 from ymesh.yvars import EQMAIN_LABELS, check_eqmain
-from ymesh.zoo import ZOO, zoo_dim, zoo_pin
+from ymesh.zoo import zoo_pin
 
 
 def run(*args, **kw):
@@ -361,6 +361,18 @@ def test_fractal_points():
     res = run("fractal", "--name", "giraffe", "--k", "2", "--base", "0", "0")
     assert res.exit_code == 0
     assert len(json.loads(res.output)["points"]) == 10
+    res = run("fractal", "--name", "pentagram", "--k", "0", "--base", "3", "1")
+    assert res.exit_code == 0 and json.loads(res.output)["points"] == [[3, 1]], res.output
+
+
+@pytest.mark.parametrize("args,option", [(("lift", "--width", "-3", "--height", "2"), "--width"),
+                                         (("lift", "--height", "0"), "--height"),
+                                         (("fractal", "--k", "-2"), "--k")],
+                         ids=["lift-width", "lift-height", "fractal-k"])
+def test_negative_size_is_config_error(args, option):
+    # a negative width or order printed an empty quiver or point list, exit 0
+    res = run(*args, "--name", "pentagram")
+    assert res.exit_code == 2 and "Invalid value for '%s'" % option in res.stderr, res.output
 
 
 def test_export_quiver_dot(tmp_path):
@@ -447,7 +459,7 @@ def test_verify_all_reports_every_job_past_a_failure(monkeypatch):
             raise MeshError("L1 collinearity fails at base (0, 1)")
         return check_relations(w)
 
-    monkeypatch.setattr(cli, "check_relations", failing)
+    monkeypatch.setattr(battery, "check_relations", failing)
     res = CliRunner().invoke(main, ["verify", "all", "--seed", "0"])
     assert res.exit_code == 2, res.output
     report = json.loads(res.stdout)
@@ -459,10 +471,7 @@ def test_verify_all_reports_every_job_past_a_failure(monkeypatch):
     assert failed[0]["height_max_bits"] > 0
     assert "config error: L1 collinearity fails" in res.stderr
     # every job is still reported, after the failed one too
-    want = [(name, dim) for name in sorted(ZOO)
-            for dim in sorted({1, 2, min(3, zoo_dim(name)), zoo_dim(name)})
-            if dim <= zoo_dim(name)]
-    assert [(job["pin"], job["dim"]) for job in report["jobs"]] == want
+    assert [(job["pin"], job["dim"]) for job in report["jobs"]] == battery.jobs()
     assert all(job["seconds"] >= 0 and job["height_max_bits"] > 0 for job in report["jobs"])
 
 
@@ -474,7 +483,7 @@ def test_verify_all_reports_a_degenerate_draw_as_failed(monkeypatch):
             raise DegenerateConfig("32 draws of the window all propagated degenerately")
         return generate_window(pin, *args, **kw)
 
-    monkeypatch.setattr(cli, "generate_window", degenerate)
+    monkeypatch.setattr(battery, "generate_window", degenerate)
     res = CliRunner().invoke(main, ["verify", "all", "--seed", "0"])
     assert res.exit_code == 3, res.output
     report = json.loads(res.stdout)
@@ -490,11 +499,10 @@ def test_verify_all_reports_a_degenerate_draw_as_failed(monkeypatch):
 
 def test_verify_all_reports_the_draws_of_each_job(monkeypatch):
     want = {}
-    for name in sorted(ZOO):
+    for name, dim in battery.jobs():
         pin = zoo_pin(name)
-        for dim in sorted({2, min(3, zoo_dim(name)), zoo_dim(name)}):
-            if 2 <= dim <= zoo_dim(name):
-                want[(name, dim)] = generate_window(pin, dim, 0, 8 * (pin.l + 2), seed=0).draws
+        if dim >= 2:
+            want[(name, dim)] = generate_window(pin, dim, 0, battery.columns(pin), seed=0).draws
     rejected = []
     guard = mesh._propagates
 

@@ -92,7 +92,7 @@ def test_quotient_recovers_qs_arrows():
     pin = FIG_PIN
     n = 9
     qn = build_qs(pin, n)
-    q = build_lifted(pin, -6, 6, -6, 6, check=False)
+    q = lift_route_pullback(pin, -6, 6, -6, 6)
     u0 = (0, 0)
     pu = phi_map(pin, u0)
     got = sorted((phi_map(pin, w)[0] - pu[0], phi_map(pin, w)[1], m)

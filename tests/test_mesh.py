@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ymesh import mesh, projective
+from ymesh import battery, mesh, projective
 from ymesh.rational import DegenerateError
 from ymesh.projective import Point, join, meet_point
 from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
@@ -155,10 +155,8 @@ def _propagate_all_rows(w):
 @pytest.mark.parametrize("name", ["short_diagonal", "pentagram", "sideways", "gopher"])
 def test_generated_windows_propagate(name):
     pin = zoo_pin(name)
-    span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
-    cols = 4 * (pin.l + 2) + 8 * span  # the acceptance sweep width
     for seed in range(40):
-        _propagate_all_rows(generate_window(pin, 2, 0, cols, seed=seed))
+        _propagate_all_rows(generate_window(pin, 2, 0, battery.columns(pin), seed=seed))
 
 
 def test_generated_window_of_wide_pin_propagates():
@@ -185,9 +183,8 @@ def test_filtration_sweep_runs_middle_out(name, dim, monkeypatch):
 
     monkeypatch.setattr(mesh, "_sweep", recording)
     pin = zoo_pin(name)
-    span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
     i_lo = -5
-    i_hi = i_lo + 4 * (pin.l + 2) + 8 * span
+    i_hi = i_lo + battery.columns(pin)
     generate_window(pin, dim, i_lo, i_hi, seed=0)
     pin, cells, circuits = seen[0]
     spec = FiltrationSpec(pin)
@@ -274,8 +271,7 @@ def test_generation_makes_no_rref_call(monkeypatch):
 def test_boundary_draws_are_certified(seed):
     # penguin/2 draws at these seeds propagated into coincident points
     pin = zoo_pin("penguin")
-    span = max(p[0] for p in pin.points) - min(p[0] for p in pin.points)
-    _propagate_all_rows(generate_window(pin, 2, 0, 4 * (pin.l + 2) + 8 * span, seed=seed))
+    _propagate_all_rows(generate_window(pin, 2, 0, battery.columns(pin), seed=seed))
 
 
 @pytest.mark.parametrize("points", [[(0, 0), (0, 1), (0, 3), (1, 4)],
@@ -285,10 +281,7 @@ def test_boundary_pin_with_two_binding_lines(points):
     # sweep places some points as the meet of two lines
     pin = Pin(points)
     for seed in range(5):
-        w = generate_window(pin, 2, 0, 4 * (pin.l + 2) + 24, seed=seed)
-        for _ in range(pin.l + 1):
-            w = step_forward(w)
-        check_relations(w)
+        check_relations(battery.grow(pin, 2, seed)[0])
 
 
 def _offsets(pin, words):
@@ -641,12 +634,11 @@ def _planar_draws():
     for name in ("pentagram", "higher_pentagram", "sideways", "elephant"):
         pin = zoo_pin(name)
         for k in range(4):
-            w = mesh._generate_filtration(pin, 2, 0, 4 * (pin.l + 2), rng)
+            w = mesh._generate_filtration(pin, 2, 0, battery.columns(pin), rng)
             out.append(("%s draw %d" % (name, k), w, mesh.TOP))
     for name in ("elephant", "kangaroo", "higher_pentagram", "penguin"):
         pin = zoo_pin(name)
-        c, d = pin.c, pin.d
-        rule = mesh.TOP if c[1] == d[1] else mesh.REDUCED
+        rule = mesh._reduced_rule(pin)
         for k in range(8):
             w = mesh._greedy(pin, m2_of_s(pin), ("L1",), 0, 8 * (pin.l + 2), rng)
             out.append(("%s reduced draw %d" % (name, k), w, rule))
@@ -687,7 +679,7 @@ def test_planar_guard_falls_back_where_meets_vanish_mod_p():
     meet vanishes mod P and the exact guard decides."""
     for name, seed in (("pentagram", 3), ("sideways", 4)):
         pin = zoo_pin(name)
-        w = generate_window(pin, 2, 0, 4 * (pin.l + 2), seed=seed)
+        w = generate_window(pin, 2, 0, battery.columns(pin), seed=seed)
         scaled = MeshWindow(pin, 2)
         scaled.points = {k: Point((z[0], z[1], mesh.P * z[2])) for k, z in
                          ((k, p.z) for k, p in w.points.items())}
@@ -730,9 +722,7 @@ def _kept_cases():
     cases = []
     for name in sorted(ZOO):
         pin = zoo_pin(name)
-        xs = [o1 for o1, _ in pin.points]
-        cols = 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
-        cases += [(name, dim, cols) for dim in range(3, d_of_s(pin) + 1)]
+        cases += [(name, dim, battery.columns(pin)) for dim in range(3, d_of_s(pin) + 1)]
     return cases + [("pentagram", 2, 16)]
 
 
@@ -852,10 +842,8 @@ def test_accepted_draws_have_2_fractals_spanning_planes(name, dim):
     """Every 2-fractal in the l + 2 rows the guard propagates spans a plane,
     by rank on its points, on accepted draws at the acceptance width."""
     pin = zoo_pin(name)
-    xs = [o1 for o1, _ in pin.points]
-    cols = 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
     for seed in range(4):
-        w = _guarded_rows(generate_window(pin, dim, 0, cols, seed=seed))
+        w = _guarded_rows(generate_window(pin, dim, 0, battery.columns(pin), seed=seed))
         found = fractal_bases_in_window(w, 2)
         assert found
         for r in found:
@@ -868,7 +856,7 @@ def _collinear_fractal(name, dim):
     points.  The guard propagates only the top rows, so the bad window
     still propagates cleanly."""
     pin = zoo_pin(name)
-    good = _guarded_rows(generate_window(pin, dim, 0, 4 * (pin.l + 2), seed=0)).copy()
+    good = _guarded_rows(generate_window(pin, dim, 0, battery.columns(pin), seed=0)).copy()
     bad = good.copy()
     r = fractal_bases_in_window(bad, 2, limit=1)[0]
     for k, q in enumerate(sorted(make_fractal(pin, r, 2))):

@@ -59,13 +59,14 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from ymesh import battery  # noqa: E402
 from ymesh.cli import _mesh_report  # noqa: E402
 from ymesh.fractal import genericity_audit  # noqa: E402
 from ymesh.ijmap import row_polygon, t_ij  # noqa: E402
-from ymesh.mesh import (REDUCED, TOP, generate_1d, generate_polygon_window,  # noqa: E402
+from ymesh.mesh import (TOP, generate_1d, generate_polygon_window,  # noqa: E402
                         generate_reduced, generate_window, step_1d, step_backward,
                         step_forward, step_reduced_forward, check_menelaus,
-                        check_relations, _propagates)
+                        check_relations, _propagates, _reduced_rule)
 from ymesh.pins import d_of_s, ij_correspondence  # noqa: E402
 from ymesh.projective import Point, meet, span  # noqa: E402
 from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
@@ -205,11 +206,9 @@ def checks_with_corruptions(label, w, rng):
 def planar(seed, rng):
     for name in sorted(ZOO):
         pin = zoo_pin(name)
-        xs = [p[0] for p in pin.points]
-        cols = 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
         for dim in range(2, d_of_s(pin) + 1):
             label = "window %s D=%d seed=%d" % (name, dim, seed)
-            w = record(label, generate_window, pin, dim, 0, cols, seed=seed)
+            w = record(label, generate_window, pin, dim, 0, battery.columns(pin), seed=seed)
             if w is None:
                 continue
             guard(label, w)
@@ -229,9 +228,10 @@ def reduced(seed):
         pin = zoo_pin(name)
         label = "reduced %s seed=%d" % (name, seed)
         w = record(label, generate_reduced, pin, 0, 8 * (pin.l + 2), seed=seed)
-        rule = TOP if pin.c[1] == pin.d[1] else REDUCED  # as generate_reduced
-        if w is not None:
-            guard(label, w, rule)
+        if w is None:
+            continue
+        rule = _reduced_rule(pin)
+        guard(label, w, rule)
         for s in range(3):
             if w is None:
                 break
