@@ -43,10 +43,11 @@ def grow(pin, dim, seed):
 
 def check(window, counts):
     """Run the checks on a grown window, recording each one's counts in
-    counts as it passes; the first failure raises.  Period one is checked at
-    the smallest n the quiver admits, but at least 7."""
+    counts as it passes; the first failure raises.  The six-point relation
+    is checked at every D, the rest at D >= 2.  Period one is checked at the
+    smallest n the quiver admits, but at least 7."""
+    counts["menelaus"] = check_menelaus(window)
     if window.dim == 1:
-        counts["menelaus"] = check_menelaus(window)
         return
     counts["relations"] = check_relations(window)
     back = step_backward(step_forward(window))

@@ -15,19 +15,24 @@ reduced system sweep column by column (``_greedy``), and each L1 (for
 boundary pins also L2) circuit binds its lexicographically last member.  A
 draw is kept only if it propagates pin.l + 2 rows without a degenerate meet
 or coincident points, and every 2-fractal of the last window of that run
-spans at least a plane (``_propagates``).  The 2-fractal certificate is a
-nonzero 3x3 minor of P_{r+aa}, P_{r+ab}, P_{r+bb}, else the rank of all the
-fractal's points; a 1-fractal L_r spans a line once no full line repeats a
-point, which the coincidence test already checks, and the upper bounds (at
-most a line, at most a plane) are the mesh incidences that
-``check_relations`` verifies.
+spans at least a plane (``_propagates``).  The run stops at the first row
+that repeats a point in an L1, L2 or line instance: forward steps keep
+every point, so that instance is one of the last window too.  The
+2-fractal certificate is a nonzero 3x3 minor of P_{r+aa}, P_{r+ab},
+P_{r+bb}, else the rank of all the fractal's points; a 1-fractal L_r spans
+a line once no full line repeats a point, which the coincidence test
+already checks, and the upper bounds (at most a line, at most a plane) are
+the mesh incidences that ``check_relations`` verifies.
 A planar draw is first propagated on its points mod the prime
 P = 2^61 - 1: a run mod P with no vanishing meet, no two points equal and
 no minor vanishing proves that the exact run has none of these, as a
 nonzero meet or minor mod P is the reduction of a nonzero integer one and
-points that differ mod P differ.  Any other draw runs the exact guard, so
-every decision is the exact one; in D >= 3 the guard also rests on an
-equality (two lines meet), which no run mod P can prove.  The exact guard
+points that differ mod P differ.  The run mod P keeps its vectors
+unnormalized and normalizes its last window once, with one inverse for all
+of its points (batch inversion), before the tests of equal points and
+minors.  Any other draw runs the exact guard, so every decision is the
+exact one; in D >= 3 the guard also rests on an equality (two lines meet),
+which no run mod P can prove.  The exact guard
 keeps the rows it makes: each window of its run holds its successor in its
 line store, and the first ``_propagate`` call with the same rule hands that
 successor over.  So the first pin.l + 2 steps of a window that the exact
@@ -68,8 +73,8 @@ and messages are those of the kernels.
 import random
 import weakref
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
 from .rational import ExtQ, DegenerateError
 from .projective import (Point, join, meet_point, multi_ratio_pair, factor_pair, rank_of,
@@ -103,12 +108,13 @@ class DegenerateConfig(MeshError):
     pass
 
 
-def _rand_frac(rng):
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-
-
 def random_point(rng, dim):
-    return Point.affine([_rand_frac(rng) for _ in range(dim)])
+    """A random point of the affine chart: coordinate k is num_k / den_k,
+    with num_k in [-20, 20] and den_k in [1, 10] drawn in that order, as
+    integers over the lcm of the denominators."""
+    fracs = [(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(dim)]
+    den = lcm(*(d for _, d in fracs))
+    return Point([num * (den // d) for num, d in fracs] + [den])
 
 
 class MeshWindow:
@@ -366,14 +372,18 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     result must span at least a plane (a nonzero minor of P_{r+aa},
     P_{r+ab}, P_{r+bb}, else the rank of the fractal); otherwise it is
     redrawn from the same random stream, at most REDRAW_LIMIT times,
-    before DegenerateConfig is raised.  The number of draws taken is kept
-    in the window's ``draws``.  Boundary pins (a zero convex-relation
+    before DegenerateConfig is raised.  The run stops at the first row that
+    repeats a point in one of those instances, which every later window of
+    the run keeps.  The number of draws taken is kept in the window's
+    ``draws``.  Boundary pins (a zero convex-relation
     coefficient, so FiltrationSpec raises) use the column sweep of
     ``_greedy`` on their L1 and L2 circuits instead and support D = 2 only;
     their draws are redrawn the same way.  A planar draw is accepted by the
     same propagation on its points mod P = 2^61 - 1 when that run meets no
     vanishing meet, no two equal points and no vanishing minor, which
-    proves the exact guard accepts; otherwise the exact guard decides.  A
+    proves the exact guard accepts; otherwise the exact guard decides.  That
+    run keeps its vectors mod P unnormalized and normalizes its last window
+    once, by batch inversion, before the tests of equal points and minors.  A
     window that the exact guard accepted carries the rows it made: its
     first pin.l + 2 ``step_forward`` calls (each on the window the last one
     returned) hand them over instead of propagating again.
@@ -443,11 +453,17 @@ def _propagates(window, steps, rule):
 
 def _clean_run(window, steps, rule):
     """The last window of the run of the given number of steps by the rule
-    (or as many as the width allows), or None when a meet degenerates or
-    that window has a relation instance with coincident points.  Each
-    window of the run keeps its successor (``_Lines.kept``) for the next
-    ``_propagate`` call with the rule, and the successor carries the next
-    one."""
+    (or as many as the width allows), or None when a meet degenerates or a
+    window of the run has a relation instance with coincident points.  The
+    run keeps one set of the points it has made and scans the instances
+    only of a window whose new row repeats one, and of the last window when
+    its points are not all distinct.  Forward steps keep every point, so an
+    instance of any window of the run is one of the last: stopping at the
+    first row that repeats a point in an instance is the decision on the
+    last window.  Each window of the run keeps its successor
+    (``_Lines.kept``) for the next ``_propagate`` call with the rule, and
+    the successor carries the next one."""
+    seen = set(window.points.values())
     for _ in range(steps):
         try:
             # the engine, so a profile of step_forward counts only the
@@ -458,8 +474,13 @@ def _clean_run(window, steps, rule):
         except MeshError:
             break
         window.lines.kept = rule, successor
+        size, added = len(seen), len(successor.points) - len(window.points)
+        # _propagate writes its row last, so it ends the successor's points
+        seen.update(islice(reversed(successor.points.values()), added))
         window = successor
-    return None if _has_coincident_points(window) else window
+        if len(seen) - size < added and _coincident_instance(window):
+            return None
+    return None if _has_coincident_points(window, len(seen) == len(window.points)) else window
 
 
 # the words of the points of a 2-fractal: dd, then the points of the minor,
@@ -495,31 +516,48 @@ def _spans_planes(window):
 P = 2 ** 61 - 1
 
 
-def _mod_p(z):
-    """The integer vector z mod P, scaled so that its first nonzero entry is
-    1, as a tuple; DegenerateError when z vanishes mod P."""
-    for x in z:
-        x %= P
-        if x:
-            inv = pow(x, -1, P)
-            return tuple([y * inv % P for y in z])
-    raise DegenerateError("meet vanishes mod P")
+def _normalized_mod_p(zs):
+    """The vectors zs mod P (each nonzero mod P, entries in [0, P)), each
+    scaled so that its first nonzero entry is 1, as tuples.  One inverse
+    serves them all (batch inversion, Montgomery, Math. Comp. 48, 1987):
+    the inverse of the product of the leading entries, peeled off from the
+    last vector back by the prefix products."""
+    leads = [next(x for x in z if x) for z in zs]
+    prefix = []
+    acc = 1
+    for x in leads:
+        prefix.append(acc)
+        acc = acc * x % P
+    inv = pow(acc, -1, P)  # the inverse of leads[0] * ... * leads[k] below
+    out = [None] * len(zs)
+    for k in range(len(zs) - 1, -1, -1):
+        lead_inv = inv * prefix[k] % P
+        inv = inv * leads[k] % P
+        out[k] = tuple([y * lead_inv % P for y in zs[k]])
+    return out
 
 
 def _meet_mod_p(pts):
-    """``_meet`` of four points of RP^2 given by ``_mod_p`` vectors: the
-    Cramer meet lam·u - mu·w of ``projective._meet_lines`` mod P."""
+    """``_meet`` of four points of RP^2 given by vectors mod P: the Cramer
+    meet lam·u - mu·w of ``projective._meet_lines`` mod P, unnormalized
+    (a nonzero multiple of the meet of any other representatives);
+    DegenerateError when it vanishes mod P."""
     (a0, a1, a2), (b0, b1, b2), u, w = pts
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     lam = (c0 * w[0] + c1 * w[1] + c2 * w[2]) % P
     mu = (c0 * u[0] + c1 * u[1] + c2 * u[2]) % P
-    return _mod_p([lam * s - mu * t for s, t in zip(u, w)])
+    z = ((lam * u[0] - mu * w[0]) % P, (lam * u[1] - mu * w[1]) % P, (lam * u[2] - mu * w[2]) % P)
+    if z == (0, 0, 0):
+        raise DegenerateError("meet vanishes mod P")
+    return z
 
 
 def _propagates_mod_p(window, steps, rule):
     """``_clean_run`` on the window's primitive vectors mod P, with the
-    rule's meet taken mod P, and the 2-fractal minors of ``_spans_planes``
-    taken mod P.  True proves that the exact guard accepts.  A meet that is
+    rule's meet taken mod P, then the coincidence test and the 2-fractal
+    minors of ``_spans_planes`` on its last window, whose vectors are
+    normalized once (``_normalized_mod_p``).  True proves that the exact
+    guard accepts.  A primitive vector is nonzero mod P, and a meet that is
     nonzero mod P is the reduction of a nonzero integer meet, so
     ``_meet_lines`` finds the exact meet, whose primitive vector reduces to
     a multiple of the meet mod P: the exact run meets no degenerate pair of
@@ -527,11 +565,15 @@ def _propagates_mod_p(window, steps, rule):
     mod P differ, so no relation instance repeats a point either, and a
     minor that is nonzero mod P is the reduction of a nonzero integer
     minor.  A meet or minor that vanishes mod P, or points that coincide
-    mod P, prove nothing."""
+    mod P, prove nothing; equal unnormalized vectors are equal points, so a
+    row that repeats one in an instance ends the run at once."""
     reduced = MeshWindow(window.pin, 2, periodic_n=window.periodic_n)
-    reduced.points = {k: _mod_p(p.z) for k, p in window.points.items()}
+    reduced.points = {k: tuple([x % P for x in p.z]) for k, p in window.points.items()}
     last = _clean_run(reduced, steps, rule._replace(solve=_meet_mod_p))
     if last is None:
+        return False
+    last.points = dict(zip(last.points, _normalized_mod_p(list(last.points.values()))))
+    if _has_coincident_points(last):
         return False
     offs = _fractal_2_offsets(last.pin)
     return all(_minor3(*last.at(r, offs[1:4])) % P for r in bases(last, offs))
@@ -599,7 +641,8 @@ MENELAUS_BOTTOM = _menelaus_rule(2)
 def _propagate(window, rule):
     """A copy of the window with the rule's row added, solved at each base
     in ascending r1 (mod n on a periodic window).  The bases are read off
-    the keys of the first source's row.  A successor kept for the rule
+    the keys of the first source's row; the row is solved into one dict
+    and written to the copy at once.  A successor kept for the rule
     (``_Lines.kept``) is handed over instead, once, so no two calls return
     one window object."""
     kept = window.lines.kept
@@ -614,12 +657,19 @@ def _propagate(window, rule):
     if not rows:
         raise MeshError("the window has no points to propagate")
     r2 = (rows[-1] + 1 if t2 > f2 else rows[0] - 1) - t2
-    w = window.copy()
-    for r1, _ in sorted({window._key((i - f1, r2)) for (i, j) in window.points if j == r2 + f2}):
-        if all(window.has((r1 + d1, r2 + d2)) for d1, d2 in offs):
-            w.set((r1 + t1, r2 + t2), rule.solve(window.at((r1, r2), offs)))
-    if len(w.points) == len(window.points):
+    points = window.points
+    n = window.periodic_n
+    row = {}
+    for r1 in sorted({(i - f1) % n if n else i - f1 for i, j in points if j == r2 + f2}):
+        try:
+            pts = [points[((r1 + d1) % n if n else r1 + d1, r2 + d2)] for d1, d2 in offs]
+        except KeyError:  # a source outside the window
+            continue
+        row[((r1 + t1) % n if n else r1 + t1, r2 + t2)] = rule.solve(pts)
+    if not row:
         raise MeshError("no %s instance fits the window" % rule.name)
+    w = window.copy()
+    w.points.update(row)
     return w
 
 
@@ -700,10 +750,11 @@ def _repeats(pts):
     return len(set(pts)) != len(pts)
 
 
-def _has_coincident_points(window):
+def _has_coincident_points(window, distinct=None):
     """Whether an L1 or L2 instance or a full line L_r inside the window
     repeats a point (what check_relations reports as coincident points or
-    a degenerate line).
+    a degenerate line).  ``distinct``, when given, says whether the
+    window's points are pairwise distinct.
 
     Each instance takes its points at r + offset for distinct offsets among
     a, b, c, d.  Unless the window is periodic with n at most the i-extent
@@ -713,8 +764,10 @@ def _has_coincident_points(window):
     n = window.periodic_n
     xs = [o1 for o1, _ in window.pin.points]
     if not n or n > max(xs) - min(xs):
-        pts = window.points.values()
-        if len(set(pts)) == len(pts):
+        if distinct is None:
+            pts = window.points.values()
+            distinct = len(set(pts)) == len(pts)
+        if distinct:
             return False
     return _coincident_instance(window)
 
@@ -806,13 +859,13 @@ def generate_1d(pin, i_lo, i_hi, seed=0):
     for j in range(1, m + 1):
         for i in range(i_lo, i_hi + 1):
             for _ in range(REDRAW_LIMIT):
-                t = Fraction(rng.randint(-span, span), rng.randint(1, 10))
-                if t not in used:
-                    used.add(t)
+                p = Point((rng.randint(-span, span), rng.randint(1, 10)))
+                if p not in used:
+                    used.add(p)
                     break
             else:
                 raise DegenerateConfig("could not draw distinct 1D values")
-            w.set((i, j), Point((t, 1)))
+            w.set((i, j), p)
     w.draws = 1
     return w
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ymesh.zoo import ZOO, zoo_pin, zoo_dim, BOUNDARY_PINS
+from ymesh.zoo import ZOO, zoo_pin
 
 
 @pytest.fixture(params=sorted(ZOO))

@@ -453,6 +453,15 @@ def test_verify_all_at_default_seed():
     assert penguin and penguin[0]["checks"]["relations"]["L1"] > 0
 
 
+def test_verify_all_checks_the_six_point_relation_at_every_dim():
+    res = run("verify", "all", "--seed", "0")
+    assert res.exit_code == 0, res.output
+    jobs = json.loads(res.output)["jobs"]
+    assert [(job["pin"], job["dim"]) for job in jobs] == battery.jobs()
+    assert sum(job["dim"] >= 2 for job in jobs) == 22
+    assert all(job["checks"]["menelaus"] > 0 for job in jobs)
+
+
 def test_verify_all_reports_every_job_past_a_failure(monkeypatch):
     def failing(w):
         if w.pin == zoo_pin("pentagram"):

@@ -5,10 +5,9 @@ import sys
 import pytest
 
 from ymesh.filtration import (classify_case, audit_filtration, FiltrationSpec,
-                              FiltrationUnavailable, CASE_BOUNDARY,
-                              all_circuits)
+                              FiltrationUnavailable, all_circuits)
 from ymesh.pins import d_of_s
-from ymesh.zoo import ZOO, zoo_pin, BOUNDARY_PINS
+from ymesh.zoo import zoo_pin, BOUNDARY_PINS
 
 EXPECTED_CASE = {
     "lower_pentagram": "long_diagonal",

@@ -10,7 +10,7 @@ from ymesh.fractal import (make_fractal, sub_fractals,
 from ymesh.mesh import (MeshWindow, generate_1d, generate_polygon_window, generate_window,
                         step_1d, step_forward)
 from ymesh.projective import Point
-from ymesh.zoo import zoo_pin, zoo_dim
+from ymesh.zoo import zoo_pin
 
 
 def test_fractal_sizes_fixture():

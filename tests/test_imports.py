@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function and class is used somewhere in the library."""
+"""Every name a library module, test or tool imports is used in that file,
+and every private module-level function and class is used somewhere in the
+library."""
 
 import ast
 import pathlib
@@ -10,6 +11,8 @@ import ymesh
 
 SOURCES = sorted(pathlib.Path(ymesh.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports to re-export
+HERE = pathlib.Path(__file__).parent
+SCRIPTS = sorted(HERE.glob("*.py")) + sorted((HERE.parent / "tools").glob("*.py"))
 
 
 def unused_imports(source):
@@ -32,6 +35,11 @@ def test_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_tests_and_tools_have_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -1,12 +1,11 @@
 import pytest
 
 from ymesh.pins import Pin
-from ymesh.quiver import build_qs, qs_period
+from ymesh.quiver import build_qs
 from ymesh.lifted import (LiftedUnavailable, compass_displacements, phi_map,
                           tilde_ideal_generator, build_lifted,
-                          lift_route_pullback, lift_route_labels,
-                          local_config, LOCAL_PATTERNS)
-from ymesh.zoo import ZOO, zoo_pin
+                          lift_route_pullback, local_config, LOCAL_PATTERNS)
+from ymesh.zoo import zoo_pin
 
 FIG_PIN = Pin([(-1, 1), (1, 1), (0, 2), (0, 3)])
 

@@ -251,6 +251,45 @@ def test_polygon_first_draw_is_unchanged():
     assert [w.get((i, 1)) for i in range(7)] == drawn
 
 
+def _fraction_random_point(rng, dim):
+    """``random_point`` as it was drawn through ``Fraction``."""
+    return Point.affine([Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(dim)])
+
+
+def _fraction_1d_points(pin, i_lo, i_hi, seed):
+    """The points of ``generate_1d`` as its loop drew them through
+    ``Fraction``."""
+    rng = random.Random(seed)
+    span = max(20, 2 * pin.l * (i_hi - i_lo + 1))
+    used, points = set(), {}
+    for j in range(1, pin.l + 1):
+        for i in range(i_lo, i_hi + 1):
+            for _ in range(mesh.REDRAW_LIMIT):
+                t = Fraction(rng.randint(-span, span), rng.randint(1, 10))
+                if t not in used:
+                    used.add(t)
+                    break
+            points[(i, j)] = Point((t, 1))
+    return points
+
+
+def test_integer_draws_reproduce_the_fraction_draws():
+    """The integer draws make the points the ``Fraction`` draws made, from
+    the same calls of the random stream in the same order."""
+    for dim in range(1, 7):
+        for seed in range(100):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = [random_point(ours, dim) for _ in range(4)]
+            assert [p.z for p in got] == [_fraction_random_point(theirs, dim).z for _ in range(4)]
+            assert ours.random() == theirs.random()
+    for name in sorted(ZOO):
+        pin = zoo_pin(name)
+        for seed in range(10):
+            w = generate_1d(pin, 0, battery.columns(pin), seed=seed)
+            want = _fraction_1d_points(pin, 0, battery.columns(pin), seed)
+            assert {k: p.z for k, p in w.points.items()} == {k: p.z for k, p in want.items()}
+
+
 def test_generation_makes_no_rref_call(monkeypatch):
     # every point is free, an integer combination of circuit members or the
     # meet of two lines; none of these builds an RREF basis
@@ -665,6 +704,8 @@ def test_planar_guard_mod_p_decides_as_the_exact_guard():
         steps = w.pin.l + 2
         want = _exact_guard(w, steps, rule)
         assert mesh._propagates(w, steps, rule) == want, label
+        last = mesh._clean_run(w.copy(), steps, rule)  # the exact guard alone
+        assert (last is not None and mesh._spans_planes(last)) == want, label
         if mesh._propagates_mod_p(w, steps, rule):
             assert want, label  # an accept mod P is a proof
             by_mod_p += 1
@@ -691,24 +732,81 @@ def test_planar_guard_falls_back_where_meets_vanish_mod_p():
         assert mesh._propagates(bad, steps, mesh.TOP) == _exact_guard(bad, steps, mesh.TOP)
 
 
+def _normal_mod_p(z):
+    """The integer vector z mod P, scaled so that its first nonzero entry
+    is 1 by its own inverse."""
+    z = [x % mesh.P for x in z]
+    inv = pow(next(x for x in z if x), -1, mesh.P)
+    return tuple([x * inv % mesh.P for x in z])
+
+
 def test_meet_mod_p_is_the_reduced_exact_meet():
-    """Random quadruples, and degenerate ones (a repeated point, one line
-    twice), where the integer meet vanishes and so does the meet mod P."""
+    """Random quadruples, each point scaled mod P by a random unit, and
+    degenerate ones (a repeated point, one line twice), where the integer
+    meet vanishes and so does the meet mod P.  The meet mod P is compared
+    projectively: normalized, it is the normalized exact meet."""
     rng = random.Random(22)
     vanished = 0
     for _ in range(200):
         p, q, u, w = (Point([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)])
                       for _ in range(4))
         for pts in ([p, q, u, w], [p, p, u, w], [p, q, q, p], [p, q, u, u]):
-            reduced = [mesh._mod_p(x.z) for x in pts]
+            reduced = []
+            for x in pts:
+                unit = rng.randrange(1, mesh.P)
+                reduced.append(tuple([c * unit % mesh.P for c in x.z]))
             if projective._meet_lines(*(x.z for x in pts)) is None:
                 with pytest.raises(DegenerateError):
                     mesh._meet_mod_p(reduced)
                 vanished += 1
             else:
-                want = mesh._mod_p(meet_point(join(*pts[:2]), join(*pts[2:])).z)
-                assert mesh._meet_mod_p(reduced) == want, pts
+                want = _normal_mod_p(meet_point(join(*pts[:2]), join(*pts[2:])).z)
+                assert _normal_mod_p(mesh._meet_mod_p(reduced)) == want, pts
     assert vanished >= 600
+
+
+def test_batch_normalization_is_one_vector_normalization():
+    """One inverse for a whole window normalizes each vector as its own
+    inverse does: random vectors, vectors with leading zeros, and windows
+    of one vector and of none."""
+    rng = random.Random(24)
+    zs = [tuple(rng.randrange(mesh.P) for _ in range(3)) for _ in range(60)]
+    zs += [(0, 5, 7), (0, 0, 3), (0, mesh.P - 1, 0), (1, 0, 0), (0, 0, mesh.P - 2)]
+    rng.shuffle(zs)
+    assert mesh._normalized_mod_p(zs) == [_normal_mod_p(z) for z in zs]
+    for z in zs[:8]:
+        assert mesh._normalized_mod_p([z]) == [_normal_mod_p(z)]
+    assert mesh._normalized_mod_p([]) == []
+
+
+@pytest.mark.parametrize("name,dim", [("pentagram", 2), ("sideways", 2), ("dented", 3),
+                                      ("rabbit", 4)])
+@pytest.mark.parametrize("slot,kind", [(2, "L1"), (1, "L2"), (0, "line")])
+def test_guard_run_stops_at_the_first_repeating_row(name, dim, slot, kind, monkeypatch):
+    """A rule that solves the sixth base r of the first row as its source
+    in the given slot (P_{r+ad}, P_{r+bc} or P_{r+ac}) repeats a point in
+    the L1 instance at r + d, the L2 instance at r + c or the line L_{r+c}:
+    the guard's run makes that row and no other."""
+    pin = zoo_pin(name)
+    w = generate_window(pin, dim, 0, battery.columns(pin), seed=0)
+
+    def repeating():
+        solved = []
+
+        def solve(pts):
+            solved.append(pts)
+            return pts[slot] if len(solved) == 6 else mesh._meet(pts)
+        return mesh.TOP._replace(solve=solve)
+
+    first = mesh._propagate(w.copy(), repeating())
+    words = "abcd" if kind == "line" else Pin.CIRCUIT_WORDS[kind]
+    offs = [pin.offset(word) for word in words]
+    assert any(mesh._repeats(first.at(r, offs)) for r in bases(first, offs))
+    calls = []
+    propagate = mesh._propagate
+    monkeypatch.setattr(mesh, "_propagate", lambda *a: calls.append(a) or propagate(*a))
+    assert mesh._clean_run(w, pin.l + 2, repeating()) is None
+    assert len(calls) == 1
 
 
 # ---- the exact guard's rows, handed to the caller -------------------------

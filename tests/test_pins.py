@@ -3,9 +3,8 @@ import random
 import pytest
 
 from ymesh.pins import (Pin, PinError, convex_relation, d_of_s, m2_of_s,
-                        lattice_index, hull_area_twice, horizontal_info,
                         ij_correspondence, tuples_shift_equivalent)
-from ymesh.zoo import ZOO, zoo_pin, zoo_dim
+from ymesh.zoo import zoo_pin, zoo_dim
 
 
 def test_label_ordering_ties_resolved_lexicographically():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ymesh import projective
-from ymesh.rational import ExtQ, INF, DegenerateError
+from ymesh.rational import ExtQ, DegenerateError
 from ymesh.projective import (Point, Flat, span, join, meet, meet_point, rank_of, collinear,
                               cross_ratio, cross_ratio_pair, multi_ratio, multi_ratio_pair,
                               nullspace, rref)

@@ -10,7 +10,7 @@ from ymesh.quiver import (Quiver, QuiverConfigError, mutate_x, mutate_y,
                           verify_period_one, run_periodic_y,
                           check_exchange_trace, verify_period_one_1d,
                           run_1d_y, run_1d_x, check_1d_y_relation)
-from ymesh.zoo import ZOO, zoo_pin
+from ymesh.zoo import zoo_pin
 
 
 def fig_quiver():

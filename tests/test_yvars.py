@@ -12,7 +12,7 @@ from ymesh.yvars import (y_of, y_pair, y_available, check_eqmain, eqmain_residua
                          GENERAL_Y_TABLE, general_y_factor_route,
                          general_y_multiratio_route, cycle_diagram,
                          bracket_product)
-from ymesh.zoo import zoo_pin, zoo_dim
+from ymesh.zoo import zoo_pin
 
 
 def grown_window(name, dim, seed=0, cols=None):
