@@ -22,7 +22,8 @@ def jobs():
 
 
 def columns(pin):
-    """The window width: 4 (l + 2), plus 8 per column the pin spans."""
+    """The window's last column (it spans columns 0..columns, one more
+    than this): 4 (l + 2), plus 8 per column the pin spans."""
     xs = [p[0] for p in pin.points]
     return 4 * (pin.l + 2) + 8 * (max(xs) - min(xs))
 

@@ -148,7 +148,7 @@ def mesh_group():
 @mesh_group.command("gen")
 @add_opts(pin_opts)
 @click.option("--dim", type=int, required=True)
-@click.option("--cols", type=int, default=24, help="window width")
+@click.option("--cols", type=int, default=24, help="last column: the window spans columns 0..cols")
 @click.option("--steps", type=click.IntRange(min=0), default=0,
               help="forward steps after generation")
 @seed_opt

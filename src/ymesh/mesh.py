@@ -52,9 +52,12 @@ points P_{r+source}:
     MENELAUS_BOTTOM: six-point relation solved for ab  (step_1d backward)
 
 The checks list their instances with ``bases``, which reads the bases off
-the window's keys, so no scan range depends on the size of the pin.  Each
-collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
-and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
+the window's rows, so no scan range depends on the size of the pin: the
+line store caches each row's maximal runs of consecutive columns, and at
+each base row r2 the runs of the rows r2 + d2, shifted back by d1, are
+intersected over the offsets (d1, d2).  Each collinearity the checks test
+lies on a line L_s = {s+a, s+b, s+c, s+d}: L1 and L2 at base r on L_r, each
+Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
 So a window keeps a line store, ``MeshWindow.lines``, whose entry for L_s is
 made on first use from the line's points inside the window: the points,
 their vectors, their chart (``chart_of``) and, on a charted line with all
@@ -73,7 +76,7 @@ and messages are those of the kernels.
 import random
 import weakref
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 
 from .rational import ExtQ, DegenerateError
@@ -213,21 +216,44 @@ class _Lines(dict):
     the reduced y-pair ``yvars.y_pair`` of a line with a chart and all four
     points (else None).  On a periodic window s and s mod n share one entry.
 
-    ``kept`` is None or (rule, successor): the window ``_propagate`` makes
-    from this window by the rule, kept by the exact redraw guard for the
-    first ``_propagate`` call with that rule.  ``clear`` drops it with the
-    entries.  The store refers to its window weakly, and a successor does
-    not refer back, so none of them makes a reference cycle."""
+    ``runs`` is None or the window's rows as runs (``row_runs``), made on
+    the first call of ``bases``.  ``kept`` is None or (rule, successor): the
+    window ``_propagate`` makes from this window by the rule, kept by the
+    exact redraw guard for the first ``_propagate`` call with that rule.
+    ``clear`` drops both with the entries, so a write to ``points`` leaves
+    neither stale.  The store refers to its window weakly, and a successor
+    does not refer back, so none of them makes a reference cycle."""
 
-    __slots__ = ("window", "kept")
+    __slots__ = ("window", "kept", "runs")
 
     def __init__(self, window):
         self.window = weakref.ref(window)
-        self.kept = None
+        self.kept = self.runs = None
 
     def clear(self):
-        self.kept = None
+        self.kept = self.runs = None
         dict.clear(self)
+
+    def row_runs(self):
+        """Row j -> the maximal runs (lo, hi) of consecutive columns of row
+        j (columns mod n on a periodic window), ascending; made once."""
+        if self.runs is None:
+            cols = {}
+            for i, j in self.window().points:
+                cols.setdefault(j, []).append(i)
+            self.runs = {}
+            for j, row in cols.items():
+                row.sort()
+                runs = []
+                lo = prev = row[0]
+                for i in row:
+                    if i > prev + 1:
+                        runs.append((lo, prev))
+                        lo = i
+                    prev = i
+                runs.append((lo, prev))
+                self.runs[j] = runs
+        return self.runs
 
     def __missing__(self, s):
         w = self.window()
@@ -390,7 +416,7 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     """
     if dim < 2:
         raise MeshError("generate_window needs D >= 2; use generate_1d")
-    _check_columns(i_lo, i_hi)
+    _check_columns(i_lo, i_hi, pin.m, dim)
     if dim > d_of_s(pin):
         raise MeshError("D = %d exceeds D(S) = %d" % (dim, d_of_s(pin)))
     case = classify_case(pin)
@@ -414,9 +440,14 @@ def generate_window(pin, dim, i_lo, i_hi, seed=0):
     return _certified_draw(draw, random.Random(seed), pin.l + 2, TOP)
 
 
-def _check_columns(i_lo, i_hi):
+def _check_columns(i_lo, i_hi, rows=1, dim=0):
+    """A ``MeshError`` unless columns i_lo..i_hi of the given number of rows
+    hold at least dim + 1 cells, as a window spanning RP^dim needs."""
     if i_hi < i_lo:
         raise MeshError("empty window: columns %d..%d" % (i_lo, i_hi))
+    if rows * (i_hi - i_lo + 1) < dim + 1:
+        raise MeshError("a window spanning RP^%d needs >= %d cells (got %d rows of %d columns)"
+                        % (dim, dim + 1, rows, i_hi - i_lo + 1))
 
 
 def _certified_draw(draw, rng, steps, rule):
@@ -483,10 +514,9 @@ def _clean_run(window, steps, rule):
     return None if _has_coincident_points(window, len(seen) == len(window.points)) else window
 
 
-# the words of the points of a 2-fractal: dd, then the points of the minor,
-# P_{r+aa}, P_{r+ab}, P_{r+bb}.  ``bases`` filters the keys by each offset
-# in turn, and dd next to aa shrinks them to about the bases at once.
-FRACTAL_2_WORDS = ("dd", "aa", "ab", "bb", "ac", "ad", "bc", "bd", "cc", "cd")
+# the words of the points of a 2-fractal: first the points of the minor,
+# P_{r+aa}, P_{r+ab}, P_{r+bb}
+FRACTAL_2_WORDS = ("aa", "ab", "bb", "ac", "ad", "bc", "bd", "cc", "cd", "dd")
 
 
 def _fractal_2_offsets(pin):
@@ -508,7 +538,7 @@ def _spans_planes(window):
     coordinates, or else the rank of all the fractal's points is at least
     3."""
     offs = _fractal_2_offsets(window.pin)
-    return all(_minor3(*[p.z for p in window.at(r, offs[1:4])]) or rank_of(window.at(r, offs)) >= 3
+    return all(_minor3(*[p.z for p in window.at(r, offs[:3])]) or rank_of(window.at(r, offs)) >= 3
                for r in bases(window, offs))
 
 
@@ -576,7 +606,7 @@ def _propagates_mod_p(window, steps, rule):
     if _has_coincident_points(last):
         return False
     offs = _fractal_2_offsets(last.pin)
-    return all(_minor3(*last.at(r, offs[1:4])) % P for r in bases(last, offs))
+    return all(_minor3(*last.at(r, offs[:3])) % P for r in bases(last, offs))
 
 
 def _spanning_check(window):
@@ -721,8 +751,8 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
     rule = _reduced_rule(pin)
     if d_of_s(pin) < 2:
         raise MeshError("the reduced system is planar; D(S) = %d" % d_of_s(pin))
-    _check_columns(i_lo, i_hi)
     mp = m2_of_s(pin)
+    _check_columns(i_lo, i_hi, mp, 2)
     return _certified_draw(lambda rng: _greedy(pin, mp, ("L1",), i_lo, i_hi, rng),
                            random.Random(seed), pin.l + 2, rule)
 
@@ -732,18 +762,55 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
 
 def bases(window, offsets):
     """Every base r whose points r + offset all lie inside the window, once
-    each (mod n on a periodic window), ordered by (r2, r1): the window's
-    keys shifted back by the first offset, intersected with the keys
-    shifted back by each other offset, the one farthest from the first
-    offset first (it discards the most bases)."""
-    keys = window.points.keys()
+    each (mod n on a periodic window), ordered by (r2, r1).  At each base
+    row r2 the runs of row r2 + d2 (``_Lines.row_runs``), shifted back by
+    d1, are intersected over the offsets (d1, d2); the surviving intervals
+    hold the bases of row r2."""
+    runs = window.lines.row_runs()
     n = window.periodic_n
-    o1, o2 = offsets[0]
-    found = {((i - o1) % n if n else i - o1, j - o2) for i, j in keys}
-    for d1, d2 in sorted(offsets[1:], key=lambda o: abs(o[0] - o1) + abs(o[1] - o2), reverse=True):
-        found = {(r1, r2) for r1, r2 in found
-                 if ((r1 + d1) % n if n else r1 + d1, r2 + d2) in keys}
-    return sorted(found, key=lambda r: (r[1], r[0]))
+    o2 = offsets[0][1]
+    found = []
+    for r2 in sorted(j - o2 for j in runs):
+        rows = [runs.get(r2 + d2) for _, d2 in offsets]
+        if None in rows:
+            continue
+        live = _shifted_runs(rows[0], offsets[0][0], n)
+        for (d1, _), row in zip(offsets[1:], rows[1:]):
+            live = _intersect_runs(live, _shifted_runs(row, d1, n))
+        for lo, hi in live:
+            found += zip(range(lo, hi + 1), repeat(r2))
+    return found
+
+
+def _shifted_runs(runs, d, n):
+    """The runs moved by -d, ascending; mod n a run that crosses n - 1 is
+    split in two."""
+    if not n:
+        return [(lo - d, hi - d) for lo, hi in runs]
+    out = []
+    for lo, hi in runs:
+        lo, hi = (lo - d) % n, (lo - d) % n + hi - lo
+        if hi < n:
+            out.append((lo, hi))
+        else:
+            out += [(lo, n - 1), (0, hi - n)]
+    out.sort()
+    return out
+
+
+def _intersect_runs(xs, ys):
+    """The intersection of two ascending lists of disjoint runs."""
+    out = []
+    k = m = 0
+    while k < len(xs) and m < len(ys):
+        lo, hi = max(xs[k][0], ys[m][0]), min(xs[k][1], ys[m][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if xs[k][1] < ys[m][1]:
+            k += 1
+        else:
+            m += 1
+    return out
 
 
 def _repeats(pts):

@@ -59,17 +59,26 @@ def mesh_to_json(window, seed=None):
 
 def mesh_from_json(obj):
     """The window of ``mesh_to_json``; input of any other form raises
-    ``MeshError`` (``PinError`` for the pin)."""
+    ``MeshError`` (``PinError`` for the pin), and so do two entries on one
+    index (columns mod periodic_n on a periodic mesh)."""
     try:
         pin, dim, n = obj["pin"], obj["dim"], obj.get("periodic_n")
-        points = {(row["i_lo"] + k, row["j"]): point_from_json(arr)
-                  for row in obj["rows"] for k, arr in enumerate(row["points"]) if arr is not None}
+        entries = [((row["i_lo"] + k, row["j"]), point_from_json(arr))
+                   for row in obj["rows"] for k, arr in enumerate(row["points"]) if arr is not None]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise MeshError("malformed mesh: %s: %s" % (type(e).__name__, e)) from None
     if not (type(dim) is int and dim > 0 and (n is None or type(n) is int and n > 0) and all(
-            type(i) is type(j) is int and len(p.z) == dim + 1 for (i, j), p in points.items())):
+            type(i) is type(j) is int and len(p.z) == dim + 1 for (i, j), p in entries)):
         raise MeshError("a mesh needs integer indices, dim, periodic_n > 0 and points dim + 1 long")
-    return MeshWindow(pin_from_json(pin), dim, points, periodic_n=n)
+    window = MeshWindow(pin_from_json(pin), dim, dict(entries), periodic_n=n)
+    if len(window.points) < len(entries):
+        seen = set()
+        for (i, j), _ in entries:
+            key = (i % n if n else i, j)
+            if key in seen:
+                raise MeshError("two entries of the mesh fall on the index (%d, %d)" % key)
+            seen.add(key)
+    return window
 
 
 def _vkey(v):

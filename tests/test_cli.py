@@ -12,7 +12,8 @@ import ymesh
 from ymesh import battery, mesh
 from ymesh.cli import main
 from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
-                        generate_1d, generate_reduced, generate_window, step_1d)
+                        generate_1d, generate_polygon_window, generate_reduced, generate_window,
+                        step_1d)
 from ymesh.ijmap import row_polygon, t_ij
 from ymesh.pins import ij_correspondence
 from ymesh.projective import Point
@@ -396,6 +397,27 @@ def test_mesh_on_one_line_is_degenerate_data(tmp_path):
     res = run("mesh", "check", "--mesh", path)
     assert res.exit_code == 3, res.output
     assert "does not span RP^2" in res.output
+
+
+def test_colliding_periodic_columns_are_config_error(tmp_path):
+    # a 7-gon row whose columns 7 and 8 fold onto vertices 0 and 1
+    obj = mesh_to_json(generate_polygon_window(zoo_pin("pentagram"), 7, seed=1))
+    obj["rows"][0]["points"] += obj["rows"][0]["points"][1:3]
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(obj))
+    res = run("mesh", "check", "--mesh", str(path))
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: two entries of the mesh fall on the index (0, 1)")
+
+
+@pytest.mark.parametrize("args", [("pentagram", "2", "0"), ("pentagram", "2", "1"),
+                                  ("elephant", "6", "1")])
+def test_window_too_small_to_span_is_config_error(tmp_path, args):
+    name, dim, cols = args
+    res = run("mesh", "gen", "--name", name, "--dim", dim, "--cols", cols,
+              "--out", str(tmp_path / "mesh.json"))
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: a window spanning RP^%s needs >= " % dim)
 
 
 def test_bad_json_is_config_error(tmp_path):

@@ -17,6 +17,7 @@ from ymesh.mesh import (MeshWindow, MeshError, generate_window, generate_1d,
 from ymesh.filtration import FiltrationSpec, all_circuits, circuit_members
 from ymesh.fractal import make_fractal, fractal_bases_in_window, fractal_dim
 from ymesh.quiver import qs_period, run_periodic_y
+from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json
 from ymesh.yvars import check_eqmain, y_of, y_available
 from ymesh.pins import Pin, d_of_s, m2_of_s
 from ymesh.zoo import ZOO, zoo_pin, zoo_dim, BOUNDARY_PINS
@@ -452,6 +453,15 @@ def _bases_in_given_order(window, offsets):
     return sorted(found, key=lambda r: (r[1], r[0]))
 
 
+def _with_gaps(window, rng, share):
+    """A copy of the window with each point deleted at the given rate."""
+    w = window.copy()
+    for key in list(w.points):
+        if rng.random() < share:
+            del w.points[key]
+    return w
+
+
 def test_bases_filter_order_keeps_the_list():
     windows = []
     for name in ("pentagram", "short_diagonal", "penguin", "elephant"):
@@ -463,6 +473,23 @@ def test_bases_filter_order_keeps_the_list():
     for name in ("pentagram", "sideways"):
         w = generate_1d(zoo_pin(name), 0, 24, seed=3)
         windows += [w, step_1d(w), step_1d(w, backward=True)]
+    # rows of several runs: points deleted at random from generated, stepped
+    # and polygon windows, and the same windows loaded from JSON with null gaps
+    rng = random.Random(3)
+    gapped = [_with_gaps(w, rng, share) for w in windows for share in (0.05, 0.3)]
+    loaded = [mesh_from_json(loads(dumps(mesh_to_json(w)))) for w in gapped[::3]]
+    assert any(None in row["points"] for w in gapped[::3] for row in mesh_to_json(w)["rows"])
+    # a whole row removed
+    w = step_forward(step_forward(generate_window(zoo_pin("short_diagonal"), 2, 0, 14, seed=3)))
+    cut = w.copy()
+    cut.points = {k: p for k, p in w.points.items() if k[1] != w.rows()[2]}
+    # a periodic row of runs (0, 2) and (6, 8), which the shifts move past
+    # column 8 and split
+    ring = step_forward(step_forward(generate_polygon_window(zoo_pin("higher_pentagram"), 9, seed=3)))
+    ring.points = {k: p for k, p in ring.points.items() if k[1] != 2 or not 3 <= k[0] <= 5}
+    assert ring.lines.row_runs()[2] == [(0, 2), (6, 8)]
+    assert mesh._shifted_runs([(6, 8)], -2, 9) == [(0, 1), (8, 8)]
+    windows += gapped + loaded + [cut, ring]
     listed = 0
     for w in windows:
         for offsets in _offset_families(w.pin):
@@ -471,6 +498,65 @@ def test_bases_filter_order_keeps_the_list():
                 assert found == _bases_in_given_order(w, order)
                 listed += len(found)
     assert listed > 1000
+    assert sum(len(runs) > 1 for w in windows for runs in w.lines.row_runs().values()) > 100
+
+
+def test_writes_to_points_drop_the_row_runs(monkeypatch):
+    pin = zoo_pin("pentagram")
+    w = step_forward(step_forward(generate_window(pin, 2, 0, 14, seed=3)))
+    offsets = _offsets(pin, MENELAUS_WORDS)
+
+    def listed(window):
+        found = bases(window, offsets)
+        assert window.lines.runs is not None and found == _bases_in_given_order(window, offsets)
+        return found
+
+    full = listed(w)
+    p = w.get((6, 2))
+    # rows 1, 2, 3 hold columns 0..14, 1..12 and 2..10; a base (r1, 1) needs
+    # column r1 + 2 of row 1, r1..r1 + 3 of row 2 and r1 + 1 of row 3
+    writes = [lambda: w.points.__delitem__((6, 2)),
+              lambda: w.points.__setitem__((6, 2), p),
+              lambda: w.set((13, 2), p),
+              lambda: w.points.update({(11, 3): p}),
+              lambda: setattr(w, "points", {k: q for k, q in w.points.items() if k[0] != 3})]
+    seen = []
+    for write in writes:
+        write()
+        assert w.lines.runs is None
+        seen.append(listed(w))
+    assert len(full) == 9 and len(seen[0]) == 5
+    assert seen[1] == seen[2] == full and seen[3] == full + [(10, 1)]
+    assert seen[4] == [r for r in seen[3] if not 0 <= r[0] <= 3]
+
+    # step_forward(..., drop_bottom=True) drops the row from a window whose
+    # runs were listed before the drop
+    propagate = mesh._propagate
+
+    def listing(window, rule):
+        out = propagate(window, rule)
+        listed(out)
+        return out
+
+    monkeypatch.setattr(mesh, "_propagate", listing)
+    w = step_forward(generate_window(pin, 2, 0, 14, seed=3))
+    top = step_forward(w, drop_bottom=True)
+    assert top.rows() == w.rows()[1:] + [w.rows()[-1] + 1]
+    assert top.lines.runs is None
+    listed(top)
+
+
+def test_window_too_small_to_span_is_config_error(monkeypatch):
+    monkeypatch.setattr(mesh, "_certified_draw", lambda *args: pytest.fail("drew a window"))
+    for generate, message in [
+            (lambda: generate_window(zoo_pin("pentagram"), 2, 0, 0), "RP^2 needs >= 3 cells (got 1 rows of 1"),
+            (lambda: generate_window(zoo_pin("pentagram"), 2, 0, 1), "RP^2 needs >= 3 cells (got 1 rows of 2"),
+            (lambda: generate_window(zoo_pin("elephant"), 6, 0, 1), "RP^6 needs >= 7 cells (got 3 rows of 2"),
+            (lambda: generate_window(zoo_pin("sideways"), 2, 4, 4), "RP^2 needs >= 3 cells (got 2 rows of 1"),
+            (lambda: generate_reduced(zoo_pin("sideways"), 0, 0), "RP^2 needs >= 3 cells (got 2 rows of 1")]:
+        with pytest.raises(MeshError, match=message.replace("^", r"\^").replace("(", r"\(")) as err:
+            generate()
+        assert not isinstance(err.value, mesh.DegenerateConfig)
 
 
 @pytest.mark.parametrize("n,count", [(7, 49), (9, 63)])

@@ -2,10 +2,12 @@ import csv
 import io
 from fractions import Fraction
 
+import pytest
+
 from ymesh.rational import ExtQ
 from ymesh.projective import Point
 from ymesh.quiver import Quiver, build_qs
-from ymesh.mesh import generate_window, step_forward
+from ymesh.mesh import MeshError, generate_polygon_window, generate_window, step_forward
 from ymesh.zoo import zoo_pin
 from ymesh.serialize import (point_to_json, point_from_json, pin_to_json,
                              pin_from_json, mesh_to_json, mesh_from_json,
@@ -36,6 +38,34 @@ def test_mesh_round_trip():
         assert back.row_cols(j) == w.row_cols(j)
         for i in w.row_cols(j):
             assert back.get((i, j)) == w.get((i, j))
+
+
+def test_mesh_with_null_gaps_round_trips():
+    w = step_forward(generate_polygon_window(zoo_pin("pentagram"), 7, seed=1))
+    for key in [(2, 1), (5, 1), (0, 2), (6, 2)]:
+        del w.points[key]
+    obj = loads(dumps(mesh_to_json(w)))
+    assert [row["points"].count(None) for row in obj["rows"]] == [2, 0]
+    assert mesh_from_json(obj).points == w.points
+
+
+def _polygon_with_extra_columns(extra):
+    """A pentagram 7-gon in JSON whose row holds `extra` more entries."""
+    obj = mesh_to_json(generate_polygon_window(zoo_pin("pentagram"), 7, seed=1))
+    row = obj["rows"][0]
+    row["points"] += [list(p) for p in row["points"][1:1 + extra]]
+    return obj
+
+
+def test_colliding_periodic_columns_are_config_error():
+    # columns 7 and 8 fold onto vertices 0 and 1 of the 7-gon
+    with pytest.raises(MeshError, match=r"two entries of the mesh fall on the index \(0, 1\)"):
+        mesh_from_json(_polygon_with_extra_columns(2))
+    obj = _polygon_with_extra_columns(0)
+    assert len(mesh_from_json(obj).points) == 7
+    obj["rows"].append(dict(obj["rows"][0], i_lo=3, points=obj["rows"][0]["points"][:1]))
+    with pytest.raises(MeshError, match=r"fall on the index \(3, 1\)"):
+        mesh_from_json(obj)  # a second row 1, over column 3
 
 
 def test_quiver_round_trip():
