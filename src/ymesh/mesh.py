@@ -765,21 +765,45 @@ def bases(window, offsets):
     each (mod n on a periodic window), ordered by (r2, r1).  At each base
     row r2 the runs of row r2 + d2 (``_Lines.row_runs``), shifted back by
     d1, are intersected over the offsets (d1, d2); the surviving intervals
-    hold the bases of row r2."""
+    hold the bases of row r2.  The offsets on one row are taken together
+    (``_fitting``)."""
     runs = window.lines.row_runs()
     n = window.periodic_n
-    o2 = offsets[0][1]
+    shifts = {}
+    for d1, d2 in offsets:
+        shifts.setdefault(d2, []).append(d1)
     found = []
-    for r2 in sorted(j - o2 for j in runs):
-        rows = [runs.get(r2 + d2) for _, d2 in offsets]
-        if None in rows:
-            continue
-        live = _shifted_runs(rows[0], offsets[0][0], n)
-        for (d1, _), row in zip(offsets[1:], rows[1:]):
-            live = _intersect_runs(live, _shifted_runs(row, d1, n))
-        for lo, hi in live:
-            found += zip(range(lo, hi + 1), repeat(r2))
+    for r2 in sorted(j - offsets[0][1] for j in runs):
+        live = None
+        for d2, ds in shifts.items():
+            row = runs.get(r2 + d2)
+            if row is None:
+                break
+            fit = _fitting(row, ds, n)
+            live = fit if live is None else _intersect_runs(live, fit)
+            if not live:
+                break
+        else:
+            for lo, hi in live:
+                found += zip(range(lo, hi + 1), repeat(r2))
     return found
+
+
+def _fitting(runs, ds, n):
+    """The runs of the columns r1 with r1 + d in the given runs of a row for
+    every d in ds (mod n on a periodic window), ascending: the runs shifted
+    back by each d and intersected.  One run of an open row narrows to one,
+    and a closed row without a gap holds every shift."""
+    if not n and len(runs) == 1:
+        (lo, hi), = runs
+        lo, hi = lo - min(ds), hi - max(ds)
+        return [(lo, hi)] if lo <= hi else []
+    if n and runs == [(0, n - 1)]:
+        return runs
+    live = _shifted_runs(runs, ds[0], n)
+    for d in ds[1:]:
+        live = _intersect_runs(live, _shifted_runs(runs, d, n))
+    return live
 
 
 def _shifted_runs(runs, d, n):

@@ -489,6 +489,11 @@ def test_bases_filter_order_keeps_the_list():
     ring.points = {k: p for k, p in ring.points.items() if k[1] != 2 or not 3 <= k[0] <= 5}
     assert ring.lines.row_runs()[2] == [(0, 2), (6, 8)]
     assert mesh._shifted_runs([(6, 8)], -2, 9) == [(0, 1), (8, 8)]
+    # one run of an open row narrows by the spread of the shifts; on a closed
+    # row the shifted runs can meet in two pieces, so it is not narrowed
+    assert mesh._fitting([(2, 5)], [0, 3], None) == [(2, 2)]
+    assert mesh._fitting([(2, 4)], [0, 3], None) == []
+    assert mesh._fitting([(0, 6)], [0, 4], 9) == [(0, 2), (5, 6)]
     windows += gapped + loaded + [cut, ring]
     listed = 0
     for w in windows:
