@@ -55,17 +55,17 @@ The checks list their instances with ``bases``, which reads the bases off
 the window's rows, so no scan range depends on the size of the pin: the
 line store caches each row's maximal runs of consecutive columns, and at
 each base row r2 the runs of the rows r2 + d2, shifted back by d1, are
-intersected over the offsets (d1, d2).  Each collinearity the checks test
-lies on a line L_s = {s+a, s+b, s+c, s+d}: L1 and L2 at base r on L_r, each
-Menelaus triple on L_{r+a}, L_{r+b} or L_{r+d}.
-So a window keeps a line store, ``MeshWindow.lines``, whose entry for L_s is
-made on first use from the line's points inside the window: the points,
-their vectors, their chart (``chart_of``) and, on a charted line with all
-four points, its y-value.  Every write to ``points`` empties the store, so
-an entry is never stale, and the checks and ``yvars.y_pair`` on one window
-chart each line once.  A line whose present points are distinct and on one
-line answers its sub-tests by lookup, its 2x2 determinants give the
-Menelaus factors, and two such lines through a point of the window
+intersected over the offsets (d1, d2), one row at a time.  Each
+collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
+and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or
+L_{r+d}.  So a window keeps a line store, ``MeshWindow.lines``, whose entry
+for L_s is made on first use from the line's points inside the window: the
+points, their vectors, their chart (``chart_of``) and, on a charted line
+with all four points, its y-value.  Every write to ``points`` empties the
+store, so an entry is never stale, and the checks and ``yvars.y_pair`` on
+one window chart each line once.  A line whose present points are distinct
+and on one line answers its sub-tests by lookup, its 2x2 determinants give
+the Menelaus factors, and two such lines through a point of the window
 (``MeshWindow.lines_meet``: L_{r+c}, L_{r+d} through P_{r+cd}, or L_{r+a},
 L_{r+b} through P_{r+ab}) decide the P3 instance at r; any other line
 falls back to the per-instance kernels (``collinear``, ``rank_of``,

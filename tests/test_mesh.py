@@ -551,17 +551,21 @@ def test_writes_to_points_drop_the_row_runs(monkeypatch):
     listed(top)
 
 
-def test_window_too_small_to_span_is_config_error(monkeypatch):
+@pytest.mark.parametrize("name,dim,i_lo,i_hi,rows", [
+    ("pentagram", 2, 0, 0, 1), ("pentagram", 2, 0, 1, 1), ("elephant", 6, 0, 1, 3),
+    ("sideways", 2, 4, 4, 2), ("sideways", None, 0, 0, 2)])  # None: generate_reduced
+def test_window_too_small_to_span_is_config_error(monkeypatch, name, dim, i_lo, i_hi, rows):
     monkeypatch.setattr(mesh, "_certified_draw", lambda *args: pytest.fail("drew a window"))
-    for generate, message in [
-            (lambda: generate_window(zoo_pin("pentagram"), 2, 0, 0), "RP^2 needs >= 3 cells (got 1 rows of 1"),
-            (lambda: generate_window(zoo_pin("pentagram"), 2, 0, 1), "RP^2 needs >= 3 cells (got 1 rows of 2"),
-            (lambda: generate_window(zoo_pin("elephant"), 6, 0, 1), "RP^6 needs >= 7 cells (got 3 rows of 2"),
-            (lambda: generate_window(zoo_pin("sideways"), 2, 4, 4), "RP^2 needs >= 3 cells (got 2 rows of 1"),
-            (lambda: generate_reduced(zoo_pin("sideways"), 0, 0), "RP^2 needs >= 3 cells (got 2 rows of 1")]:
-        with pytest.raises(MeshError, match=message.replace("^", r"\^").replace("(", r"\(")) as err:
-            generate()
-        assert not isinstance(err.value, mesh.DegenerateConfig)
+    pin = zoo_pin(name)
+    with pytest.raises(MeshError) as err:
+        if dim:
+            generate_window(pin, dim, i_lo, i_hi)
+        else:
+            generate_reduced(pin, i_lo, i_hi)
+    assert not isinstance(err.value, mesh.DegenerateConfig)
+    dim = dim or 2
+    assert str(err.value) == ("a window spanning RP^%d needs >= %d cells (got %d rows of %d columns)"
+                              % (dim, dim + 1, rows, i_hi - i_lo + 1))
 
 
 @pytest.mark.parametrize("n,count", [(7, 49), (9, 63)])
