@@ -10,11 +10,14 @@ and FiltrationSpec raises FiltrationUnavailable instead.
 
 Window generation (``mesh._generate_filtration``) uses both sides of the
 sweep: from a middle band H_{t_mid} it places the cells born later by their
-g-circuits (``g_inverse``, by ``birth``, then ``order6_key``) and the
-cells that die earlier by their f-circuits (``f_inverse``, by descending
-``death``, then ``order7_key``), so each circuit binds exactly one cell.
+g-circuits (``g_inverse``, by ``birth``) and the cells that die earlier by
+their f-circuits (``f_inverse``, by descending ``death``), so each circuit
+binds exactly one cell.  Conditions 6 and 7 ask only for an order that puts
+each cell after the other members of its circuit; ``binding_order`` derives
+one (a topological sort), for generation and the audit alike.
 """
 
+from heapq import heappop, heappush
 from math import gcd
 
 from .pins import Pin, PinError, convex_relation, d_of_s
@@ -134,18 +137,12 @@ class FiltrationSpec:
                 "triangle_c pin: build the filtration for pin.time_reverse() "
                 "(its case is triangle_b) and map back")
         a, b, c, d = pin.points
-        if self.case == CASE_LONG_DIAGONAL:
-            al, be = _primitive(d[1] - a[1], a[0] - d[0])
-            if al * b[0] + be * b[1] > al * a[0] + be * a[1]:
-                al, be = -al, -be
-        elif self.case == CASE_TRIANGLE_B:
-            al, be = _primitive(b[1] - a[1], a[0] - b[0])
-            if al * c[0] + be * c[1] > al * a[0] + be * a[1]:
-                al, be = -al, -be
-        else:  # long side
-            al, be = _primitive(c[1] - b[1], b[0] - c[0])
-            if al * a[0] + be * a[1] < al * b[0] + be * b[1]:
-                al, be = -al, -be
+        # phi vanishes on q - p, with phi(x) <= phi(p) (>= on a long side)
+        p, q, x, side = {CASE_LONG_DIAGONAL: (a, d, b, -1), CASE_TRIANGLE_B: (a, b, c, -1),
+                         CASE_LONG_SIDE: (b, c, a, 1)}[self.case]
+        al, be = _primitive(q[1] - p[1], p[0] - q[0])
+        if side * (al * (x[0] - p[0]) + be * (x[1] - p[1])) < 0:
+            al, be = -al, -be
         self.alpha, self.beta = al, be
         pa, pb, pc, pd = (self.phi(p) for p in pin.points)
         m = pin.m
@@ -214,30 +211,21 @@ class FiltrationSpec:
         for lo, hi, plo, phi_ in self.blocks:
             if lo <= row <= hi:
                 return plo, phi_
-        return None
+        raise ValueError("row %d outside strip" % row)
 
     def in_H(self, r, t):
-        blk = self._block(r[1])
-        if blk is None:
-            return False
-        plo, phi_ = blk
-        return t + plo <= self.phi(r) < t + phi_
+        for lo, hi, plo, phi_ in self.blocks:
+            if lo <= r[1] <= hi:
+                return t + plo <= self.phi(r) < t + phi_
+        return False
 
     def birth(self, r):
         """Smallest t with r in H_t."""
-        blk = self._block(r[1])
-        if blk is None:
-            raise ValueError("row %d outside strip" % r[1])
-        _, phi_ = blk
-        return self.phi(r) - phi_ + 1
+        return self.phi(r) - self._block(r[1])[1] + 1
 
     def death(self, r):
         """Largest t with r in H_t."""
-        blk = self._block(r[1])
-        if blk is None:
-            raise ValueError("row %d outside strip" % r[1])
-        plo, _ = blk
-        return self.phi(r) - plo
+        return self.phi(r) - self._block(r[1])[0]
 
     def H(self, t):
         """Enumerate H_t (finite: phi is non-constant in i on each row)."""
@@ -246,36 +234,48 @@ class FiltrationSpec:
         out = []
         for lo, hi, plo, phi_ in self.blocks:
             for j in range(lo, hi + 1):
-                # membership: lo_v <= alpha*i < hi_v
-                lo_v, hi_v = t + plo - self.beta * j, t + phi_ - self.beta * j
-                if self.alpha > 0:
-                    i_lo = -((-lo_v) // self.alpha)     # ceil(lo_v / alpha)
-                    i_hi = (hi_v - 1) // self.alpha     # floor((hi_v-1) / alpha)
-                else:
-                    na = -self.alpha
-                    # equivalent to: 1 - hi_v <= na*i <= -lo_v
-                    i_lo = -((hi_v - 1) // na)
-                    i_hi = (-lo_v) // na
-                out.extend((i, j) for i in range(i_lo, i_hi + 1))
+                # membership: lo_v <= alpha*i <= hi_v, so i runs from
+                # ceil(lo_v / alpha) to floor(hi_v / alpha), the bounds
+                # swapped for a negative alpha
+                lo_v, hi_v = t + plo - self.beta * j, t + phi_ - self.beta * j - 1
+                if self.alpha < 0:
+                    lo_v, hi_v = hi_v, lo_v
+                out.extend((i, j) for i in range(-(-lo_v // self.alpha), hi_v // self.alpha + 1))
         return sorted(set(out))
 
-    # ---- generation/verification orders ---------------------------------
 
-    def order6_key(self, r):
-        """Linear order on H_{t+1} minus H_t (condition 6): if r' belongs to
-        the circuit g^{-1}(r), then r' comes no later than r."""
-        return (-r[1], r[0], 0)
+def binding_order(cells, binding):
+    """The cells, each after the other members of its binding circuits.
 
-    def order7_key(self, r):
-        """Linear order on H_t minus H_{t+1} (condition 7), f-side."""
-        if self.case == CASE_LONG_SIDE:
-            a, b, c = self.pin.a, self.pin.b, self.pin.c
-            if r[1] <= b[1] - a[1]:
-                return (0, r[1], r[0])
-            if r[1] > c[1] - a[1]:
-                return (1, -r[1], r[0])
-            return (2, 0, r[0])
-        return (-r[1], r[0], 0)
+    ``binding[r]`` lists the pairs (circuit, others) of the circuits that
+    bind the cell r, others being the circuit's other members; a member that
+    is not a cell counts as placed.  The order given comes back unchanged
+    where it is valid; otherwise a cell waits until its members are out
+    (Kahn's topological sort, ties broken by the position given).  Cells
+    left on a cycle raise FiltrationUnavailable, naming one and its circuit.
+    """
+    position = {r: k for k, r in enumerate(cells)}
+    waiting, dependents = {}, {r: [] for r in cells}
+    for r in cells:
+        members = {q for _, others in binding[r] for q in others if q in position}
+        waiting[r] = len(members)
+        for q in members:
+            dependents[q].append(r)
+    ready = [k for k, r in enumerate(cells) if not waiting[r]]  # sorted: a heap
+    order = []
+    while ready:
+        r = cells[heappop(ready)]
+        order.append(r)
+        for s in dependents[r]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                heappush(ready, position[s])
+    if len(order) < len(cells):
+        r = next(r for r in cells if waiting[r])
+        circuit = next(c for c, others in binding[r] if any(waiting.get(q) for q in others))
+        raise FiltrationUnavailable("no order places %r after the other members of its "
+                                    "circuit %r: they wait on it in a cycle" % (r, circuit))
+    return order
 
 
 def audit_filtration(pin, t_lo=None, t_hi=None):
@@ -310,10 +310,8 @@ def audit_filtration(pin, t_lo=None, t_hi=None):
         for r in in_set | out_set:
             for inv, fwd in ((spec.g_inverse, spec.g_point), (spec.f_inverse, spec.f_point)):
                 kind, base = inv(r)
-                if not (fwd(kind, base) == r and r in circuit_members(pin, kind, base)):
-                    raise AssertionError
-            for kind, base in (spec.g_inverse(r), spec.f_inverse(r)):
-                if spec.f_point(kind, base) == spec.g_point(kind, base):
+                if not (fwd(kind, base) == r and r in circuit_members(pin, kind, base)
+                        and spec.f_point(kind, base) != spec.g_point(kind, base)):
                     raise AssertionError
         # (4): g o f^{-1} bijects out_set -> in_set
         image = set()
@@ -329,17 +327,16 @@ def audit_filtration(pin, t_lo=None, t_hi=None):
             kind, base = spec.f_inverse(r)
             if not set(circuit_members(pin, kind, base)) <= both:
                 raise AssertionError("condition 5 fails at t=%d for %s" % (t, (kind, base)))
-        # (6): within in_set, members of g^{-1}(r) in in_set precede r
-        for r in in_set:
-            kind, base = spec.g_inverse(r)
-            for r2 in circuit_members(pin, kind, base):
-                if r2 != r and r2 in in_set and not spec.order6_key(r2) < spec.order6_key(r):
-                    raise AssertionError("condition 6 fails at t=%d: %s vs %s" % (t, r2, r))
-        # (7): within out_set, members of f^{-1}(r) in out_set precede r
-        for r in out_set:
-            kind, base = spec.f_inverse(r)
-            for r2 in circuit_members(pin, kind, base):
-                if r2 != r and r2 in out_set and not spec.order7_key(r2) < spec.order7_key(r):
-                    raise AssertionError("condition 7 fails at t=%d: %s vs %s" % (t, r2, r))
+        # (6)+(7): an order of in_set places each r after the other members
+        # of g^{-1}(r) in in_set, and one of out_set after those of f^{-1}(r)
+        for cond, moved, inverse in ((6, in_set, spec.g_inverse), (7, out_set, spec.f_inverse)):
+            binding = {}
+            for r in moved:
+                circuit = inverse(r)
+                binding[r] = [(circuit, [q for q in circuit_members(pin, *circuit) if q != r])]
+            try:
+                binding_order(sorted(moved), binding)
+            except FiltrationUnavailable as e:
+                raise AssertionError("condition %d fails at t=%d: %s" % (cond, t, e)) from None
     report["checked_t"] = t_hi - t_lo
     return report

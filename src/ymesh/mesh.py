@@ -5,40 +5,41 @@ order-m dynamics, m = d2 - a2.  Windows are finite rectangles of that grid.
 Generation is one sweep, ``_sweep``, over the cells of a window, with one
 placement rule, ``_place``: a point that no circuit binds is free, a point
 bound by one circuit is a small integer combination of the circuit's other
-members, and a point bound by two lines is their meet.  The filtration sweep
-runs middle-out: the band H_{t_mid} in the middle of the window's sweep
-times is free, the cells born after it follow in birth order, each bound by
-its g-circuit, and the cells that die before it follow by descending death,
-each bound by its f-circuit, so heights grow with the distance from the
-middle band rather than from an edge of the window.  Boundary pins and the
-reduced system sweep column by column (``_greedy``), and each L1 (for
-boundary pins also L2) circuit binds its lexicographically last member.  A
-draw is kept only if it propagates pin.l + 2 rows without a degenerate meet
-or coincident points, and every 2-fractal of the last window of that run
-spans at least a plane (``_propagates``).  The run stops at the first row
-that repeats a point in an L1, L2 or line instance: forward steps keep
-every point, so that instance is one of the last window too.  The
+members, and a point bound by two lines is their meet.  The sweep places the
+cells in the order ``filtration.binding_order`` makes of the order it is
+given: each cell after the other members of its binding circuits.  The
+filtration sweep runs middle-out: the band H_{t_mid} in the middle of the
+window's sweep times is free, the cells born after it follow in birth order,
+each bound by its g-circuit, and the cells that die before it follow by
+descending death, each bound by its f-circuit, so heights grow with the
+distance from the middle band rather than from an edge of the window.
+Boundary pins and the reduced system sweep column by column (``_greedy``),
+and each L1 (for boundary pins also L2) circuit binds its lexicographically
+last member.  A draw is kept only if it propagates pin.l + 2 rows without a
+degenerate meet or coincident points, and every 2-fractal of the last window
+of that run spans at least a plane (``_propagates``).  The run stops at the
+first row that repeats a point in an L1, L2 or line instance: forward steps
+keep every point, so that instance is one of the last window too.  The
 2-fractal certificate is a nonzero 3x3 minor of P_{r+aa}, P_{r+ab},
-P_{r+bb}, else the rank of all the fractal's points; a 1-fractal L_r spans
-a line once no full line repeats a point, which the coincidence test
-already checks, and the upper bounds (at most a line, at most a plane) are
-the mesh incidences that ``check_relations`` verifies.
-A planar draw is first propagated on its points mod the prime
-P = 2^61 - 1: a run mod P with no vanishing meet, no two points equal and
-no minor vanishing proves that the exact run has none of these, as a
-nonzero meet or minor mod P is the reduction of a nonzero integer one and
-points that differ mod P differ.  The run mod P keeps its vectors
-unnormalized and normalizes its last window once, with one inverse for all
-of its points (batch inversion), before the tests of equal points and
-minors.  Any other draw runs the exact guard, so every decision is the
-exact one; in D >= 3 the guard also rests on an equality (two lines meet),
-which no run mod P can prove.  The exact guard
+P_{r+bb}, else the rank of all the fractal's points; a 1-fractal L_r spans a
+line once no full line repeats a point, which the coincidence test already
+checks, and the upper bounds (at most a line, at most a plane) are the mesh
+incidences that ``check_relations`` verifies.  A planar draw is first
+propagated on its points mod the prime P = 2^61 - 1: a run mod P with no
+vanishing meet, no two points equal and no minor vanishing proves that the
+exact run has none of these, as a nonzero meet or minor mod P is the
+reduction of a nonzero integer one and points that differ mod P differ.  The
+run mod P keeps its vectors unnormalized and normalizes its last window
+once, with one inverse for all of its points (batch inversion), before the
+tests of equal points and minors.  Any other draw runs the exact guard, so
+every decision is the exact one; in D >= 3 the guard also rests on an
+equality (two lines meet), which no run mod P can prove.  The exact guard
 keeps the rows it makes: each window of its run holds its successor in its
 line store, and the first ``_propagate`` call with the same rule hands that
 successor over.  So the first pin.l + 2 steps of a window that the exact
-guard accepted make no meet; a planar draw accepted mod P keeps no rows,
-and a write to ``points`` drops a kept successor with the store.  The
-window a generator returns records in ``draws`` how many draws it took.
+guard accepted make no meet; a planar draw accepted mod P keeps no rows, and
+a write to ``points`` drops a kept successor with the store.  The window a
+generator returns records in ``draws`` how many draws it took.
 
 Propagation adds a row on top (or bottom) by one routine, ``_propagate``,
 driven by a table of rules.  A rule names its source words, its target word
@@ -83,8 +84,8 @@ from .rational import ExtQ, DegenerateError
 from .projective import (Point, join, meet_point, multi_ratio_pair, factor_pair, rank_of,
                          collinear, chart_of, cross_ratio_on, det2)
 from .pins import Pin, d_of_s, m2_of_s
-from .filtration import (classify_case, FiltrationSpec, circuit_members, CASE_BOUNDARY,
-                         CASE_TRIANGLE_C)
+from .filtration import (classify_case, FiltrationSpec, binding_order, circuit_members,
+                         CASE_BOUNDARY, CASE_TRIANGLE_C)
 
 REDRAW_LIMIT = 32
 # bound on the member coefficients of a generated point: each column of a
@@ -328,19 +329,22 @@ def _place(rng, dim, constraints):
 
 
 def _sweep(pin, dim, cells, circuits, rng):
-    """A window on the cells, visited in order.  A circuit (kind, base) of
-    circuits(r) binds r when all its other members are cells (the order
-    places them first); r is placed on the flats of its binding circuits
-    by ``_place``."""
+    """A window on the cells.  A circuit (kind, base) of circuits(r) binds r
+    when all its other members are cells.  The cells are placed on the flats
+    of their binding circuits (``_place``), and the window's points inserted,
+    in the order ``binding_order`` makes of the order given."""
     inside = set(cells)
-    window = MeshWindow(pin, dim)
+    binding = {}
     for r in cells:
-        constraints = []
-        for kind, base in circuits(r):
-            others = [q for q in circuit_members(pin, kind, base) if q != r]
+        binding[r] = []
+        for circuit in circuits(r):
+            others = [q for q in circuit_members(pin, *circuit) if q != r]
             if all(q in inside for q in others):
-                constraints.append([window.get(q) for q in others])
-        window.set(r, _place(rng, dim, constraints))
+                binding[r].append((circuit, others))
+    window = MeshWindow(pin, dim)
+    for r in binding_order(cells, binding):
+        window.set(r, _place(rng, dim, [[window.get(q) for q in others]
+                                        for _, others in binding[r]]))
     _spanning_check(window)
     return window
 
@@ -355,20 +359,19 @@ def _generate_filtration(pin, dim, i_lo, i_hi, rng):
     circuit I has f(I) dying at its time t_I and g(I) born at t_I + 1, and
     its members lie in H_{t_I} u H_{t_I + 1} (conditions 4 and 5), so it
     binds exactly one cell: g(I) if t_I >= t_mid, else f(I).  Its other
-    members are placed before it: they lie in the band, or are born no
-    later than g(I) (at the same time first by condition 6), or die no
-    earlier than f(I) (at the same time first by condition 7).  No circuit
-    has all its members in the band, so its free points obey no relation."""
+    members lie in the band, or are born no later than g(I), or die no
+    earlier than f(I); ties go by descending row, then column, and
+    ``_sweep`` puts each cell after them (conditions 6 and 7: such an order
+    exists).  No circuit has all its members in the band, so its free
+    points obey no relation."""
     spec = FiltrationSpec(pin)
     cells = [(i, j) for j in range(1, pin.m + 1) for i in range(i_lo, i_hi + 1)]
     birth = {r: spec.birth(r) for r in cells}
     death = {r: spec.death(r) for r in cells}
     t_mid = (min(birth.values()) + max(death.values())) // 2
     band = [r for r in cells if birth[r] <= t_mid <= death[r]]
-    later = sorted((r for r in cells if birth[r] > t_mid),
-                   key=lambda r: (birth[r],) + spec.order6_key(r))
-    earlier = sorted((r for r in cells if death[r] < t_mid),
-                     key=lambda r: (-death[r],) + spec.order7_key(r))
+    later = sorted((r for r in cells if birth[r] > t_mid), key=lambda r: (birth[r], -r[1], r[0]))
+    earlier = sorted((r for r in cells if death[r] < t_mid), key=lambda r: (-death[r], -r[1], r[0]))
     binding = {r: [] for r in band}
     binding.update((r, [spec.g_inverse(r)]) for r in later)
     binding.update((r, [spec.f_inverse(r)]) for r in earlier)

@@ -35,7 +35,7 @@ from ymesh.quiver import (Quiver, QuiverConfigError, mutate_y, mutate_x,
 from ymesh.lifted import build_lifted, phi_map, tilde_ideal_generator
 from ymesh.fractal import (check_sub_fractal_intersections, genericity_audit, bound_check,
                            genericity_evidence)
-from ymesh.filtration import audit_filtration
+from ymesh.filtration import audit_filtration, classify_case
 from ymesh.ijmap import t_ij, t_ij_inverse, polygons_equal_up_to_shift, row_polygon
 from ymesh import battery
 from ymesh.cli import main
@@ -351,6 +351,34 @@ def test_10b_dimension_demand_is_rank_capped():
         pin = zoo_pin(name)
         with pytest.raises(MeshError):
             generate_window(pin, d_of_s(pin) + 1, 0, 10)
+
+
+def random_pins(seed, count):
+    """count distinct non-boundary pins (up to translation), each point drawn
+    with i in [-3, 3] and j in [0, 4]."""
+    rng = random.Random(seed)
+    pins = {}
+    while len(pins) < count:
+        try:
+            pin = Pin([(rng.randint(-3, 3), rng.randint(0, 4)) for _ in range(4)])
+        except PinError:
+            continue
+        if classify_case(pin) != "boundary":
+            pins.setdefault(pin.normalized(), pin)
+    return list(pins.values())
+
+
+def test_10c_random_pins_pass_the_battery_and_the_audit():
+    # seed 0 draws ten long_side pins; a hand-written f-side order had
+    # generation read a member before placing it at 15 jobs of four of them
+    pins = random_pins(0, 30)
+    assert sum(classify_case(pin) == "long_side" for pin in pins) == 10
+    for pin in pins:
+        report = audit_filtration(pin)
+        assert report["H_size"] == d_of_s(pin) + 1
+        for dim in battery.dims(pin):
+            window, _ = battery.grow(pin, dim, seed=0)
+            battery.check(window, {})
 
 
 # 11. `ymesh verify all` grows the windows of this sweep --------------------

@@ -152,6 +152,13 @@ def test_malformed_pin_json_is_config_error(pin):
     assert isinstance(res.exception, SystemExit) and res.output.startswith("config error: a pin is")
 
 
+def test_mesh_gen_on_a_long_side_pin():
+    # generation once read a circuit member of this pin before placing it
+    res = run("mesh", "gen", "--pin", '{"a":[3,0],"b":[2,3],"c":[2,4],"d":[3,4]}',
+              "--dim", "2", "--cols", "36")
+    assert res.exit_code == 0, res.output
+
+
 def test_mesh_dim_too_large_is_config_error():
     res = run("mesh", "gen", "--name", "pentagram", "--dim", "9", "--cols", "10")
     assert res.exit_code == 2

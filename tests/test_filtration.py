@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from ymesh.filtration import (classify_case, audit_filtration, FiltrationSpec,
+from ymesh import cli
+from ymesh.filtration import (classify_case, audit_filtration, binding_order, FiltrationSpec,
                               FiltrationUnavailable, all_circuits)
-from ymesh.pins import d_of_s
+from ymesh.pins import Pin, d_of_s
 from ymesh.zoo import zoo_pin, BOUNDARY_PINS
 
 EXPECTED_CASE = {
@@ -37,6 +38,43 @@ def test_audit_all_seven_conditions_non_boundary(zoo_name):
     # |H_t| = D(S)+1 at every audited time (asserted inside the audit)
     assert report["H_size"] == d_of_s(pin) + 1
     assert report["checked_t"] >= 6 * pin.m
+
+
+def test_audit_of_a_long_side_pin():
+    # a hand-written order of its f-side failed condition 7 on this pin
+    pin = Pin([(-2, 0), (4, 2), (-4, 5), (-3, 0)])
+    assert classify_case(pin) == "long_side"
+    assert audit_filtration(pin)["H_size"] == d_of_s(pin) + 1
+
+
+def _chain(*links):
+    """binding_order's binding for cells bound in a chain: each (r, q) binds
+    r by a circuit named after it whose other members are q and (9, 9),
+    which is not a cell."""
+    return {r: [(("L1", r), [q, (9, 9)])] if q else [] for r, q in links}
+
+
+def test_binding_order_keeps_a_valid_order():
+    binding = _chain(((0, 0), None), ((1, 0), (0, 0)), ((2, 0), (1, 0)), ((0, 1), None))
+    cells = [(0, 0), (1, 0), (0, 1), (2, 0)]
+    assert binding_order(cells, binding) == cells
+
+
+def test_binding_order_moves_each_cell_after_its_members():
+    binding = _chain(((0, 0), None), ((1, 0), (2, 0)), ((2, 0), (3, 0)), ((3, 0), None))
+    order = binding_order([(0, 0), (1, 0), (2, 0), (3, 0)], binding)
+    assert order == [(0, 0), (3, 0), (2, 0), (1, 0)]
+
+
+def test_binding_order_rejects_a_cycle():
+    binding = _chain(((0, 0), (2, 0)), ((1, 0), (0, 0)), ((2, 0), (1, 0)), ((3, 0), None))
+    with pytest.raises(FiltrationUnavailable,
+                       match=r"\(0, 0\) .* circuit \('L1', \(0, 0\)\)") as cycle:
+        binding_order([(3, 0), (0, 0), (1, 0), (2, 0)], binding)
+    # which the command line reports as a configuration error
+    with pytest.raises(SystemExit) as stop:
+        cli._fail(cycle.value)
+    assert stop.value.code == 2
 
 
 def test_boundary_pin_has_no_filtration():

@@ -166,32 +166,41 @@ def test_generated_window_of_wide_pin_propagates():
     _propagate_all_rows(generate_window(pin, 2, 0, 40, seed=0))
 
 
+# a long_side pin whose f-side, by a hand-written order, once read a circuit
+# member before it was placed (``ymesh mesh gen`` on it raised a KeyError)
+LONG_SIDE_PIN = Pin([(3, 0), (2, 3), (2, 4), (3, 4)])
+
+
 def _filtration_cases():
-    return [(name, dim) for name in sorted(ZOO) if name not in BOUNDARY_PINS
-            for dim in sorted({2, zoo_dim(name)}) if zoo_dim(name) >= 2]
+    return [pytest.param(zoo_pin(name), dim, id="%s-%d" % (name, dim))
+            for name in sorted(ZOO) if name not in BOUNDARY_PINS
+            for dim in sorted({2, zoo_dim(name)}) if zoo_dim(name) >= 2] + \
+        [pytest.param(LONG_SIDE_PIN, 2, id="long_side-2")]
 
 
-@pytest.mark.parametrize("name,dim", _filtration_cases())
-def test_filtration_sweep_runs_middle_out(name, dim, monkeypatch):
+@pytest.mark.parametrize("pin,dim", _filtration_cases())
+def test_filtration_sweep_runs_middle_out(pin, dim, monkeypatch):
     # the cells and circuits generate_window hands to the sweep (for a
-    # triangle_c pin, those of its reversed pin)
+    # triangle_c pin, those of its reversed pin), and the order the sweep
+    # placed the cells in, which is that of the returned window's points
     seen = []
     sweep = mesh._sweep
 
     def recording(pin, dim, cells, circuits, rng):
-        seen.append((pin, list(cells), circuits))
-        return sweep(pin, dim, cells, circuits, rng)
+        window = sweep(pin, dim, cells, circuits, rng)
+        seen.append((pin, list(cells), circuits, list(window.points)))
+        return window
 
     monkeypatch.setattr(mesh, "_sweep", recording)
-    pin = zoo_pin(name)
     i_lo = -5
     i_hi = i_lo + battery.columns(pin)
     generate_window(pin, dim, i_lo, i_hi, seed=0)
-    pin, cells, circuits = seen[0]
+    pin, cells, circuits, placed = seen[0]
+    assert sorted(placed) == sorted(cells)
     spec = FiltrationSpec(pin)
     t_mid = (min(map(spec.birth, cells)) + max(map(spec.death, cells))) // 2
     band = {r for r in cells if spec.birth(r) <= t_mid <= spec.death(r)}
-    position = {r: k for k, r in enumerate(cells)}
+    position = {r: k for k, r in enumerate(placed)}
     bound = {}
     for r in cells:
         bound[r] = []
@@ -201,7 +210,7 @@ def test_filtration_sweep_runs_middle_out(name, dim, monkeypatch):
                 assert all(position[q] < position[r] for q in others), (r, kind, base)
                 bound[r].append((kind, base))
     assert [r for r in band if bound[r]] == []  # the band is free
-    assert set(cells[:len(band)]) == band  # and goes first
+    assert set(placed[:len(band)]) == band  # and goes first
     for r in cells:
         if spec.birth(r) > t_mid:
             assert circuits(r) == [spec.g_inverse(r)], r
