@@ -282,19 +282,24 @@ class _Lines(dict):
 # ---- generation --------------------------------------------------------
 
 
-def _combine_members(rng, members, avoid_lines):
-    """Random point of the span of the members: their primitive integer
-    vectors combined with nonzero integer coefficients in [-COMBINE_BOUND,
-    COMBINE_BOUND], so heights add instead of multiplying.  The point is
-    distinct from the members and off the lines through the given pairs."""
+def _combination(rng, members):
+    """The members' primitive integer vectors combined with nonzero integer
+    coefficients in [-COMBINE_BOUND, COMBINE_BOUND], so heights add instead
+    of multiplying; ValueError when the combination is zero."""
+    coeffs = [rng.randint(1, COMBINE_BOUND) * rng.choice((1, -1)) for _ in members]
+    return Point([sum(c * q.z[k] for c, q in zip(coeffs, members))
+                  for k in range(len(members[0].z))])
+
+
+def _combine_members(rng, members):
+    """A random point of the span of the members (``_combination``),
+    distinct from the members."""
     for _ in range(REDRAW_LIMIT):
-        coeffs = [rng.randint(1, COMBINE_BOUND) * rng.choice((1, -1)) for _ in members]
         try:
-            p = Point([sum(c * q.z[k] for c, q in zip(coeffs, members))
-                       for k in range(len(members[0].z))])
+            p = _combination(rng, members)
         except ValueError:
             continue
-        if all(p != q for q in members) and not any(collinear((u, v, p)) for u, v in avoid_lines):
+        if all(p != q for q in members):
             return p
     raise DegenerateConfig("could not place a generic point on a span")
 
@@ -312,7 +317,8 @@ def _place(rng, dim, constraints):
 
     A list whose members span RP^dim constrains nothing; with none left the
     point is free (and off every member).  One flat gets a combination of
-    its members (``_combine_members``), two lines their meet."""
+    its members, drawn once when they are independent and else redrawn
+    until it is no member (``_combine_members``); two lines get their meet."""
     flats = [(pts, rank_of(pts)) for pts in constraints]
     flats = [(pts, rank) for pts, rank in flats if rank <= dim]
     if not flats:
@@ -320,12 +326,12 @@ def _place(rng, dim, constraints):
     if len(flats) == 2:
         return meet_point(join(*flats[0][0]), join(*flats[1][0]))
     (pts, rank), = flats
-    # keep proper subsets of the circuit independent: for the coplanar
-    # quadruple, stay off the lines through member pairs
-    avoid_lines = []
-    if len(pts) == 3 and rank == 3:
-        avoid_lines = [(pts[u], pts[v]) for u in range(3) for v in range(u + 1, 3)]
-    return _combine_members(rng, pts, avoid_lines)
+    if rank == len(pts) >= 2:
+        # independent members: nonzero coefficients give a point that is no
+        # member and lies on no line through two of them, which keeps the
+        # proper subsets of the circuit independent
+        return _combination(rng, pts)
+    return _combine_members(rng, pts)
 
 
 def _sweep(pin, dim, cells, circuits, rng):

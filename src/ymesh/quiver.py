@@ -268,29 +268,44 @@ def run_periodic_y(pin, n, y0, sweeps):
     record, before each mutation, the exported grid value of each vertex.
 
     y0: dict vertex -> value on (Z/n) x {0..l-1}, each value anything
-    ``ExtQ()`` accepts; y0 is not modified.  Returns (exported, final_ys)
-    where exported maps grid labels (i, j), j >= 0, to ExtQ: a vertex (i, jr)
-    mutated for the (t+1)-th time carries grid label ((i + t*i0) mod n,
-    jr + t*l).  The run makes the period-one check (``IdentityFailure`` if
-    Q_{n,S} fails it) and mutates no quiver: sweep s = t*l + jr mutates the
-    arrow-free row jr of rho^s(Q), where (i, jr) has the row of
-    ((i + t*i0) mod n, 0) in Q relabelled by rho^s, which moves (k, j) to
-    ((k - w*i0) mod n, (j + jr) mod l) after w = t + (j + jr) // l wraps.
+    ``ExtQ()`` accepts; y0 is not modified, and a missing vertex or a key
+    that is no vertex raises ``QuiverConfigError``.  Returns (exported,
+    final_ys) where exported maps grid labels (i, j), j >= 0, to ExtQ: a
+    vertex (i, jr) mutated for the (t+1)-th time carries grid label
+    ((i + t*i0) mod n, jr + t*l).  The run makes the period-one check
+    (``IdentityFailure`` if Q_{n,S} fails it) and mutates no quiver: sweep
+    s = t*l + jr mutates the arrow-free row jr of rho^s(Q), where (i, jr) has
+    the row of ((i + t*i0) mod n, 0) in Q relabelled by rho^s.  So each entry
+    ((d, j), b) of row (0, 0) of Q gives (i, jr) the neighbour
+    ((i + d - w*i0) mod n, (j + jr) mod l), w = (j + jr) // l, in every sweep:
+    the run keeps one such template per row jr, and the values in row lists.
     """
     i0, l = qs_period(pin)
     rows = _period_one_rows(pin, n)
-    ys = {v: ExtQ(val).as_pair() for v, val in y0.items()}
+    vertices = {(i, j) for i in range(n) for j in range(l)}
+    extra = [v for v in y0 if v not in vertices]
+    if extra or len(y0) < len(vertices):
+        raise QuiverConfigError("y0 has a value at %r, not a vertex of Q_{%d,S}" % (extra[0], n)
+                                if extra else "y0 has no value at %r" % (min(vertices - set(y0)),))
+    ys = [[None] * n for _ in range(l)]
+    for (i, j), val in y0.items():
+        ys[j][i] = ExtQ(val).as_pair()
+    templates = [[(d - (j + jr) // l * i0, ys[(j + jr) % l], b < 0, abs(b))
+                  for (d, j), b in rows[0].items()] for jr in range(l)]
     exported = {}
     for s in range(sweeps):
         jr, t = s % l, s // l
-        shift = [((t + (j + jr) // l) * i0, (j + jr) % l) for j in range(l)]
+        row, template = ys[jr], templates[jr]
         for i in range(n):
-            exported[((i + t * i0) % n, jr + t * l)] = ExtQ.from_reduced(*ys[(i, jr)])
-        for i in range(n):
-            row = rows[(i + t * i0) % n]
-            _mutate_pairs({((k - shift[j][0]) % n, shift[j][1]): b for (k, j), b in row.items()},
-                          ys, (i, jr))
-    return exported, {v: ExtQ.from_reduced(*pair) for v, pair in ys.items()}
+            exported[((i + t * i0) % n, jr + t * l)] = ExtQ.from_reduced(*row[i])
+        for i in range(n):  # _mutate_pairs on the lists
+            p, q = row[i]
+            up, down = in_factor(p, q), out_factor(p, q)
+            row[i] = (q, p) if p >= 0 else (-q, -p)
+            for d, col, inward, m in template:
+                k = (i + d) % n
+                col[k] = mul_pow(col[k], up if inward else down, m)
+    return exported, {v: ExtQ.from_reduced(*ys[v[1]][v[0]]) for v in y0}
 
 
 def check_exchange_trace(pin, n, exported):

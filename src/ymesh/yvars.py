@@ -14,9 +14,9 @@ as before.  The determinants of points on one line share a large factor of
 that line, so a y-value is reduced once, where it is made: it is its
 canonical pair (gcd 1, den >= 0, inf = (1, 0)), the same on every chart,
 and the exchange checks multiply pairs about 40% the size of the unreduced
-ones.  ``check_eqmain`` tells whether L_s is inside the window by a set
-lookup before it reads the store, so the checks and ``y_of`` on one window
-chart each line once.
+ones.  ``check_eqmain`` reads every line inside the window once, then
+decides each base of ``bases`` once, the list ``verify eqmain`` walks; the
+checks and ``y_of`` on one window chart each line once.
 """
 
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
@@ -47,8 +47,9 @@ def y_pair(window, r):
 
 
 def y_available(window, r):
-    pin = window.pin
-    return all(window.has(pin.shift(r, lab)) for lab in "abcd")
+    """Whether all four points of L_r are inside the window, read off the
+    line store, where ``y_pair`` then finds the line."""
+    return None not in window.lines[r][0]
 
 
 def eqmain_relation(ys):
@@ -59,36 +60,33 @@ def eqmain_relation(ys):
                                       (ad, 1, out_factor), (bc, 1, out_factor)))
 
 
+def _line_y(window, s):
+    """``y_pair`` at a line L_s inside the window.  A line whose points span
+    more than a line fails the mesh's line relation and raises
+    ``IdentityFailure``; any other raises as ``y_pair`` does."""
+    y = window.lines[s][3]
+    if y is None:  # L_s has no chart
+        try:
+            y = y_pair(window, s)
+        except DegenerateError:
+            rank = rank_of(window.lines[s][0])
+            if rank <= 2:
+                raise
+            raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
+                                  % (window._key(s) + (rank,)))
+    return y
+
+
 def eqmain_instance(window, r):
     """``eqmain_relation`` at base r; None when one of its y-values is not
-    inside the window, "degenerate" when one is 0, -1 or inf."""
-    offsets = [window.pin.offset(lab) for lab in EQMAIN_LABELS]
-    line_bases = [(r[0] + o1, r[1] + o2) for o1, o2 in offsets]
-    return _eqmain_instance(window, r, offsets, {s for s in line_bases if y_available(window, s)})
-
-
-def _eqmain_instance(window, r, offsets, inside):
-    """``eqmain_instance`` given the set of lines inside the window.  A line
-    inside whose points span more than a line fails the mesh's line relation
-    and raises ``IdentityFailure``; any other raises as ``y_pair`` does."""
-    r1, r2 = r
-    lines = window.lines
+    inside the window, "degenerate" when one is 0, -1 or inf.  Its lines are
+    read in EQMAIN_LABELS order up to the first one outside the window, each
+    raising as in ``_line_y``."""
     pairs = []
-    for o1, o2 in offsets:
-        s = (r1 + o1, r2 + o2)
-        if s not in inside:
+    for s in (window.pin.shift(r, lab) for lab in EQMAIN_LABELS):
+        if not y_available(window, s):
             return None
-        y = lines[s][3]
-        if y is None:  # L_s has no chart
-            try:
-                y = y_pair(window, s)
-            except DegenerateError:
-                rank = rank_of(lines[s][0])
-                if rank <= 2:
-                    raise
-                raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
-                                      % (window._key(s) + (rank,)))
-        pairs.append(y)
+        pairs.append(_line_y(window, s))
     return "degenerate" if any(degenerate_pair(*y) for y in pairs) else eqmain_relation(pairs)
 
 
@@ -104,49 +102,43 @@ def eqmain_residual(window, r):
 
 def check_eqmain(window):
     """Verify the exchange identity at every base fully inside the window on
-    integer pairs (``eqmain_instance``), reading each y-value from the
-    window's line store.  The scan covers every base whose 24 points (four
-    per y-value) can reach the window's bounding box; a line outside the
-    window is skipped by a lookup in the set of lines inside, before the
-    store is read.  A failed instance, or a line L_s inside the window whose
-    points are not on one line, raises ``IdentityFailure``; a window with no
-    instance raises ``MeshError`` ("window too small"), as in
-    ``check_relations``.
+    integer pairs.  First the y-value of every line L_s inside the window
+    is read (``_line_y``), in (s2, s1) order, so a line whose points are
+    not on one line raises ``IdentityFailure`` before any instance is
+    decided.  Then each base of ``bases`` over the 24 points of the six
+    y-values is decided once (``eqmain_relation``), as ``verify eqmain``
+    lists them: a failed instance raises ``IdentityFailure``, one with a
+    y-value 0, -1 or inf is skipped, and a window with no instance raises
+    ``MeshError`` ("window too small"), as in ``check_relations``.
 
-    On a periodic window the scan counts a base once for each unreduced r1
-    that reaches it: the benchmark's ``yvars.check_eqmain.count_ratio`` is
-    1.75 on its ``polygon_periodic`` workload.  The fix, listing the bases
-    with ``bases`` as ``verify eqmain`` does, waits on open item 1 of
-    ROADMAP.md, because a benchmark test pins the overcount."""
+    On a periodic window a base is counted once for each column of
+    [min i - max reach, max i - min reach] congruent to it mod n, reach
+    over the first coordinates of the 24 offsets: the columns of the
+    bounding-box scan this check made before it walked ``bases``, so
+    {checked, skipped} stays that scan's, and the benchmark's
+    ``yvars.check_eqmain.count_ratio`` stays 1.75 on ``polygon_periodic``.
+    A benchmark test pins that overcount; dropping the weight is open item 1
+    of ROADMAP.md."""
     pin = window.pin
+    n = window.periodic_n
+    ys = {s: _line_y(window, s) for s in bases(window, pin.points)}
     offsets = [pin.offset(lab) for lab in EQMAIN_LABELS]
     reach = [(o1 + p1, o2 + p2) for o1, o2 in offsets for p1, p2 in pin.points]
-
-    def scan(axis):
-        vals = [r[axis] for r in window.points]
-        offs = [o[axis] for o in reach]
-        return range(min(vals) - max(offs), max(vals) - min(offs) + 1)
-
+    if n:
+        cols = [i for i, _ in window.points]
+        lo, hi = min(cols) - max(o1 for o1, _ in reach), max(cols) - min(o1 for o1, _ in reach)
+        weight = [len(range(lo + (r1 - lo) % n, hi + 1, n)) for r1 in range(n)]
     checked = skipped = 0
-    cols = scan(0)
-    inside = set(bases(window, pin.points))
-    n = window.periodic_n
-    if n:  # the scan meets the lines of a periodic window at unreduced bases
-        o1s = [o1 for o1, _ in offsets]
-        ks = range((cols[0] + min(o1s)) // n, (cols[-1] + max(o1s)) // n + 1)
-        inside = {(s1 + k * n, s2) for s1, s2 in inside for k in ks}
-    for r2 in scan(1):
-        for r1 in cols:
-            rel = _eqmain_instance(window, (r1, r2), offsets, inside)
-            if rel is None:
-                continue
-            if rel == "degenerate":
-                skipped += 1
-                continue
-            if not rel[0]:
-                res = eqmain_residual(window, (r1, r2))
-                raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
-            checked += 1
+    for r1, r2 in bases(window, reach):
+        pairs = [ys[((r1 + o1) % n if n else r1 + o1, r2 + o2)] for o1, o2 in offsets]
+        k = weight[r1] if n else 1
+        if any(degenerate_pair(*y) for y in pairs):
+            skipped += k
+        elif eqmain_relation(pairs)[0]:
+            checked += k
+        else:
+            raise IdentityFailure("exchange identity fails at (%d, %d): %s"
+                                  % (r1, r2, eqmain_residual(window, (r1, r2))))
     if not checked:
         raise MeshError("window too small: only %d exchange instances found (%d skipped)"
                         % (checked, skipped))

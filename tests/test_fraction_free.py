@@ -40,6 +40,18 @@ def _outcome(fn, *args):
 # ---- ExtQ references ------------------------------------------------------
 
 
+def _extq_line_y(window, u):
+    try:
+        return y_of(window, u)
+    except DegenerateError:
+        rank = rank_of([window.get(window.pin.shift(u, x)) for x in "abcd"])
+        if rank <= 2:
+            raise
+        # points off one line fail the mesh's line relation
+        raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
+                              % (window._key(u) + (rank,)))
+
+
 def _extq_eqmain_residual(window, r):
     pin = window.pin
     ys = {}
@@ -47,15 +59,7 @@ def _extq_eqmain_residual(window, r):
         u = pin.shift(r, lab)
         if not y_available(window, u):
             return None
-        try:
-            ys[lab] = y_of(window, u)
-        except DegenerateError:
-            rank = rank_of([window.get(pin.shift(u, x)) for x in "abcd"])
-            if rank <= 2:
-                raise
-            # points off one line fail the mesh's line relation
-            raise IdentityFailure("the points of L_(%d,%d) span rank %d, expected a line"
-                                  % (window._key(u) + (rank,)))
+        ys[lab] = _extq_line_y(window, u)
     if any(y in DEGENERATE for y in ys.values()):
         return "degenerate"
     lhs = ys["ab"] * ys["cd"]
@@ -65,20 +69,26 @@ def _extq_eqmain_residual(window, r):
 
 
 def _extq_check_eqmain(window):
+    """Every line inside the window first, in (s2, s1) order, then every
+    base of the bounding box."""
     i_vals = [i for (i, _) in window.points]
     j_vals = [j for (_, j) in window.points]
+    box = [(r1, r2) for r2 in range(min(j_vals) - 8, max(j_vals) + 8)
+           for r1 in range(min(i_vals) - 8, max(i_vals) + 9)]
+    for s in box:
+        if y_available(window, s):
+            _extq_line_y(window, s)
     checked = skipped = 0
-    for r2 in range(min(j_vals) - 8, max(j_vals) + 8):
-        for r1 in range(min(i_vals) - 8, max(i_vals) + 9):
-            res = _extq_eqmain_residual(window, (r1, r2))
-            if res is None:
-                continue
-            if res == "degenerate":
-                skipped += 1
-                continue
-            if res != ExtQ(1):
-                raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
-            checked += 1
+    for r1, r2 in box:
+        res = _extq_eqmain_residual(window, (r1, r2))
+        if res is None:
+            continue
+        if res == "degenerate":
+            skipped += 1
+            continue
+        if res != ExtQ(1):
+            raise IdentityFailure("exchange identity fails at (%d, %d): %s" % (r1, r2, res))
+        checked += 1
     if checked < 1:
         raise MeshError("window too small: only %d exchange instances found (%d skipped)"
                         % (checked, skipped))

@@ -114,6 +114,36 @@ def test_1d_engine_forward_backward(zoo_name):
     assert all(back.points[k] == fw.points[k] for k in common)
 
 
+def test_place_on_independent_members_draws_once(monkeypatch):
+    """Independent members take the first combination, with no test; the
+    loop is left for dependent ones."""
+    monkeypatch.setattr(mesh, "_combine_members", None)  # not reached
+    line = [Point((1, 2, 3)), Point((-2, 0, 1))]  # in RP^2
+    plane = [Point((1, 2, 3, 1)), Point((-2, 0, 1, 5)), Point((4, 1, -1, 2))]  # in RP^3
+    for dim, members in ((2, line), (3, plane)):
+        for seed in range(5):
+            got = mesh._place(random.Random(seed), dim, [members])
+            assert got == mesh._combination(random.Random(seed), members)
+            assert got not in members
+
+
+def test_place_on_dependent_members_goes_through_the_loop(monkeypatch):
+    calls = []
+    combine = mesh._combine_members
+    monkeypatch.setattr(mesh, "_combine_members",
+                        lambda rng, members: calls.append(len(members)) or combine(rng, members))
+    p, q = Point((1, 2, 3)), Point((-2, 0, 1))
+    r = Point([x + y for x, y in zip(p.z, q.z)])
+    got = mesh._place(random.Random(0), 2, [[p, q, r]])  # three points of one line
+    assert calls == [3]
+    assert got not in (p, q, r) and projective.collinear((p, q, got))
+    # a repeated member: every nonzero combination is that member, so no draw
+    # is kept
+    with pytest.raises(mesh.DegenerateConfig, match="could not place a generic point"):
+        mesh._place(random.Random(0), 2, [[p, p]])
+    assert calls == [3, 2]
+
+
 def test_polygon_window_requires_m1():
     with pytest.raises(MeshError):
         generate_polygon_window(zoo_pin("sideways"), 8)

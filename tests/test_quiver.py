@@ -174,6 +174,24 @@ def test_run_mutates_only_the_check_quiver(monkeypatch, zoo_name, rounds):
     assert calls == [(i, 0) for i in range(n)]
 
 
+@pytest.mark.parametrize("extra", [(9, 0), (0, 2)])
+def test_run_on_a_y0_with_a_key_that_is_no_vertex_is_config_error(extra):
+    pin = zoo_pin("pentagram")  # l = 2
+    y0 = {(i, j): Fraction(i + 2, j + 1) for i in range(7) for j in range(2)}
+    y0[extra] = Fraction(3)
+    with pytest.raises(QuiverConfigError, match=r"y0 has a value at \(%d, %d\), not a vertex"
+                       % extra):
+        run_periodic_y(pin, 7, y0, 4)
+
+
+def test_run_on_a_y0_with_a_missing_vertex_is_config_error():
+    pin = zoo_pin("pentagram")
+    y0 = {(i, j): Fraction(i + 2, j + 1) for i in range(7) for j in range(2)}
+    del y0[(4, 1)], y0[(2, 1)]
+    with pytest.raises(QuiverConfigError, match=r"y0 has no value at \(2, 1\)"):
+        run_periodic_y(pin, 7, y0, 4)
+
+
 def test_exchange_trace_without_instances_is_config_error():
     with pytest.raises(QuiverConfigError, match="only 0 exchange-trace instances"):
         check_exchange_trace(zoo_pin("pentagram"), 8, {})
