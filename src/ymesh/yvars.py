@@ -124,7 +124,7 @@ def check_eqmain(window):
     ys = {s: _line_y(window, s) for s in bases(window, pin.points)}
     offsets = [pin.offset(lab) for lab in EQMAIN_LABELS]
     reach = [(o1 + p1, o2 + p2) for o1, o2 in offsets for p1, p2 in pin.points]
-    if n:
+    if n and window.points:
         cols = [i for i, _ in window.points]
         lo, hi = min(cols) - max(o1 for o1, _ in reach), max(cols) - min(o1 for o1, _ in reach)
         weight = [len(range(lo + (r1 - lo) % n, hi + 1, n)) for r1 in range(n)]

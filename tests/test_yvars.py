@@ -38,6 +38,9 @@ def test_eqmain_on_a_window_without_instances_is_too_small():
     with pytest.raises(MeshError, match=r"window too small: only 0 exchange instances") as info:
         check_eqmain(w)
     assert not isinstance(info.value, AssertionError)
+    for n in (None, 7):  # an empty window too, open or closed
+        with pytest.raises(MeshError, match=r"window too small: only 0 exchange instances"):
+            check_eqmain(MeshWindow(zoo_pin("pentagram"), 2, periodic_n=n))
 
 
 def _outcome(fn, *args):
