@@ -282,21 +282,19 @@ class _Lines(dict):
 # ---- generation --------------------------------------------------------
 
 
-def _combination(rng, members):
-    """The members' primitive integer vectors combined with nonzero integer
-    coefficients in [-COMBINE_BOUND, COMBINE_BOUND], so heights add instead
-    of multiplying; ValueError when the combination is zero."""
-    coeffs = [rng.randint(1, COMBINE_BOUND) * rng.choice((1, -1)) for _ in members]
-    return Point([sum(c * q.z[k] for c, q in zip(coeffs, members))
-                  for k in range(len(members[0].z))])
-
-
 def _combine_members(rng, members):
-    """A random point of the span of the members (``_combination``),
-    distinct from the members."""
+    """Random point of the span of the members: their primitive integer
+    vectors combined with nonzero integer coefficients in [-COMBINE_BOUND,
+    COMBINE_BOUND], so heights add instead of multiplying.  The point is
+    distinct from the members.  On independent members the first draw is
+    kept: nonzero coefficients give a point that is no member and lies on no
+    line through two of them, which keeps the proper subsets of the circuit
+    independent."""
     for _ in range(REDRAW_LIMIT):
+        coeffs = [rng.randint(1, COMBINE_BOUND) * rng.choice((1, -1)) for _ in members]
         try:
-            p = _combination(rng, members)
+            p = Point([sum(c * q.z[k] for c, q in zip(coeffs, members))
+                       for k in range(len(members[0].z))])
         except ValueError:
             continue
         if all(p != q for q in members):
@@ -317,20 +315,14 @@ def _place(rng, dim, constraints):
 
     A list whose members span RP^dim constrains nothing; with none left the
     point is free (and off every member).  One flat gets a combination of
-    its members, drawn once when they are independent and else redrawn
-    until it is no member (``_combine_members``); two lines get their meet."""
+    its members (``_combine_members``), two lines their meet."""
     flats = [(pts, rank_of(pts)) for pts in constraints]
     flats = [(pts, rank) for pts, rank in flats if rank <= dim]
     if not flats:
         return _random_free(rng, dim, avoid=[p for pts in constraints for p in pts])
     if len(flats) == 2:
         return meet_point(join(*flats[0][0]), join(*flats[1][0]))
-    (pts, rank), = flats
-    if rank == len(pts) >= 2:
-        # independent members: nonzero coefficients give a point that is no
-        # member and lies on no line through two of them, which keeps the
-        # proper subsets of the circuit independent
-        return _combination(rng, pts)
+    (pts, _), = flats
     return _combine_members(rng, pts)
 
 

@@ -118,12 +118,16 @@ def mutate_y(quiver, ys, v):
     return quiver.mutate(v), {**ys, **{u: ExtQ.from_reduced(*pair) for u, pair in pairs.items()}}
 
 
+def _exchange(p, q):
+    """The vertex half of a Y-mutation at y = p/q: (1/y, 1 + y, y/(1 + y)),
+    the new value and the factors of its in- and out-neighbours."""
+    return ((q, p) if p >= 0 else (-q, -p)), in_factor(p, q), out_factor(p, q)
+
+
 def _mutate_pairs(row, ys, v):
     """mutate_y in place on reduced integer pairs, row = adj[v] in the quiver
     mutated at v; the pairs stay reduced (``ExtQ.from_reduced`` relies on it)."""
-    p, q = ys[v]
-    up, down = in_factor(p, q), out_factor(p, q)
-    ys[v] = (q, p) if p >= 0 else (-q, -p)
+    ys[v], up, down = _exchange(*ys[v])
     for u, e in row.items():  # e = b_vu: <0: -e arrows u->v ; >0: e arrows v->u
         ys[u] = mul_pow(ys[u], up if e < 0 else down, abs(e))
 
@@ -299,9 +303,7 @@ def run_periodic_y(pin, n, y0, sweeps):
         for i in range(n):
             exported[((i + t * i0) % n, jr + t * l)] = ExtQ.from_reduced(*row[i])
         for i in range(n):  # _mutate_pairs on the lists
-            p, q = row[i]
-            up, down = in_factor(p, q), out_factor(p, q)
-            row[i] = (q, p) if p >= 0 else (-q, -p)
+            row[i], up, down = _exchange(*row[i])
             for d, col, inward, m in template:
                 k = (i + d) % n
                 col[k] = mul_pow(col[k], up if inward else down, m)

@@ -114,19 +114,6 @@ def test_1d_engine_forward_backward(zoo_name):
     assert all(back.points[k] == fw.points[k] for k in common)
 
 
-def test_place_on_independent_members_draws_once(monkeypatch):
-    """Independent members take the first combination, with no test; the
-    loop is left for dependent ones."""
-    monkeypatch.setattr(mesh, "_combine_members", None)  # not reached
-    line = [Point((1, 2, 3)), Point((-2, 0, 1))]  # in RP^2
-    plane = [Point((1, 2, 3, 1)), Point((-2, 0, 1, 5)), Point((4, 1, -1, 2))]  # in RP^3
-    for dim, members in ((2, line), (3, plane)):
-        for seed in range(5):
-            got = mesh._place(random.Random(seed), dim, [members])
-            assert got == mesh._combination(random.Random(seed), members)
-            assert got not in members
-
-
 def test_place_on_dependent_members_goes_through_the_loop(monkeypatch):
     calls = []
     combine = mesh._combine_members
