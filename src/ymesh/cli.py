@@ -19,7 +19,7 @@ from .filtration import classify_case, FiltrationUnavailable
 from .mesh import (MeshError, DegenerateConfig, IdentityFailure, generate_window, generate_1d,
                    step_forward, step_backward, step_1d, check_relations,
                    check_menelaus, bases)
-from .yvars import EQMAIN_LABELS, eqmain_instance, y_of
+from .yvars import EQMAIN_LABELS, eqmain_instance, line_y, y_of
 from .quiver import (QuiverConfigError, build_qs, check_qs_size, verify_period_one,
                      run_periodic_y, check_exchange_trace, qs_period)
 from .lifted import build_lifted, tilde_ideal_generator, LiftedUnavailable
@@ -217,29 +217,34 @@ def _mesh_report(path, kind):
 
 def _mesh_report_and_lines(path, kind):
     """The report of ``verify`` on the mesh file, and the messages of the
-    lines L_s inside the window whose points span more than a line: every
+    lines L_s inside the window whose points span more than a line, found
+    by reading every line (``line_y``) as ``check_eqmain`` does: every
     exchange instance that needs such a line is a failing base."""
     w = sz.mesh_from_json(_load(path))
     failures = []
-    not_lines = {}
+    not_lines = []
     instances = 0
     if kind == "menelaus":
         instances = check_menelaus(w)
     else:
+        for s in bases(w, w.pin.points):
+            try:
+                line_y(w, s)
+            except IdentityFailure as e:
+                not_lines.append(str(e))
         # a base fits when the four points of each of its six y-values do
         offsets = [w.pin.offset(y + p) for y in EQMAIN_LABELS for p in "abcd"]
         for r in bases(w, offsets):
             try:
                 rel = eqmain_instance(w, r)
-            except IdentityFailure as e:  # a line of the base is not a line
-                not_lines[str(e)] = None
+            except IdentityFailure:  # a line of the base is not a line
                 rel = (False,)
             if rel == "degenerate":
                 continue
             instances += 1
             if not rel[0]:
                 failures.append(list(r))
-    return {"kind": kind, "instances": instances, "failures": failures}, list(not_lines)
+    return {"kind": kind, "instances": instances, "failures": failures}, not_lines
 
 
 @verify_group.command("eqmain")
@@ -250,7 +255,7 @@ def verify_eqmain(mesh_path):
     click.echo(sz.dumps(rep), nl=False)
     for message in not_lines:
         click.echo("identity failed: %s" % message, err=True)
-    if rep["failures"]:
+    if rep["failures"] or not_lines:
         sys.exit(1)
 
 

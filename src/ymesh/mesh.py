@@ -54,9 +54,9 @@ points P_{r+source}:
 
 The checks list their instances with ``bases``, which reads the bases off
 the window's rows, so no scan range depends on the size of the pin: the
-line store caches each row's maximal runs of consecutive columns, and at
-each base row r2 the runs of the rows r2 + d2, shifted back by d1, are
-intersected over the offsets (d1, d2), one row at a time.  Each
+line store caches each row's columns as the bits of one int, and at each
+base row r2 the masks of the rows r2 + d2, each shifted by its d1, are
+ANDed over the offsets (d1, d2); the set bits left are the bases.  Each
 collinearity the checks test lies on a line L_s = {s+a, s+b, s+c, s+d}: L1
 and L2 at base r on L_r, each Menelaus triple on L_{r+a}, L_{r+b} or
 L_{r+d}.  So a window keeps a line store, ``MeshWindow.lines``, whose entry
@@ -77,7 +77,7 @@ and messages are those of the kernels.
 import random
 import weakref
 from collections import namedtuple
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd, lcm
 
 from .rational import ExtQ, DegenerateError
@@ -217,44 +217,25 @@ class _Lines(dict):
     the reduced y-pair ``yvars.y_pair`` of a line with a chart and all four
     points (else None).  On a periodic window s and s mod n share one entry.
 
-    ``runs`` is None or the window's rows as runs (``row_runs``), made on
-    the first call of ``bases``.  ``kept`` is None or (rule, successor): the
-    window ``_propagate`` makes from this window by the rule, kept by the
-    exact redraw guard for the first ``_propagate`` call with that rule.
+    ``masks`` is None or (lo, row j -> an int with bit i - lo set for each
+    column i of row j), made on the first call of ``bases``; lo is the
+    least column of the window, or 0 on a periodic window, whose columns are
+    taken mod n.  ``kept`` is None or (rule, successor): the window
+    ``_propagate`` makes from this window by the rule, kept by the exact
+    redraw guard for the first ``_propagate`` call with that rule.
     ``clear`` drops both with the entries, so a write to ``points`` leaves
     neither stale.  The store refers to its window weakly, and a successor
     does not refer back, so none of them makes a reference cycle."""
 
-    __slots__ = ("window", "kept", "runs")
+    __slots__ = ("window", "kept", "masks")
 
     def __init__(self, window):
         self.window = weakref.ref(window)
-        self.kept = self.runs = None
+        self.kept = self.masks = None
 
     def clear(self):
-        self.kept = self.runs = None
+        self.kept = self.masks = None
         dict.clear(self)
-
-    def row_runs(self):
-        """Row j -> the maximal runs (lo, hi) of consecutive columns of row
-        j (columns mod n on a periodic window), ascending; made once."""
-        if self.runs is None:
-            cols = {}
-            for i, j in self.window().points:
-                cols.setdefault(j, []).append(i)
-            self.runs = {}
-            for j, row in cols.items():
-                row.sort()
-                runs = []
-                lo = prev = row[0]
-                for i in row:
-                    if i > prev + 1:
-                        runs.append((lo, prev))
-                        lo = i
-                    prev = i
-                runs.append((lo, prev))
-                self.runs[j] = runs
-        return self.runs
 
     def __missing__(self, s):
         w = self.window()
@@ -618,14 +599,19 @@ def _spanning_check(window):
 def generate_polygon_window(pin, n, seed=0, dim=2):
     """Closed twisted-free polygon data for pins with m = 1 (single free row):
     a random n-gon in RP^dim with distinct vertices, periodic in i.  Fewer
-    than dim + 1 vertices cannot span RP^dim, a ``MeshError``.  Like
-    generate_window, a polygon that the redraw guard does not certify is
-    redrawn from the same random stream."""
+    than dim + 1 vertices cannot span RP^dim, a ``MeshError``.  So is any
+    dim but 2 <= D(S), before a draw: the planar rule meets two lines
+    through vertices, which for generic vertices are skew in RP^D, D >= 3,
+    and coincide in RP^1.  Like generate_window, a polygon that the redraw
+    guard does not certify is redrawn from the same random stream."""
     if pin.m != 1:
         raise MeshError("closed polygon windows need m = 1 (got m = %d)" % pin.m)
     if n < dim + 1:
         raise MeshError("a closed polygon in RP^%d needs n >= %d vertices (got n = %d)"
                         % (dim, dim + 1, n))
+    if not dim == 2 <= d_of_s(pin):
+        raise MeshError("closed polygon windows need D = 2 <= D(S) (got D = %d, D(S) = %d)"
+                        % (dim, d_of_s(pin)))
 
     def draw(rng):
         w = MeshWindow(pin, dim, periodic_n=n)
@@ -764,78 +750,38 @@ def generate_reduced(pin, i_lo, i_hi, seed=0):
 def bases(window, offsets):
     """Every base r whose points r + offset all lie inside the window, once
     each (mod n on a periodic window), ordered by (r2, r1).  At each base
-    row r2 the runs of row r2 + d2 (``_Lines.row_runs``), shifted back by
-    d1, are intersected over the offsets (d1, d2); the surviving intervals
-    hold the bases of row r2.  The offsets on one row are taken together
-    (``_fitting``)."""
-    runs = window.lines.row_runs()
+    row r2 the column masks of the rows r2 + d2 (``_Lines.masks``; a
+    missing row is 0) are aligned and ANDed over the offsets (d1, d2): on an
+    open window each is shifted left by max d1 - d1, so that no bit falls
+    off, and on a periodic one rotated right by d1 mod n.  The set bits of
+    the result are the bases of row r2, listed in ascending order."""
     n = window.periodic_n
-    shifts = {}
-    for d1, d2 in offsets:
-        shifts.setdefault(d2, []).append(d1)
+    lines = window.lines
+    if lines.masks is None:
+        lo = 0 if n else min((i for i, _ in window.points), default=0)
+        masks = {}
+        for i, j in window.points:
+            masks[j] = masks.get(j, 0) | 1 << i - lo
+        lines.masks = lo, masks
+    lo, masks = lines.masks
+    top = max(d1 for d1, _ in offsets)
+    first = 0 if n else lo - top  # the base r1 of bit 0 of a result
+    full = (1 << n) - 1 if n else 0
     found = []
-    for r2 in sorted(j - offsets[0][1] for j in runs):
-        live = None
-        for d2, ds in shifts.items():
-            row = runs.get(r2 + d2)
-            if row is None:
-                break
-            fit = _fitting(row, ds, n)
-            live = fit if live is None else _intersect_runs(live, fit)
+    for r2 in sorted(j - offsets[0][1] for j in masks):
+        live = -1
+        for d1, d2 in offsets:
+            x = masks.get(r2 + d2, 0)
+            if n:
+                k = d1 % n
+                live &= (x >> k | x << n - k) & full
+            else:
+                live &= x << top - d1
             if not live:
                 break
         else:
-            for lo, hi in live:
-                found += zip(range(lo, hi + 1), repeat(r2))
+            found += [(b + first, r2) for b in range(live.bit_length()) if live >> b & 1]
     return found
-
-
-def _fitting(runs, ds, n):
-    """The runs of the columns r1 with r1 + d in the given runs of a row for
-    every d in ds (mod n on a periodic window), ascending: the runs shifted
-    back by each d and intersected.  One run of an open row narrows to one,
-    and a closed row without a gap holds every shift."""
-    if not n and len(runs) == 1:
-        (lo, hi), = runs
-        lo, hi = lo - min(ds), hi - max(ds)
-        return [(lo, hi)] if lo <= hi else []
-    if n and runs == [(0, n - 1)]:
-        return runs
-    live = _shifted_runs(runs, ds[0], n)
-    for d in ds[1:]:
-        live = _intersect_runs(live, _shifted_runs(runs, d, n))
-    return live
-
-
-def _shifted_runs(runs, d, n):
-    """The runs moved by -d, ascending; mod n a run that crosses n - 1 is
-    split in two."""
-    if not n:
-        return [(lo - d, hi - d) for lo, hi in runs]
-    out = []
-    for lo, hi in runs:
-        lo, hi = (lo - d) % n, (lo - d) % n + hi - lo
-        if hi < n:
-            out.append((lo, hi))
-        else:
-            out += [(lo, n - 1), (0, hi - n)]
-    out.sort()
-    return out
-
-
-def _intersect_runs(xs, ys):
-    """The intersection of two ascending lists of disjoint runs."""
-    out = []
-    k = m = 0
-    while k < len(xs) and m < len(ys):
-        lo, hi = max(xs[k][0], ys[m][0]), min(xs[k][1], ys[m][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if xs[k][1] < ys[m][1]:
-            k += 1
-        else:
-            m += 1
-    return out
 
 
 def _repeats(pts):

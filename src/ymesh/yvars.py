@@ -60,7 +60,7 @@ def eqmain_relation(ys):
                                       (ad, 1, out_factor), (bc, 1, out_factor)))
 
 
-def _line_y(window, s):
+def line_y(window, s):
     """``y_pair`` at a line L_s inside the window.  A line whose points span
     more than a line fails the mesh's line relation and raises
     ``IdentityFailure``; any other raises as ``y_pair`` does."""
@@ -81,12 +81,12 @@ def eqmain_instance(window, r):
     """``eqmain_relation`` at base r; None when one of its y-values is not
     inside the window, "degenerate" when one is 0, -1 or inf.  Its lines are
     read in EQMAIN_LABELS order up to the first one outside the window, each
-    raising as in ``_line_y``."""
+    raising as in ``line_y``."""
     pairs = []
     for s in (window.pin.shift(r, lab) for lab in EQMAIN_LABELS):
         if not y_available(window, s):
             return None
-        pairs.append(_line_y(window, s))
+        pairs.append(line_y(window, s))
     return "degenerate" if any(degenerate_pair(*y) for y in pairs) else eqmain_relation(pairs)
 
 
@@ -103,7 +103,7 @@ def eqmain_residual(window, r):
 def check_eqmain(window):
     """Verify the exchange identity at every base fully inside the window on
     integer pairs.  First the y-value of every line L_s inside the window
-    is read (``_line_y``), in (s2, s1) order, so a line whose points are
+    is read (``line_y``), in (s2, s1) order, so a line whose points are
     not on one line raises ``IdentityFailure`` before any instance is
     decided.  Then each base of ``bases`` over the 24 points of the six
     y-values is decided once (``eqmain_relation``), as ``verify eqmain``
@@ -121,7 +121,7 @@ def check_eqmain(window):
     of ROADMAP.md."""
     pin = window.pin
     n = window.periodic_n
-    ys = {s: _line_y(window, s) for s in bases(window, pin.points)}
+    ys = {s: line_y(window, s) for s in bases(window, pin.points)}
     offsets = [pin.offset(lab) for lab in EQMAIN_LABELS]
     reach = [(o1 + p1, o2 + p2) for o1, o2 in offsets for p1, p2 in pin.points]
     if n and window.points:

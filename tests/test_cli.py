@@ -271,6 +271,26 @@ def test_verify_eqmain_reports_every_base_on_a_line_off_its_line(tmp_path):
                      for o1, o2 in pin.points}
 
 
+def test_verify_eqmain_names_a_line_no_exchange_base_needs(tmp_path):
+    # the point (33, 3) moved off its lines; L_(32,1) lies inside the window
+    # but no exchange base reads it, so the report shows no failing base,
+    # and the exit code comes from the line, as in check_eqmain
+    path = str(tmp_path / "mesh.json")
+    run("mesh", "gen", "--name", "dented", "--dim", "2", "--cols", "36",
+        "--steps", "4", "--seed", "0", "--out", path)
+    w = mesh_from_json(loads(open(path).read()))
+    z = list(w.points[(33, 3)].z)
+    z[0] += 1
+    w.points[(33, 3)] = Point(z)
+    open(path, "w").write(dumps(mesh_to_json(w)))
+    with pytest.raises(mesh.IdentityFailure, match=r"the points of L_\(32,1\) span rank 3"):
+        check_eqmain(w)
+    res = run("verify", "eqmain", "--mesh", path)
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stdout) == {"kind": "eqmain", "instances": 28, "failures": []}
+    assert "identity failed: the points of L_(32,1) span rank 3" in res.stderr
+
+
 @pytest.mark.parametrize("dim, steps", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_empty_window_is_config_error(dim, steps):
     res = run("mesh", "gen", "--name", "pentagram", "--dim", str(dim), "--cols", "-3",

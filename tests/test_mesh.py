@@ -146,6 +146,19 @@ def test_polygon_too_small_to_span_is_config_error(name, n, dim):
                               % (dim, dim + 1, n))
 
 
+@pytest.mark.parametrize("name,dim", [("pentagram", 1), ("pentagram", 3), ("pentagram", 4),
+                                      ("higher_pentagram", 1), ("higher_pentagram", 3),
+                                      *[("lower_pentagram", dim) for dim in (1, 2, 3, 4)]])
+def test_polygon_in_a_dimension_that_never_works_is_config_error(monkeypatch, name, dim):
+    # the planar rule meets two lines through vertices: skew in RP^D for
+    # D >= 3, one line in RP^1, and D(S) = 1 for lower_pentagram
+    monkeypatch.setattr(mesh, "_certified_draw", lambda *args: pytest.fail("drew a polygon"))
+    with pytest.raises(MeshError) as err:
+        generate_polygon_window(zoo_pin(name), 9, dim=dim)
+    assert not isinstance(err.value, mesh.DegenerateConfig)
+    assert str(err.value).startswith("closed polygon windows need D = 2 <= D(S)")
+
+
 def test_polygon_window_periodic_propagation():
     pin = zoo_pin("pentagram")
     w = generate_polygon_window(pin, 7, seed=5, dim=2)
@@ -509,18 +522,17 @@ def test_bases_filter_order_keeps_the_list():
     w = step_forward(step_forward(generate_window(zoo_pin("short_diagonal"), 2, 0, 14, seed=3)))
     cut = w.copy()
     cut.points = {k: p for k, p in w.points.items() if k[1] != w.rows()[2]}
-    # a periodic row of runs (0, 2) and (6, 8), which the shifts move past
-    # column 8 and split
+    # a periodic row of columns 0..2 and 6..8, which the rotations move past
+    # column 8
     ring = step_forward(step_forward(generate_polygon_window(zoo_pin("higher_pentagram"), 9, seed=3)))
     ring.points = {k: p for k, p in ring.points.items() if k[1] != 2 or not 3 <= k[0] <= 5}
-    assert ring.lines.row_runs()[2] == [(0, 2), (6, 8)]
-    assert mesh._shifted_runs([(6, 8)], -2, 9) == [(0, 1), (8, 8)]
-    # one run of an open row narrows by the spread of the shifts; on a closed
-    # row the shifted runs can meet in two pieces, so it is not narrowed
-    assert mesh._fitting([(2, 5)], [0, 3], None) == [(2, 2)]
-    assert mesh._fitting([(2, 4)], [0, 3], None) == []
-    assert mesh._fitting([(0, 6)], [0, 4], 9) == [(0, 2), (5, 6)]
-    windows += gapped + loaded + [cut, ring]
+    assert [r for r in bases(ring, [(-2, 0)]) if r[1] == 2] == [(i, 2) for i in (0, 1, 2, 3, 4, 8)]
+    assert ring.lines.masks == (0, {1: 0b111111111, 2: 0b111000111, 3: 0b111111111})
+    # an open window's masks count from its least column
+    shifted = MeshWindow(ring.pin, 2, {(i - 4, j): p for (i, j), p in ring.points.items()})
+    assert [r for r in bases(shifted, [(-2, 0)]) if r[1] == 2] == [(i, 2) for i in (-2, -1, 0, 4, 5, 6)]
+    assert shifted.lines.masks[0] == -4 and shifted.lines.masks[1][2] == 0b111000111
+    windows += gapped + loaded + [cut, ring, shifted]
     listed = 0
     for w in windows:
         for offsets in _offset_families(w.pin):
@@ -529,7 +541,38 @@ def test_bases_filter_order_keeps_the_list():
                 assert found == _bases_in_given_order(w, order)
                 listed += len(found)
     assert listed > 1000
-    assert sum(len(runs) > 1 for w in windows for runs in w.lines.row_runs().values()) > 100
+    # rows whose mask holds more than one run of set bits
+    assert sum(_runs_of_bits(mask) > 1 for w in windows for mask in w.lines.masks[1].values()) > 100
+
+
+def _runs_of_bits(mask):
+    """The number of maximal runs of set bits in the mask."""
+    return bin(mask & ~(mask >> 1)).count("1")
+
+
+def test_bases_match_the_filter_on_random_windows():
+    # negative columns, closed windows narrower than the offsets' spread,
+    # and offsets whose d1 are all negative
+    rng = random.Random(11)
+    pin = zoo_pin("pentagram")
+    kinds = {"negative columns": 0, "narrow ring": 0, "all d1 negative": 0}
+    listed = 0
+    for _ in range(1500):
+        n = rng.choice([None, None, None] + list(range(1, 12)))
+        cols = range(n) if n else range(-12, 13)
+        w = MeshWindow(pin, 2, {(rng.choice(cols), rng.randint(-3, 3)): None
+                                for _ in range(rng.randint(0, 40))}, periodic_n=n)
+        negative = rng.random() < 0.25
+        offsets = [(rng.randint(-15, -1) if negative else rng.randint(-15, 15), rng.randint(-3, 3))
+                   for _ in range(rng.randint(1, 6))]
+        found = bases(w, offsets)
+        assert found == _bases_in_given_order(w, offsets), (n, sorted(w.points), offsets)
+        listed += len(found)
+        kinds["negative columns"] += bool(found) and not n and min(i for i, _ in w.points) < 0
+        spread = max(d1 for d1, _ in offsets) - min(d1 for d1, _ in offsets)
+        kinds["narrow ring"] += bool(found) and bool(n) and n <= spread
+        kinds["all d1 negative"] += bool(found) and negative
+    assert listed > 1000 and min(kinds.values()) > 20, kinds
 
 
 def test_writes_to_points_drop_the_row_runs(monkeypatch):
@@ -539,7 +582,7 @@ def test_writes_to_points_drop_the_row_runs(monkeypatch):
 
     def listed(window):
         found = bases(window, offsets)
-        assert window.lines.runs is not None and found == _bases_in_given_order(window, offsets)
+        assert window.lines.masks is not None and found == _bases_in_given_order(window, offsets)
         return found
 
     full = listed(w)
@@ -554,14 +597,14 @@ def test_writes_to_points_drop_the_row_runs(monkeypatch):
     seen = []
     for write in writes:
         write()
-        assert w.lines.runs is None
+        assert w.lines.masks is None
         seen.append(listed(w))
     assert len(full) == 9 and len(seen[0]) == 5
     assert seen[1] == seen[2] == full and seen[3] == full + [(10, 1)]
     assert seen[4] == [r for r in seen[3] if not 0 <= r[0] <= 3]
 
     # step_forward(..., drop_bottom=True) drops the row from a window whose
-    # runs were listed before the drop
+    # masks were made before the drop
     propagate = mesh._propagate
 
     def listing(window, rule):
@@ -573,7 +616,7 @@ def test_writes_to_points_drop_the_row_runs(monkeypatch):
     w = step_forward(generate_window(pin, 2, 0, 14, seed=3))
     top = step_forward(w, drop_bottom=True)
     assert top.rows() == w.rows()[1:] + [w.rows()[-1] + 1]
-    assert top.lines.runs is None
+    assert top.lines.masks is None
     listed(top)
 
 
