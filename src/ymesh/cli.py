@@ -399,13 +399,15 @@ def lift_cmd(name, pin_json, width, height, dot, out):
 @guarded
 def fractal_cmd(name, pin_json, k, base, mesh_path, out):
     pin = resolve_pin(name, pin_json)
+    w = sz.mesh_from_json(_load(mesh_path)) if mesh_path else None
+    if w is not None and w.pin != pin:
+        raise PinError("the mesh is of the pin %r, not of %r" % (w.pin, pin))
     if k >= 2:
         check_sub_fractal_intersections(pin, tuple(base), k)
     pts = sorted(make_fractal(pin, tuple(base), k))
     click.echo(sz.dumps({"k": k, "base": list(base), "points": [list(p) for p in pts]}),
                nl=False)
-    if mesh_path:
-        w = sz.mesh_from_json(_load(mesh_path))
+    if w is not None:
         rows = genericity_evidence(w, w.dim, k_max=k)
         emit(sz.fractal_table_csv(rows), out)
 

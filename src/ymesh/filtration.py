@@ -78,16 +78,10 @@ _TABLES = {
 
 
 def base_row_range(pin, kind):
-    """Valid base rows r2 for a circuit kind: lo < r2 <= hi."""
-    a, b, c, d = pin.points
-    m = pin.m
-    if kind == "L1":
-        return (-a[1], m - c[1])
-    if kind == "L2":
-        return (-b[1], m - d[1])
-    if kind == "P3":
-        return (-a[1] - c[1], m - b[1] - d[1])
-    raise ValueError(kind)
+    """Valid base rows r2 for a circuit kind: lo < r2 <= hi, the rows where
+    every member lies in rows 1..m."""
+    rows = [pin.offset(word)[1] for word in Pin.CIRCUIT_WORDS[kind]]
+    return (-min(rows), pin.m - max(rows))
 
 
 def circuit_members(pin, kind, base):

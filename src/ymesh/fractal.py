@@ -23,23 +23,16 @@ pin.l + 2 rows its redraw guard propagated spanning at least a plane
 window they are given.
 """
 
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice
 
 from .projective import collinear, rank_of
 from .mesh import bases
 
 
 def make_fractal(pin, r, k):
-    """The k-fractal at base r, as a frozenset of lattice labels."""
-    a, b, c, d = pin.points
-    out = set()
-    for al in range(k + 1):
-        for be in range(k + 1 - al):
-            for ga in range(k + 1 - al - be):
-                de = k - al - be - ga
-                out.add((r[0] + al * a[0] + be * b[0] + ga * c[0] + de * d[0],
-                         r[1] + al * a[1] + be * b[1] + ga * c[1] + de * d[1]))
-    return frozenset(out)
+    """The k-fractal at base r, as a frozenset of lattice labels: r shifted
+    by each k-letter word in the labels."""
+    return frozenset(pin.shift(r, word) for word in combinations_with_replacement("abcd", k))
 
 
 def sub_fractals(pin, r, k):
@@ -48,10 +41,10 @@ def sub_fractals(pin, r, k):
 
 
 def _exponent_simplex(k):
-    return {(al, be, ga, k - al - be - ga)
-            for al in range(k + 1)
-            for be in range(k + 1 - al)
-            for ga in range(k + 1 - al - be)}
+    """The exponent vectors (alpha, beta, gamma, delta) of the k-fractal:
+    the letter counts of its words."""
+    return {tuple(word.count(x) for x in "abcd")
+            for word in combinations_with_replacement("abcd", k)}
 
 
 def check_sub_fractal_intersections(pin, r, k):
@@ -62,13 +55,12 @@ def check_sub_fractal_intersections(pin, r, k):
     level distinct exponent vectors may collide, making the point-set
     intersection strictly larger.  Both layers are checked: the exponent-level
     identity exactly, and containment at the point level."""
-    idx = {"a": 0, "b": 1, "c": 2, "d": 3}
     simplex = _exponent_simplex(k)
     subs = sub_fractals(pin, r, k)
-    for x, y in combinations("abcd", 2):
-        fx = {e for e in simplex if e[idx[x]] > 0}
-        fy = {e for e in simplex if e[idx[y]] > 0}
-        expect = {e for e in simplex if e[idx[x]] > 0 and e[idx[y]] > 0}
+    for (ix, x), (iy, y) in combinations(enumerate("abcd"), 2):
+        fx = {e for e in simplex if e[ix] > 0}
+        fy = {e for e in simplex if e[iy] > 0}
+        expect = {e for e in simplex if e[ix] > 0 and e[iy] > 0}
         if fx & fy != expect:
             raise AssertionError("exponent-level intersection f_%s ^ f_%s at %s, k=%d"
                                  % (x, y, r, k))

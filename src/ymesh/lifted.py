@@ -18,20 +18,17 @@ class LiftedUnavailable(PinError):
     pass
 
 
-def _vsub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
 def compass_displacements(pin):
-    """The eight compass displacement vectors (must be pairwise distinct)."""
-    a, b, c, d = pin.points
-    comp = {
-        "N": _vsub(a, d), "S": _vsub(b, c), "E": _vsub(d, b), "W": _vsub(c, a),
-        "NE": _vsub(a, b), "NW": _vsub(c, d), "SW": _vsub(b, a), "SE": _vsub(d, c),
-    }
+    """The eight compass displacement vectors of ``Pin.COMPASS_WORDS``
+    (must be pairwise distinct)."""
+    comp = {}
+    for name, (added, removed) in pin.COMPASS_WORDS.items():
+        (i1, j1), (i2, j2) = pin.offset(added), pin.offset(removed)
+        comp[name] = (i1 - i2, j1 - j2)
     if len(set(comp.values())) != 8:
         raise LiftedUnavailable("compass displacements collide for %r" % (pin,))
     return comp
+
 
 COMPASS_UNITS = {
     "N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0),

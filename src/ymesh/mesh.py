@@ -127,7 +127,8 @@ class MeshWindow:
 
     ``lines`` is the window's line store (``_Lines``), emptied by every
     write to ``points`` (a ``_Points``) and by assigning a dict to
-    ``points``, which keeps a copy of it.  A ``copy`` has its own store.
+    ``points``, which keeps a copy of it.  On a periodic window every such
+    write takes its columns mod periodic_n.  A ``copy`` has its own store.
 
     ``draws`` is the number of draws a generator took for the window it
     returns (None on every other window, copies included)."""
@@ -139,13 +140,16 @@ class MeshWindow:
         self.dim = dim
         self.periodic_n = periodic_n
         self.lines = _Lines(self)
-        self.points = {self._key(r): p for r, p in (points or {}).items()}
+        self.points = points or {}
 
     def __setattr__(self, name, value):
         if name == "points":
             self.lines.clear()
+            n = self.periodic_n
+            if n and not (isinstance(value, _Points) and value.n == n):
+                value = {(i % n, j): p for (i, j), p in value.items()}
             value = _Points(value)
-            value.lines = self.lines
+            value.lines, value.n = self.lines, n
         object.__setattr__(self, name, value)
 
     def _key(self, r):
@@ -194,20 +198,34 @@ class MeshWindow:
 class _Points(dict):
     """The points of a window: a dict whose every write (set, del, pop,
     popitem, setdefault, update, |= and clear) first empties the window's
-    line store, so no store entry outlives the points it was made from."""
+    line store, so no store entry outlives the points it was made from.
+    On a periodic window (n, its periodic_n, set) the writes that add keys
+    take their columns mod n first."""
 
-    __slots__ = ("lines",)
+    __slots__ = ("lines", "n")
 
 
-def _emptying(write):
+def _key_mod(n, k, *rest):
+    return ((k[0] % n, k[1]),) + rest
+
+
+def _keys_mod(n, items):
+    return ({(i % n, j): p for (i, j), p in dict(items).items()},)
+
+
+def _emptying(write, reduce=None):
     def method(self, *args, **kw):
         self.lines.clear()
+        if reduce and self.n and args:
+            args = reduce(self.n, *args)
         return write(self, *args, **kw)
     return method
 
 
-for _write in "__setitem__ __delitem__ pop popitem setdefault update __ior__ clear".split():
-    setattr(_Points, _write, _emptying(getattr(dict, _write)))
+for _write, _reduce in (("__setitem__", _key_mod), ("setdefault", _key_mod),
+                        ("update", _keys_mod), ("__ior__", _keys_mod), ("__delitem__", None),
+                        ("pop", None), ("popitem", None), ("clear", None)):
+    setattr(_Points, _write, _emptying(getattr(dict, _write), _reduce))
 
 
 class _Lines(dict):

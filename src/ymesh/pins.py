@@ -1,5 +1,6 @@
 """Index pins S = {a,b,c,d} in Z^2 and their combinatorial invariants."""
 
+from itertools import combinations
 from math import gcd
 
 
@@ -37,15 +38,7 @@ class Pin:
 
     def spans_lattice(self):
         a = self.a
-        dets = []
-        diffs = [tuple(p[k] - a[k] for k in (0, 1)) for p in (self.b, self.c, self.d)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dets.append(diffs[i][0] * diffs[j][1] - diffs[i][1] * diffs[j][0])
-        g = 0
-        for v in dets:
-            g = gcd(g, v)
-        return g == 1
+        return _index([(p[0] - a[0], p[1] - a[1]) for p in (self.b, self.c, self.d)]) == 1
 
     @property
     def m(self):
@@ -73,6 +66,13 @@ class Pin:
         "L1": ("a", "b", "c"),
         "L2": ("b", "c", "d"),
         "P3": ("ac", "ad", "bc", "bd"),
+    }
+
+    # compass directions of the lifted quiver: direction -> (added, removed),
+    # the displacement offset(added) - offset(removed)
+    COMPASS_WORDS = {
+        "N": ("a", "d"), "S": ("b", "c"), "E": ("d", "b"), "W": ("c", "a"),
+        "NE": ("a", "b"), "NW": ("c", "d"), "SW": ("b", "a"), "SE": ("d", "c"),
     }
 
     def offset(self, word):
@@ -123,9 +123,7 @@ def convex_relation(pin):
     m2 = -det3(a, c, d)
     m3 = det3(a, b, d)
     m4 = -det3(a, b, c)
-    g = 0
-    for v in (m1, m2, m3, m4):
-        g = gcd(g, v)
+    g = gcd(m1, m2, m3, m4)
     ms = tuple(v // g for v in (m1, m2, m3, m4))
     lead = ms[1] if ms[1] != 0 else ms[0]
     if lead < 0:
@@ -162,35 +160,13 @@ def hull_area_twice(points):
     return abs(a2)
 
 
-def _hnf_index(gens):
-    """Index of the sublattice of Z^2 generated by gens (0 if not full rank)."""
-    vecs = [tuple(v) for v in gens if v != (0, 0)]
-    if not vecs:
-        return 0
-    # bring to upper triangular form by integer row reduction
-    rows = [list(v) for v in vecs]
-    # eliminate first column
-    while True:
-        nz = [r for r in rows if r[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        pivot = nz[0]
-        for r in nz[1:]:
-            q = r[0] // pivot[0]
-            r[0] -= q * pivot[0]
-            r[1] -= q * pivot[1]
-    first = next((r for r in rows if r[0] != 0), None)
-    if first is None:
-        return 0
+def _index(vectors):
+    """Index in Z^2 of the lattice the vectors generate: the gcd of their
+    2x2 minors, 0 unless they span the plane."""
     g = 0
-    for r in rows:
-        if r is not first and r[0] == 0:
-            g = gcd(g, r[1])
-    # reduce first's second entry irrelevant for index
-    if g == 0:
-        return 0
-    return abs(first[0]) * abs(g)
+    for (p1, p2), (q1, q2) in combinations(vectors, 2):
+        g = gcd(g, p1 * q2 - p2 * q1)
+    return g
 
 
 def lattice_pieces(pin):
@@ -220,7 +196,7 @@ def lattice_index(pin):
         for piece in (piece1, piece2):
             base = piece[0]
             gens += [(p[0] - base[0], p[1] - base[1]) for p in piece[1:]]
-        vals.add(_hnf_index(gens))
+        vals.add(_index(gens))
     if len(vals) != 1:
         raise PinError("lattice groupings disagree: %s" % vals)
     return vals.pop()

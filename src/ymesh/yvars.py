@@ -19,6 +19,9 @@ decides each base of ``bases`` once, the list ``verify eqmain`` walks; the
 checks and ``y_of`` on one window chart each line once.
 """
 
+from collections import Counter
+
+from .pins import Pin
 from .rational import (ExtQ, DegenerateError, degenerate_pair, exchange_relation, in_factor,
                        out_factor)
 from .projective import cross_ratio_pair, multi_ratio, join, meet_point, rank_of
@@ -205,12 +208,6 @@ GENERAL_Y_TABLE = {
     frozenset("ABCD"): (-1, ("acd", "ccd", "bcd", "cdd")),
 }
 
-COMPASS = {
-    ("a", "d"): "N", ("b", "c"): "S", ("d", "b"): "E", ("c", "a"): "W",
-    ("a", "b"): "NE", ("c", "d"): "NW", ("b", "a"): "SW", ("d", "c"): "SE",
-}
-
-
 def general_y_factor_route(window, r, subset):
     """y^(1) at r+c+d times the chosen 1+y factors, from plain y-values."""
     pin = window.pin
@@ -237,29 +234,17 @@ def general_y_multiratio_route(window, r, subset):
 
 def cycle_diagram(subset):
     """Compass word of the subset's multi-ratio: consecutive label differences
-    mapped to the eight compass directions, alternating solid/dashed."""
+    mapped to the eight directions of ``Pin.COMPASS_WORDS``, alternating
+    solid/dashed."""
     _, labels = GENERAL_Y_TABLE[frozenset(subset)]
+    direction_of = {pair: name for name, pair in Pin.COMPASS_WORDS.items()}
     out = []
     n = len(labels)
     for idx in range(n):
-        cur, nxt = labels[idx], labels[(idx + 1) % n]
+        cur, nxt = Counter(labels[idx]), Counter(labels[(idx + 1) % n])
         # difference nxt - cur as pin-label exchange x -> y (one letter swap)
-        cs, ns = sorted(cur), sorted(nxt)
-        removed = _multiset_diff(cs, ns)
-        added = _multiset_diff(ns, cs)
-        assert len(removed) == 1 and len(added) == 1, (cur, nxt)
-        direction = COMPASS[(added[0], removed[0])]
+        added, removed = list((nxt - cur).elements()), list((cur - nxt).elements())
+        assert len(removed) == 1 and len(added) == 1, (labels[idx], labels[(idx + 1) % n])
         style = "solid" if idx % 2 == 0 else "dashed"
-        out.append((direction, style))
-    return out
-
-
-def _multiset_diff(xs, ys):
-    ys = list(ys)
-    out = []
-    for x in xs:
-        if x in ys:
-            ys.remove(x)
-        else:
-            out.append(x)
+        out.append((direction_of[(added[0], removed[0])], style))
     return out

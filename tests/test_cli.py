@@ -11,13 +11,15 @@ import pytest
 import ymesh
 from ymesh import battery, mesh
 from ymesh.cli import main
-from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_relations,
-                        generate_1d, generate_polygon_window, generate_reduced, generate_window,
-                        step_1d)
+from ymesh.mesh import (DegenerateConfig, MeshError, MeshWindow, bases, check_menelaus,
+                        check_relations, generate_1d, generate_polygon_window, generate_reduced,
+                        generate_window, step_1d)
 from ymesh.ijmap import row_polygon, t_ij
-from ymesh.pins import ij_correspondence
+from ymesh.lifted import build_lifted
+from ymesh.pins import Pin, ij_correspondence
 from ymesh.projective import Point
-from ymesh.serialize import dumps, loads, mesh_from_json, mesh_to_json, point_to_json
+from ymesh.serialize import (dumps, loads, mesh_from_json, mesh_to_json, point_to_json,
+                             quiver_to_dot)
 from ymesh.yvars import EQMAIN_LABELS, check_eqmain
 from ymesh.zoo import zoo_pin
 
@@ -391,6 +393,75 @@ def test_fractal_points():
     assert len(json.loads(res.output)["points"]) == 10
     res = run("fractal", "--name", "pentagram", "--k", "0", "--base", "3", "1")
     assert res.exit_code == 0 and json.loads(res.output)["points"] == [[3, 1]], res.output
+
+
+def _pentagram_mesh(tmp_path, dim=2):
+    path = str(tmp_path / "mesh.json")
+    res = run("mesh", "gen", "--name", "pentagram", "--dim", str(dim), "--cols", "12",
+              "--steps", "2", "--seed", "0", "--out", path)
+    assert res.exit_code == 0, res.output
+    return path
+
+
+def test_fractal_table_of_a_mesh(tmp_path):
+    path, table = _pentagram_mesh(tmp_path), str(tmp_path / "table.csv")
+    res = run("fractal", "--name", "pentagram", "--k", "3", "--mesh", path, "--out", table)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["k"] == 3
+    assert open(table).read().splitlines() == ["k,samples,generic", "1,15,15", "2,5,5", "3,0,0"]
+
+
+def test_fractal_of_a_mesh_of_another_pin_is_config_error(tmp_path):
+    # the mesh's own fractals were tabled under the --name pin's, exit 0
+    path = _pentagram_mesh(tmp_path)
+    res = run("fractal", "--name", "giraffe", "--k", "3", "--mesh", path)
+    assert res.exit_code == 2, res.output
+    assert res.output == "config error: the mesh is of the pin %r, not of %r\n" % (
+        zoo_pin("pentagram"), zoo_pin("giraffe"))
+
+
+def test_mesh_csv_and_export_print_one_csv(tmp_path):
+    path, out = _pentagram_mesh(tmp_path), str(tmp_path / "mesh.csv")
+    res = run("mesh", "csv", "--mesh", path)
+    assert res.exit_code == 0, res.output
+    w = mesh_from_json(loads(open(path).read()))
+    lines = res.output.splitlines()
+    assert lines[0] == "i,j,x1,x2" and len(lines) == 1 + len(w.points)
+    assert run("export", "mesh-csv", "--in", path, "--out", out).exit_code == 0
+    assert open(out).read() == res.output
+
+
+def test_verify_menelaus_on_a_clean_mesh(tmp_path):
+    path = _pentagram_mesh(tmp_path)
+    res = run("verify", "menelaus", "--mesh", path)
+    assert res.exit_code == 0, res.output
+    w = mesh_from_json(loads(open(path).read()))
+    count = check_menelaus(w)
+    assert json.loads(res.output) == {"kind": "menelaus", "instances": count, "failures": []}
+    assert count > 0
+
+
+def test_mesh_check_on_a_1d_mesh_counts_menelaus(tmp_path):
+    path = _pentagram_mesh(tmp_path, dim=1)
+    res = run("mesh", "check", "--mesh", path)
+    assert res.exit_code == 0, res.output
+    w = mesh_from_json(loads(open(path).read()))
+    count = check_menelaus(w)
+    assert json.loads(res.output) == {"ok": True, "instances": {"menelaus": count}} and count > 0
+
+
+def test_lift_dot():
+    pin = '{"a": [-1, 1], "b": [1, 1], "c": [0, 2], "d": [0, 3]}'
+    res = run("lift", "--pin", pin, "--width", "4", "--height", "3", "--dot")
+    assert res.exit_code == 0, res.output
+    q = build_lifted(Pin([(-1, 1), (1, 1), (0, 2), (0, 3)]), 0, 3, 0, 2)
+    assert res.output == quiver_to_dot(q, "lifted") and res.output.startswith("digraph")
+
+
+def test_pin_info_on_a_pin_that_is_not_horizontal():
+    res = run("pin", "info", "--name", "rabbit")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["horizontal"] is None
 
 
 @pytest.mark.parametrize("args,option", [(("lift", "--width", "-3", "--height", "2"), "--width"),

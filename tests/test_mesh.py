@@ -779,6 +779,26 @@ def test_line_store_follows_in_place_edits(kind, write):
     assert seen == {"value", "raises"}
 
 
+@pytest.mark.parametrize("write", ["set", "update", "ior", "setdefault", "assign"])
+def test_periodic_window_takes_the_columns_of_every_write_mod_n(write):
+    # a key written through points kept its column, 9, which has, get, the
+    # line store and bases then missed
+    w = MeshWindow(zoo_pin("pentagram"), 2, periodic_n=7)
+    p = Point(1, 2, 3)
+    _write(w, write, (9, 1), p)
+    assert dict(w.points) == {(2, 1): p}
+    assert w.has((2, 1)) and w.get((-5, 1)) is p
+    assert bases(w, [(0, 0)]) == [(2, 1)]
+
+
+def test_check_relations_on_a_spanning_window_without_instances():
+    w = MeshWindow(zoo_pin("pentagram"), 2, {(0, 0): Point(1, 0, 0), (10, 0): Point(0, 1, 0),
+                                              (20, 0): Point(0, 0, 1), (30, 5): Point(1, 1, 1)})
+    with pytest.raises(MeshError, match=r"window too small: only \{'L1': 0, 'L2': 0, 'P3': 0, "
+                                        r"'line': 0\} relation instances"):
+        check_relations(w)
+
+
 @pytest.mark.parametrize("kind", STORE_WINDOWS, ids=STORE_IDS)
 def test_checks_chart_each_line_once_per_window(kind, monkeypatch):
     """The three checks and y_of on one window chart each line once, in the

@@ -585,3 +585,13 @@ def test_meet_point_matches_unreduced_cramer_reference(dim, monkeypatch):
             assert [_outcome(meet_point, Flat(g1), Flat(g2)) for g1, g2 in cases] == want
             assert got == _outcome(meet_point, Flat([a, b]), Flat([u, w]))
     assert met > 50
+
+
+def test_meet_point_of_a_plane_and_a_line_in_rp3():
+    # three generators take meet_point past its two-line cases to ``meet``
+    plane = span([Point(1, 0, 0, 0), Point(0, 1, 0, 0), Point(0, 0, 1, 1)])
+    line = join(Point(1, 2, 3, 4), Point(5, -1, 2, 7))
+    assert meet_point(plane, line) == meet(plane, line).point() == Point(0, 11, 13, 13)
+    inside = join(Point(1, 2, 0, 0), Point(3, 1, 4, 4))
+    with pytest.raises(DegenerateError, match="flats meet in rank 2, expected a point"):
+        meet_point(plane, inside)

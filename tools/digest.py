@@ -43,7 +43,13 @@ message).  The entries cover
   with coordinates in -2..2 and a repeated vertex, and such ones moved into
   a hyperplane, so that the hyperplanes H_i that they span are all one;
 - ``meet`` of 20 pairs of random flats per D = 2..5 whose spans share a
-  random subspace: its rank, and its point when it is one.
+  random subspace: its rank, and its point when it is one;
+- the pin side, at every zoo pin and at 40 random sets of four points per
+  seed with coordinates in -3..3 (or the ``PinError`` that rejects the
+  set): the three routes of ``d_of_s``, ``convex_relation``,
+  ``lattice_index``, ``compass_displacements``, ``base_row_range`` of each
+  circuit kind and ``make_fractal`` at k = 0..4; and ``cycle_diagram`` of
+  each subset of ``GENERAL_Y_TABLE``.
 
 The last line is the sha256 over all entries: two trees whose outputs agree
 print the same one.
@@ -61,19 +67,23 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ymesh import battery  # noqa: E402
 from ymesh.cli import _mesh_report  # noqa: E402
-from ymesh.fractal import genericity_audit  # noqa: E402
+from ymesh.filtration import base_row_range  # noqa: E402
+from ymesh.fractal import genericity_audit, make_fractal  # noqa: E402
 from ymesh.ijmap import row_polygon, t_ij  # noqa: E402
 from ymesh.mesh import (TOP, generate_1d, generate_polygon_window,  # noqa: E402
                         generate_reduced, generate_window, step_1d, step_backward,
                         step_forward, step_reduced_forward, check_menelaus,
                         check_relations, _propagates, _reduced_rule)
-from ymesh.pins import d_of_s, ij_correspondence  # noqa: E402
+from ymesh.lifted import compass_displacements  # noqa: E402
+from ymesh.pins import (Pin, convex_relation, d_of_s, ij_correspondence,  # noqa: E402
+                        lattice_index)
 from ymesh.projective import Point, meet, span  # noqa: E402
 from ymesh.quiver import (Quiver, check_exchange_trace, qs_period, run_1d_y,  # noqa: E402
                           run_periodic_y, verify_period_one)
 from ymesh.rational import ExtQ  # noqa: E402
 from ymesh.serialize import dumps, mesh_to_json  # noqa: E402
-from ymesh.yvars import check_eqmain, y_available, y_of  # noqa: E402
+from ymesh.yvars import (GENERAL_Y_TABLE, check_eqmain, cycle_diagram,  # noqa: E402
+                         y_available, y_of)
 from ymesh.zoo import ZOO, zoo_pin  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -90,6 +100,8 @@ DEGENERATE = (ExtQ(0), ExtQ(-1), ExtQ.infinity())
 IJ_WINDOWS = (("short_diagonal", 3, 34, 6), ("giraffe", 4, 44, 9))  # pin, D, columns, steps
 IJ_POLYGONS = 12  # per D and seed
 MEET_PAIRS = 20  # per D and seed
+RANDOM_PINS = 40  # per seed
+FRACTAL_ORDERS = range(5)
 
 entries = []
 
@@ -385,6 +397,35 @@ def meets(seed, rng):
                  "rank %d%s" % (m.rank, " point %s" % (m.point().z,) if m.rank == 1 else ""))
 
 
+def pin_invariants(label, pin):
+    for route in ("relation", "hull", "lattice"):
+        emit("%s D %s" % (label, route), outcome(d_of_s, pin, route)[1])
+    emit(label + " convex relation", outcome(convex_relation, pin)[1])
+    emit(label + " lattice index", outcome(lattice_index, pin)[1])
+    emit(label + " compass", outcome(compass_displacements, pin)[1])
+    for kind in Pin.CIRCUIT_WORDS:
+        emit("%s %s rows" % (label, kind), base_row_range(pin, kind))
+    for k in FRACTAL_ORDERS:
+        emit("%s %d-fractal" % (label, k), sorted(make_fractal(pin, (0, 0), k)))
+
+
+def pin_side():
+    for name in sorted(ZOO):
+        pin_invariants("pin %s" % name, zoo_pin(name))
+    for seed in SEEDS:
+        rng = random.Random(4000 + seed)
+        for k in range(RANDOM_PINS):
+            points = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            label = "pin %s seed=%d #%d" % (points, seed, k)
+            ok, pin = outcome(Pin, points)
+            if ok:
+                pin_invariants(label, pin)
+            else:
+                emit(label, pin)
+    for subset in sorted(GENERAL_Y_TABLE, key=sorted):
+        emit("cycle diagram %s" % "".join(sorted(subset)), cycle_diagram(subset))
+
+
 def quiver_side():
     for name in sorted(ZOO):
         for n in PERIOD_SIZES:
@@ -405,6 +446,7 @@ def main():
         rng = random.Random(3000 + seed)
         ij_maps(seed, rng)
         meets(seed, rng)
+    pin_side()
     print("%d entries, sha256 %s" % (len(entries),
                                      hashlib.sha256("\n".join(entries).encode()).hexdigest()))
 
